@@ -45,19 +45,20 @@ module Dynarray = Dvbp_prelude.Dynarray
    after mutating a bin's load; the session does this in exactly two
    places (place, remove).
 
-   Finally the registry keeps a per-dimension tightest-residual index
-   over blocks of [block_slots] slots: [blk_lo] ([blk_hi]) holds, per
-   block and dimension, a lower (upper) bound on every live slot's
-   residual. Bounds are clamped outward in {!write_free}, so a stale
-   bound is always conservative, and rebuilt tight on compaction. The
-   fused BF/WF argmax scans turn them into per-block score bounds
-   (monotone measures only) and stop as soon as the best score seen can
-   no longer be strictly beaten by any remaining block — the early exit
-   never changes the selected bin, because ties already keep the
-   earliest candidate. *)
-
-let block_shift = 5
-let block_slots = 1 lsl block_shift (* 32 *)
+   Finally, for Best Fit and Worst Fit, the registry keeps a residual
+   bucket index: per dimension j, the live slots grouped by [r_j], one
+   bucket per value when [cap_j <= 255] and otherwise [2^shift]-wide
+   buckets, at most 256 of them. A bin can hold an item only if it sits
+   in a bucket at or above [s_j] in every dimension, so the BF/WF scans
+   walk just those buckets of the one dimension where the item is
+   largest relative to capacity, and run the fit test on those slots
+   alone. Each bucket is a contiguous array with swap-remove; [ipos]
+   records every indexed slot's position in each of its [dim] buckets.
+   The first BF/WF query builds the index, so policies that never ask
+   (FF, MTF, ...) never pay for it; after that {!write_free} and
+   {!kill_slot} keep it current and array growth extends [ipos].
+   Compaction renumbers every slot, so it drops the index and the next
+   BF/WF query rebuilds it. *)
 
 (* Lane width of the SWAR word for this dimension, or 0 when the kernel
    is unavailable. The packability of the capacity itself is delegated
@@ -81,8 +82,7 @@ let swar_lane_bits capacity =
    precondition); each entry is computed with exactly the float
    operations {!measure_of_slot} would otherwise perform, so a lookup is
    bit-identical to the division it replaces. An empty table (component
-   above the build threshold) or an out-of-range index (the block-bound
-   sentinels [max_int] / [-1]) falls back to the live computation. *)
+   above the build threshold) falls back to the live computation. *)
 let ratio_table_max_component = 65535
 
 let build_ratio_tables (cap : int array) =
@@ -121,12 +121,14 @@ type t = {
      its exponent is a per-call parameter. *)
   mutable linf : float array;
   mutable l1 : float array;
-  (* tightest-residual block index: per block of [block_slots] slots and
-     per dimension, a conservative lower/upper bound on the residuals of
-     the block's live slots *)
-  mutable blk_lo : int array;
-  mutable blk_hi : int array;
-  mutable suffix : float array;  (* per-scan scratch for suffix score bounds *)
+  (* residual bucket index (see the module header); allocated by the
+     first BF/WF query *)
+  mutable indexed : bool;
+  ishift : int array;  (* per dim: residual r lies in bucket r lsr ishift.(j) *)
+  ibase : int array;  (* per dim: its first bucket id; [ibase.(dim)] = total *)
+  mutable buckets : int array array;  (* per bucket id: its member slots *)
+  mutable bcount : int array;  (* per bucket id: live length of [buckets] *)
+  mutable ipos : int array;  (* per slot and dim: position in its bucket, or -1 *)
   mutable live : int;
   mutable dead : int;
   (* Proof memo for the strict Any Fit law: when a whole-registry scan
@@ -147,7 +149,15 @@ type t = {
 
 type scan_stats = { scans : int; candidates : int; memo_hits : int }
 
-let[@inline] blocks_for slots = (slots + block_slots - 1) lsr block_shift
+(* Bucket geometry of one dimension: the smallest shift that leaves at
+   most 256 buckets over the residuals [0, c] — 0 (one bucket per value)
+   whenever [c <= 255]. *)
+let bucket_shift c =
+  let s = ref 0 in
+  while c lsr !s > 255 do
+    incr s
+  done;
+  !s
 
 let create ?(kernel = `Auto) ~capacity () =
   (* the dummy bin fills unused backing slots; it is never traversed *)
@@ -162,10 +172,16 @@ let create ?(kernel = `Auto) ~capacity () =
       dead_word := !dead_word lor (((1 lsl (lane - 1)) - 1) lsl (lane * j))
     done;
   let slots = 8 in
+  let cap = (capacity :> int array) in
+  let ishift = Array.map bucket_shift cap in
+  let ibase = Array.make (dim + 1) 0 in
+  for j = 0 to dim - 1 do
+    ibase.(j + 1) <- ibase.(j) + (cap.(j) lsr ishift.(j)) + 1
+  done;
   {
     dim;
-    cap = (capacity :> int array);
-    rat = build_ratio_tables (capacity :> int array);
+    cap;
+    rat = build_ratio_tables cap;
     bins = Dynarray.create ~dummy ();
     free = Array.make (dim * slots) (-1);
     swar;
@@ -176,9 +192,12 @@ let create ?(kernel = `Auto) ~capacity () =
     packed = (if swar then Array.make slots !dead_word else [||]);
     linf = Array.make slots 0.0;
     l1 = Array.make slots 0.0;
-    blk_lo = Array.make (blocks_for slots * dim) max_int;
-    blk_hi = Array.make (blocks_for slots * dim) (-1);
-    suffix = [||];
+    indexed = false;
+    ishift;
+    ibase;
+    buckets = [||];
+    bcount = [||];
+    ipos = [||];
     live = 0;
     dead = 0;
     stamp = 0;
@@ -199,20 +218,76 @@ let[@inline] note_scan t examined =
   t.stat_scans <- t.stat_scans + 1;
   t.stat_candidates <- t.stat_candidates + examined
 
-(* Re-mirrors slot [slot] from the bin record: the scalar residuals, the
-   SWAR word, the cached Linf/L1 scores, and the block bounds (clamped
-   outward only — a residual that shrank back leaves a stale,
-   conservative bound behind). The score accumulation mirrors
-   {!measure_of_slot} operation for operation, so a cached score and a
-   recomputed one are the same float. *)
+(* Residual bucket index maintenance. [bucket_insert] appends [slot] to
+   bucket [g] for dimension [j]; [bucket_remove] swap-removes the member
+   at position [p] and re-points the slot moved into the hole. *)
+let bucket_insert t g slot j =
+  let c = Array.unsafe_get t.bcount g in
+  let members = Array.unsafe_get t.buckets g in
+  let members =
+    if c < Array.length members then members
+    else begin
+      let bigger = Array.make (max 4 (2 * c)) (-1) in
+      Array.blit members 0 bigger 0 c;
+      t.buckets.(g) <- bigger;
+      bigger
+    end
+  in
+  Array.unsafe_set members c slot;
+  Array.unsafe_set t.bcount g (c + 1);
+  Array.unsafe_set t.ipos ((slot * t.dim) + j) c
+
+let bucket_remove t g p j =
+  let last = Array.unsafe_get t.bcount g - 1 in
+  let members = Array.unsafe_get t.buckets g in
+  let moved = Array.unsafe_get members last in
+  Array.unsafe_set members p moved;
+  Array.unsafe_set t.ipos ((moved * t.dim) + j) p;
+  Array.unsafe_set t.bcount g last
+
+let[@inline] bucket_of t j r =
+  Array.unsafe_get t.ibase j + (r lsr Array.unsafe_get t.ishift j)
+
+(* Moves [slot] to the buckets of its new residuals [cap - load]; called
+   before {!write_free} overwrites [free], which still holds the old
+   residuals of an indexed slot. *)
+let reindex_slot t slot (cap : int array) (load : int array) =
+  let base = slot * t.dim in
+  for j = 0 to t.dim - 1 do
+    let g = bucket_of t j (Array.unsafe_get cap j - Array.unsafe_get load j) in
+    let p = Array.unsafe_get t.ipos (base + j) in
+    if p < 0 then bucket_insert t g slot j
+    else begin
+      let old = bucket_of t j (Array.unsafe_get t.free (base + j)) in
+      if old <> g then begin
+        bucket_remove t old p j;
+        bucket_insert t g slot j
+      end
+    end
+  done
+
+let unindex_slot t slot =
+  let base = slot * t.dim in
+  if Array.unsafe_get t.ipos base >= 0 then
+    for j = 0 to t.dim - 1 do
+      bucket_remove t (bucket_of t j (Array.unsafe_get t.free (base + j)))
+        (Array.unsafe_get t.ipos (base + j)) j;
+      Array.unsafe_set t.ipos (base + j) (-1)
+    done
+
+(* Re-mirrors slot [slot] from the bin record: the bucket index (once
+   built), the scalar residuals, the SWAR word, and the cached Linf/L1
+   scores. The score accumulation mirrors {!measure_of_slot} operation
+   for operation, so a cached score and a recomputed one are the same
+   float. *)
 let[@inline] write_free t slot (b : Bin.t) =
   let cap = (b.Bin.capacity :> int array)
   and load = (b.Bin.load :> int array) in
-  let free = t.free and blk_lo = t.blk_lo and blk_hi = t.blk_hi in
+  if t.indexed then reindex_slot t slot cap load;
+  let free = t.free in
   let rat = t.rat in
   let d = t.dim in
   let base = slot * d in
-  let bbase = (slot lsr block_shift) * d in
   let best = ref 0.0 and sum = ref 0.0 in
   if t.swar then begin
     let lane = t.lane in
@@ -220,10 +295,6 @@ let[@inline] write_free t slot (b : Bin.t) =
     for j = 0 to d - 1 do
       let r = Array.unsafe_get cap j - Array.unsafe_get load j in
       Array.unsafe_set free (base + j) r;
-      if r < Array.unsafe_get blk_lo (bbase + j) then
-        Array.unsafe_set blk_lo (bbase + j) r;
-      if r > Array.unsafe_get blk_hi (bbase + j) then
-        Array.unsafe_set blk_hi (bbase + j) r;
       let ratio = ratio_at rat cap j r in
       if ratio > !best then best := ratio;
       sum := !sum +. ratio;
@@ -235,10 +306,6 @@ let[@inline] write_free t slot (b : Bin.t) =
     for j = 0 to d - 1 do
       let r = Array.unsafe_get cap j - Array.unsafe_get load j in
       Array.unsafe_set free (base + j) r;
-      if r < Array.unsafe_get blk_lo (bbase + j) then
-        Array.unsafe_set blk_lo (bbase + j) r;
-      if r > Array.unsafe_get blk_hi (bbase + j) then
-        Array.unsafe_set blk_hi (bbase + j) r;
       let ratio = ratio_at rat cap j r in
       if ratio > !best then best := ratio;
       sum := !sum +. ratio
@@ -247,6 +314,7 @@ let[@inline] write_free t slot (b : Bin.t) =
   Array.unsafe_set t.l1 slot !sum
 
 let[@inline] kill_slot t slot =
+  if t.indexed then unindex_slot t slot;
   t.free.(slot * t.dim) <- -1;
   if t.swar then t.packed.(slot) <- t.dead_word
 
@@ -267,20 +335,35 @@ let ensure_free_capacity t slots =
     Array.blit t.linf 0 linf 0 (Array.length t.linf);
     Array.blit t.l1 0 l1 0 (Array.length t.l1);
     t.linf <- linf;
-    t.l1 <- l1
-  end;
-  let bneed = blocks_for slots * t.dim in
-  if Array.length t.blk_lo < bneed then begin
-    let grown = max bneed (2 * Array.length t.blk_lo) in
-    let lo = Array.make grown max_int and hi = Array.make grown (-1) in
-    Array.blit t.blk_lo 0 lo 0 (Array.length t.blk_lo);
-    Array.blit t.blk_hi 0 hi 0 (Array.length t.blk_hi);
-    t.blk_lo <- lo;
-    t.blk_hi <- hi
+    t.l1 <- l1;
+    if t.indexed then begin
+      let ipos = Array.make grown (-1) in
+      Array.blit t.ipos 0 ipos 0 (Array.length t.ipos);
+      t.ipos <- ipos
+    end
   end
 
-let ensure_suffix t n =
-  if Array.length t.suffix < n then t.suffix <- Array.make (max n 16) 0.0
+(* (Re)builds the bucket index from the residual mirror: every open slot
+   in ascending order, into emptied buckets. Allocates the buckets on the
+   first call only. *)
+let build_index t =
+  let d = t.dim in
+  let nbuckets = t.ibase.(d) in
+  if Array.length t.buckets = 0 then begin
+    t.buckets <- Array.make nbuckets [||];
+    t.bcount <- Array.make nbuckets 0
+  end
+  else Array.fill t.bcount 0 nbuckets 0;
+  if Array.length t.ipos = Array.length t.free then
+    Array.fill t.ipos 0 (Array.length t.ipos) (-1)
+  else t.ipos <- Array.make (Array.length t.free) (-1);
+  for slot = 0 to Dynarray.length t.bins - 1 do
+    if Bin.is_open (Dynarray.unsafe_get t.bins slot) then
+      for j = 0 to d - 1 do
+        bucket_insert t (bucket_of t j t.free.((slot * d) + j)) slot j
+      done
+  done;
+  t.indexed <- true
 
 let[@inline] bump t = t.stamp <- t.stamp + 1
 
@@ -309,9 +392,9 @@ let refresh t (b : Bin.t) =
 
 let compact t =
   Dynarray.filter_in_place t.bins Bin.is_open;
-  (* reset the block bounds so the rebuild below leaves them tight *)
-  Array.fill t.blk_lo 0 (Array.length t.blk_lo) max_int;
-  Array.fill t.blk_hi 0 (Array.length t.blk_hi) (-1);
+  (* every surviving slot moves: drop the bucket index rather than patch
+     it slot by slot, and let the next BF/WF query rebuild it *)
+  t.indexed <- false;
   for i = 0 to Dynarray.length t.bins - 1 do
     let b = Dynarray.unsafe_get t.bins i in
     write_free t i b;
@@ -536,57 +619,36 @@ let measure_of_slot t (m : Load_measure.t) (free : int array) base =
       done;
       !acc ** (1.0 /. p)
 
-(* The block-bound pruning is sound only for measures that are monotone
-   in every residual under the float operations actually performed:
-   integer subtraction is exact, [fl(l / c)] is monotone in [l], and max
-   and same-order summation preserve weak monotonicity. [x ** p] makes
-   no such promise, so Lp scans never prune. *)
-let bound_supported = function
-  | Load_measure.Linf | Load_measure.L1 -> true
-  | Load_measure.Lp _ -> false
-
 (* Argmax/argmin of the load measure over the fitting bins, fused into
-   the mirror scan (best-fit/worst-fit never touch the bin records until
-   the winner is known). Strict improvement replaces, so ties keep the
-   earliest-opened bin.
+   the index walk (best-fit/worst-fit never touch the bin records until
+   the winner is known).
 
-   Per-block early exit: evaluating the measure on a block's [blk_lo]
-   ([blk_hi]) residual bounds gives an upper (lower) bound on every live
-   slot's score in that block — the measures are monotone decreasing in
-   each residual — and a right-to-left pass turns those into suffix
-   bounds. Once some fitting bin is in hand and its score meets the
-   suffix bound, no remaining slot can STRICTLY beat it, and a
-   non-strict tie would lose to the earlier candidate anyway, so the
-   scan stops — same winner, fewer slots examined. Both kernels share
-   this logic, so candidate counts stay kernel-independent. *)
+   A bin fits only if every residual covers the item, so it suffices to
+   test the slots in buckets at or above [s_k] of a single dimension [k];
+   the walk takes the dimension where the item is largest relative to
+   capacity, whose buckets hold the fewest such slots in a typical fleet.
+   Coarse buckets (capacity above 255) may also hold slots just below
+   [s_k], and the kernel's fit test filters them like any other miss.
+   Buckets are unordered, so the winner is the best score with ties to
+   the LOWER slot — exactly the bin the ascending full scan keeps when
+   strict improvement replaces. Both kernels walk the same buckets, so
+   the candidate count (slots whose fit test ran) is kernel-independent. *)
 let extremal_loaded_fitting t (measure : Load_measure.t) size ~largest =
   let size = coerce_size t size in
-  let d = t.dim and free = t.free in
-  let n = Dynarray.length t.bins in
-  let nblocks = blocks_for n in
-  let prune = nblocks > 1 && bound_supported measure in
-  (* The suffix score bounds are built lazily, at the first block
-     boundary reached with a candidate in hand — a scan that finds no
-     fitting bin (the common case once bins saturate) never consults
-     them, so it never pays for the build. Values are identical
-     whenever consulted, so examined counts and winners match the eager
-     build exactly. *)
-  let suffix_built = ref false in
-  let build_suffix () =
-    suffix_built := true;
-    ensure_suffix t (nblocks + 1);
-    let s = t.suffix in
-    s.(nblocks) <- (if largest then neg_infinity else infinity);
-    for b = nblocks - 1 downto 0 do
-      let bound =
-        measure_of_slot t measure
-          (if largest then t.blk_lo else t.blk_hi)
-          (b * d)
-      in
-      s.(b) <-
-        (if largest then Float.max bound s.(b + 1) else Float.min bound s.(b + 1))
-    done
-  in
+  if not t.indexed then build_index t;
+  let d = t.dim and cap = t.cap and free = t.free in
+  let k = ref 0 and kratio = ref neg_infinity in
+  for j = 0 to d - 1 do
+    let r =
+      float_of_int (Array.unsafe_get size j) /. float_of_int (Array.unsafe_get cap j)
+    in
+    if r > !kratio then begin
+      k := j;
+      kratio := r
+    end
+  done;
+  let k = !k in
+  let sk = Array.unsafe_get size k in
   let swar = t.swar and packed = t.packed and gmask = t.gmask in
   (* cached per-slot scores where the measure has a cache (Linf, L1);
      an empty array routes Lp through the live computation *)
@@ -598,50 +660,44 @@ let extremal_loaded_fitting t (measure : Load_measure.t) size ~largest =
   in
   let cached = Array.length scores > 0 in
   let best = ref (-1) and best_score = ref 0.0 in
-  let examined = ref n in
+  let examined = ref 0 in
   let iw = if swar then pack_size t size else 0 in
-  if swar && iw < 0 then ()
-  else begin
-    let b = ref 0 and stop = ref false in
-    while (not !stop) && !b lsl block_shift < n do
-      let lo = !b lsl block_shift in
-      if
-        prune && !best >= 0
-        &&
-        (if not !suffix_built then build_suffix ();
-         let s = Array.unsafe_get t.suffix !b in
-         if largest then !best_score >= s else !best_score <= s)
-      then begin
-        examined := lo;
-        stop := true
-      end
-      else begin
-        let hi = Int.min n (lo + block_slots) in
-        let i = ref lo in
-        while !i < hi do
-          let next =
-            if swar then scan_up_swar packed iw gmask hi !i
-            else scan_up free size d hi !i
+  (* an item larger than the capacity in dimension k fits nowhere; so
+     does one that overflows a SWAR lane *)
+  if sk <= Array.unsafe_get cap k && iw >= 0 then
+    for g = bucket_of t k sk to t.ibase.(k + 1) - 1 do
+      let members = Array.unsafe_get t.buckets g in
+      let c = Array.unsafe_get t.bcount g in
+      examined := !examined + c;
+      for p = 0 to c - 1 do
+        let slot = Array.unsafe_get members p in
+        let fits =
+          if swar then (Array.unsafe_get packed slot - iw) land gmask = gmask
+          else begin
+            let base = slot * d and acc = ref 0 in
+            for j = 0 to d - 1 do
+              acc :=
+                !acc lor (Array.unsafe_get free (base + j) - Array.unsafe_get size j)
+            done;
+            !acc >= 0
+          end
+        in
+        if fits then begin
+          let score =
+            if cached then Array.unsafe_get scores slot
+            else measure_of_slot t measure free (slot * d)
           in
-          if next < hi then begin
-            let score =
-              if cached then Array.unsafe_get scores next
-              else measure_of_slot t measure free (next * d)
-            in
-            if
-              !best < 0
-              || (if largest then score > !best_score else score < !best_score)
-            then begin
-              best := next;
-              best_score := score
-            end
-          end;
-          i := next + 1
-        done;
-        incr b
-      end
-    done
-  end;
+          if
+            !best < 0
+            || (if largest then score > !best_score else score < !best_score)
+            || (score = !best_score && slot < !best)
+          then begin
+            best := slot;
+            best_score := score
+          end
+        end
+      done
+    done;
   note_scan t !examined;
   if !best < 0 then begin
     record_miss t size;
@@ -657,9 +713,7 @@ let least_loaded_fitting t ~measure size =
 
 (* Most-recently-used fitting bin (move-to-front). [last_used] values are
    unique (the session's touch counter increments per use), so comparing
-   them as ints selects the same bin as the old float argmax. No block
-   pruning here — the argmax key lives in the bin records, not the
-   residual mirror. *)
+   them as ints selects the same bin as the old float argmax. *)
 let recently_used_fitting t size =
   let size = coerce_size t size in
   let d = t.dim and free = t.free in

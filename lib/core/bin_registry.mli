@@ -84,11 +84,23 @@ val most_loaded_fitting :
   t -> measure:Load_measure.t -> Dvbp_vec.Vec.t -> Bin.t option
 (** Fitting bin with the largest load measure (earliest wins ties) — Best
     Fit's whole select. The measure is evaluated from the packed residual
-    mirror, bit-identical to scoring each bin with {!Bin.load_measure}. *)
+    mirror, bit-identical to scoring each bin with {!Bin.load_measure}.
+
+    Only bins that could hold the item run the fit test: the registry
+    keeps the open bins bucketed by residual in every dimension (one
+    bucket per value up to capacity 255, at most 256 equal-width buckets
+    above), and the query walks the buckets at or above the item's size
+    in the dimension where the item is largest relative to capacity. The
+    index is built by the first call of this function or
+    {!least_loaded_fitting} and maintained by {!add}, {!refresh} and
+    {!note_closed} from then on; the result is the bin an ascending scan
+    of every open bin would select, for every measure. *)
 
 val least_loaded_fitting :
   t -> measure:Load_measure.t -> Dvbp_vec.Vec.t -> Bin.t option
-(** Fitting bin with the smallest load measure — Worst Fit's select. *)
+(** Fitting bin with the smallest load measure (earliest wins ties) —
+    Worst Fit's select. Same residual bucket index as
+    {!most_loaded_fitting}. *)
 
 val recently_used_fitting : t -> Dvbp_vec.Vec.t -> Bin.t option
 (** Fitting bin with the largest {!Bin.t.last_used} — Move To Front's
@@ -110,7 +122,11 @@ val to_list : t -> Bin.t list
 
 type scan_stats = {
   scans : int;  (** fit scans performed (one per [*_fitting] call) *)
-  candidates : int;  (** total slots examined across all scans *)
+  candidates : int;
+      (** slots whose fit test ran, summed over all scans: every slot up to
+          the answer for the ascending and descending scans, only the
+          slots in the walked residual buckets for {!most_loaded_fitting}
+          and {!least_loaded_fitting} *)
   memo_hits : int;  (** {!exists_fitting} calls answered by the miss memo *)
 }
 

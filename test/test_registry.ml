@@ -161,6 +161,46 @@ let registry_tests =
         check_bool "exists big" false (Bin_registry.exists_fitting t (v [ 10; 10 ]));
         check_int "fold over fitting" (1 + 3)
           (Bin_registry.fold_fitting t size (fun acc b -> acc + b.Bin.id) 0));
+    Alcotest.test_case "best/worst fit test only bins with room in one dimension"
+      `Quick (fun () ->
+        List.iter
+          (fun kernel ->
+            let t = registry ~kernel () in
+            (* residuals (1,1) (9,9) (2,8) (8,2) (10,10) (5,5) *)
+            let bins =
+              List.mapi
+                (fun i load -> bin ~load i)
+                [ [ 9; 9 ]; [ 1; 1 ]; [ 8; 2 ]; [ 2; 8 ]; [ 0; 0 ]; [ 5; 5 ] ]
+            in
+            List.iter (Bin_registry.add t) bins;
+            (* (5,3) is largest relative to capacity in dimension 0, so only
+               the bins with residual_0 >= 5 run the fit test *)
+            let size = v [ 5; 3 ] in
+            let id = function Some (b : Bin.t) -> b.Bin.id | None -> -1 in
+            let tested f =
+              let before = (Bin_registry.scan_stats t).Bin_registry.candidates in
+              let r = id (f t ~measure:Load_measure.Linf size) in
+              (r, (Bin_registry.scan_stats t).Bin_registry.candidates - before)
+            in
+            let bf = tested Bin_registry.most_loaded_fitting
+            and wf = tested Bin_registry.least_loaded_fitting in
+            Alcotest.(check (pair int int)) "bf: bins 1,3,4,5 tested" (5, 4) bf;
+            Alcotest.(check (pair int int)) "wf" (4, 4) wf;
+            (* a closed bin leaves the index at once, before compaction *)
+            let b4 = List.nth bins 4 in
+            close b4;
+            Bin_registry.note_closed t b4;
+            Alcotest.(check (pair int int)) "wf after close" (1, 3)
+              (tested Bin_registry.least_loaded_fitting);
+            (* a refresh moves the bin to the bucket of its new residual *)
+            let b1 = List.nth bins 1 in
+            Bin.place b1
+              (Item.make ~id:99 ~arrival:0.0 ~departure:1.0 ~size:(v [ 5; 0 ]))
+              ~touch:9;
+            Bin_registry.refresh t b1;
+            Alcotest.(check (pair int int)) "bf after refresh" (5, 2)
+              (tested Bin_registry.most_loaded_fitting))
+          [ `Auto; `Scalar ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -363,8 +403,167 @@ let prop_kernels_agree =
       && queries_agree swar scalar spec
       && Bin_registry.scan_stats swar = Bin_registry.scan_stats scalar)
 
+(* ------------------------------------------------------------------ *)
+(* Best Fit / Worst Fit against an independent reference. The kernel
+   differential above cannot catch a bug in the candidate index the two
+   kernels share, so here every selection is re-derived from the bin
+   records alone — [Bin.fits] and [Bin.load_measure], earliest bin on
+   ties — while adds, placements, removals and closes (with their
+   compactions and array growth) interleave with the queries, so every
+   mutation path runs both before and after the registry builds its
+   index. *)
+
+type ref_op =
+  | Add of int array * int array  (* load mode / raw per dim *)
+  | Place of int * int array  (* bin pick, raw share of the room per dim *)
+  | Remove of int  (* bin pick: its latest item departs *)
+  | Close of int  (* bin pick *)
+  | Query of int array * int array  (* size mode / raw per dim *)
+
+type ref_spec = { rd : int; rcap : int array; ops : ref_op list }
+
+let ref_ops_gen d =
+  QCheck2.Gen.(
+    let per_dim = array_repeat d (0 -- 100_000) in
+    let* n = 0 -- 1000 in
+    list_repeat n
+      (frequency
+         [
+           (6, map2 (fun m r -> Add (m, r)) (array_repeat d (0 -- 4)) per_dim);
+           (3, map2 (fun k r -> Place (k, r)) nat per_dim);
+           (2, map (fun k -> Remove k) nat);
+           (2, map (fun k -> Close k) nat);
+           (2, map2 (fun m r -> Query (m, r)) (array_repeat d (0 -- 6)) per_dim);
+         ]))
+
+(* byte-sized capacities: both kernels, one bucket per residual value *)
+let ref_gen_swar =
+  QCheck2.Gen.(
+    let* rd = 1 -- 8 in
+    let maxp = Vec.max_packable ~lane_bits:(63 / rd) in
+    let* rcap =
+      array_repeat rd (frequency [ (2, pure maxp); (1, pure 1); (4, 1 -- maxp) ])
+    in
+    let* ops = ref_ops_gen rd in
+    pure { rd; rcap; ops })
+
+(* at least one component above 255: scalar kernel only, coarse buckets on
+   the wide dimensions, and components above the fill-ratio table limit *)
+let ref_gen_scalar =
+  QCheck2.Gen.(
+    let* rd = 1 -- 6 in
+    let* rcap =
+      array_repeat rd
+        (frequency [ (1, 1 -- 255); (4, 256 -- 5000); (1, 65_536 -- 300_000) ])
+    in
+    if Array.for_all (fun c -> c <= 255) rcap then rcap.(0) <- rcap.(0) + 256;
+    let* ops = ref_ops_gen rd in
+    pure { rd; rcap; ops })
+
+(* query sizes: the diff_gen modes plus a small-item mode, which fits
+   many bins of a wide population *)
+let ref_size_of_mode cap_j mode raw =
+  if mode = 6 then raw mod ((cap_j / 4) + 1) else size_of_mode cap_j mode raw
+
+(* the reference: the bin records alone, ascending open order, strict
+   improvement replaces, so ties keep the earliest bin *)
+let reference_extremal bins size measure ~largest =
+  List.fold_left
+    (fun best (b : Bin.t) ->
+      if Bin.is_open b && Bin.fits b size then
+        let score = Bin.load_measure measure b in
+        match best with
+        | Some (_, s) when not (if largest then score > s else score < s) -> best
+        | _ -> Some (b.Bin.id, score)
+      else best)
+    None bins
+  |> Option.fold ~none:(-1) ~some:fst
+
+let ref_measures = [ Load_measure.Linf; Load_measure.L1; Load_measure.Lp 2.0; Load_measure.Lp 3.5 ]
+
+(* Drives one registry through the ops; returns false at the first
+   selection that disagrees with the reference. *)
+let run_against_reference ~kernel { rd; rcap; ops } =
+  let capv = Vec.of_array rcap in
+  let t = Bin_registry.create ~kernel ~capacity:capv () in
+  let all = ref [] and live = ref [||] and next_id = ref 0 and next_item = ref 0 in
+  let pick k = !live.(k mod Array.length !live) in
+  let item size =
+    incr next_item;
+    Item.make ~id:!next_item ~arrival:0.0 ~departure:1.0 ~size:(Vec.of_array size)
+  in
+  let ok = ref true in
+  List.iter
+    (fun op ->
+      if !ok then
+        match op with
+        | Add (mode, raw) ->
+            let id = !next_id in
+            incr next_id;
+            let b = Bin.create ~id ~capacity:capv ~now:0.0 ~touch:id in
+            let load = Array.init rd (fun j -> load_of_mode rcap.(j) mode.(j) raw.(j)) in
+            if Array.exists (fun x -> x > 0) load then Bin.place b (item load) ~touch:id;
+            Bin_registry.add t b;
+            all := !all @ [ b ];
+            live := Array.append !live [| b |]
+        | Place (k, raw) when Array.length !live > 0 ->
+            let b = pick k in
+            let load = (b.Bin.load :> int array) in
+            let size = Array.init rd (fun j -> raw.(j) mod (rcap.(j) - load.(j) + 1)) in
+            if Array.exists (fun x -> x > 0) size then begin
+              Bin.place b (item size) ~touch:!next_item;
+              Bin_registry.refresh t b
+            end
+        | Remove k when Array.length !live > 0 -> (
+            let b = pick k in
+            match b.Bin.active_items with
+            | r :: _ ->
+                Bin.remove b r;
+                Bin_registry.refresh t b
+            | [] -> ())
+        | Close k when Array.length !live > 0 ->
+            let b = pick k in
+            close b;
+            Bin_registry.note_closed t b;
+            live := Array.of_list (List.filter (fun x -> x != b) (Array.to_list !live))
+        | Query (mode, raw) ->
+            let size =
+              Vec.of_array
+                (Array.init rd (fun j -> ref_size_of_mode rcap.(j) mode.(j) raw.(j)))
+            in
+            List.iter
+              (fun m ->
+                List.iter
+                  (fun largest ->
+                    let got =
+                      id_of
+                        (if largest then Bin_registry.most_loaded_fitting t ~measure:m size
+                         else Bin_registry.least_loaded_fitting t ~measure:m size)
+                    in
+                    if got <> reference_extremal !all size m ~largest then ok := false)
+                  [ true; false ])
+              ref_measures
+        | Place _ | Remove _ | Close _ -> ())
+    ops;
+  (!ok && Bin_registry.count t = Array.length !live, Bin_registry.scan_stats t)
+
+let prop_swar_matches_reference =
+  QCheck2.Test.make
+    ~name:"Best/Worst Fit match the bin-record reference under both kernels"
+    ~count:60 ref_gen_swar (fun spec ->
+      let ok_swar, stats_swar = run_against_reference ~kernel:`Auto spec in
+      let ok_scalar, stats_scalar = run_against_reference ~kernel:`Scalar spec in
+      ok_swar && ok_scalar && stats_swar = stats_scalar)
+
+let prop_wide_scalar_matches_reference =
+  QCheck2.Test.make
+    ~name:"Best/Worst Fit match the bin-record reference above byte capacities"
+    ~count:60 ref_gen_scalar (fun spec ->
+      fst (run_against_reference ~kernel:`Auto spec))
+
 let kernel_property_tests =
-  List.map QCheck_alcotest.to_alcotest [ prop_kernels_agree ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_kernels_agree; prop_swar_matches_reference; prop_wide_scalar_matches_reference ]
 
 let suites =
   [
