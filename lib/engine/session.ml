@@ -147,6 +147,11 @@ let arrive_core t ~at ?id ?departure ~size () =
       if id < 0 then error "arrival at %g: negative item id %d" at id;
       if Int_table.mem t.items id then error "arrival at %g: duplicate item id %d" at id
   | None -> ());
+  (* the clock starts at 0 and items cannot arrive before it *)
+  if at < 0.0 then
+    error "arrival%s at %g: negative time"
+      (if given_id < 0 then "" else Printf.sprintf " of item %d" given_id)
+      at;
   commit_advance t at;
   let view = { Policy.size; arrival = at; departure } in
   let target, opened_new_bin =
@@ -203,6 +208,9 @@ let arrive t ~at ?id ?departure ~size () =
 
 let depart_core t ~at ~item_id =
   check_advance t at ~kind:'d' ~item:item_id;
+  (* ids are non-negative (arrive refuses others), and the id table
+     rejects negative keys outright *)
+  if item_id < 0 then error "departure at %g: unknown item id %d" at item_id;
   let state =
     match Int_table.find t.items item_id with
     | s -> s

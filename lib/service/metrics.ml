@@ -21,18 +21,6 @@ let kind_name = function
 
 let all_kinds = [ Arrive; Depart; Stats; Snapshot; Metrics; Other ]
 
-let kind_of_line line =
-  let n = String.length line in
-  let stop = ref 0 in
-  while !stop < n && line.[!stop] <> ' ' && line.[!stop] <> '\r' do incr stop done;
-  match String.sub line 0 !stop with
-  | "ARRIVE" -> Arrive
-  | "DEPART" -> Depart
-  | "STATS" -> Stats
-  | "SNAPSHOT" -> Snapshot
-  | "METRICS" -> Metrics
-  | _ -> Other
-
 type t = {
   reg : R.t;
   j_appends : R.Counter.t;

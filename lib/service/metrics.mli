@@ -35,10 +35,6 @@ val now : t -> float
 
 type kind = Arrive | Depart | Stats | Snapshot | Metrics | Other
 
-val kind_of_line : string -> kind
-(** Classifies a protocol line by its first token (for per-kind request
-    counters and latency histograms). *)
-
 val kind_name : kind -> string
 
 (** {1 Journal-side hooks} *)

@@ -50,6 +50,8 @@ type t = {
   mutable snapshots : int;
   obs : Metrics.t;
   mutable closed : bool;
+  field_starts : int array;  (* request scanner scratch, one slot per field *)
+  field_stops : int array;
 }
 
 let ( let* ) = Result.bind
@@ -121,6 +123,9 @@ let make_t config ~io ~obs ~tenant_sessions journal ~history ~since_snapshot =
       snapshots = 0;
       obs;
       closed = false;
+      (* ARRIVE tenant t id sizes: the longest request has 5 fields *)
+      field_starts = Array.make 5 0;
+      field_stops = Array.make 5 0;
     }
   in
   List.iter (fun (tenant, session) -> register_tenant t tenant session) tenant_sessions;
@@ -276,15 +281,6 @@ let stats_line t =
     t.requests t.placements t.rejections t.departures t.errors t.snapshots t.events
     open_bins bins_opened active_items clock cost lat_mean lat_max
 
-let record t e =
-  (match t.journal with
-  | Some w -> Metrics.time_journal_append t.obs (fun () -> Journal.append w e)
-  | None -> ());
-  t.history_rev <- e :: t.history_rev;
-  t.events <- t.events + 1;
-  t.since_snapshot <- t.since_snapshot + 1;
-  Metrics.set_compaction_lag t.obs t.since_snapshot
-
 (* Write a durable snapshot of the whole current state at [path]. What
    happens to the journal afterwards is the caller's choice: the classic
    snapshot path truncates everything, compaction retires covered sealed
@@ -373,236 +369,54 @@ let compact t =
       t.compaction <- C_idle;
       Ok (path, retired)
 
-let parse_float what s =
-  match float_of_string_opt s with
-  | Some x when Float.is_finite x -> Ok x
-  | Some _ | None -> Error (Printf.sprintf "bad %s %S" what s)
+(* {2 Request parsing}
 
-let parse_int what s =
-  match int_of_string_opt s with
-  | Some x -> Ok x
-  | None -> Error (Printf.sprintf "bad %s %S" what s)
+   [parse_request] is the only code that turns a request line into a
+   request, for both entry points. Fields are space-separated; a trailing
+   CR and stray blanks (leading, trailing, doubled) are tolerated. Fields
+   are scanned in place; numeric fields take a plain-decimal fast path and
+   otherwise fall back to the stdlib conversion of the field's substring,
+   so every spelling [int_of_string]/[float_of_string] accepts ([+7],
+   [0x10], [1_000], [1e1]) is accepted. A tenant-prefixed event has one
+   more field than the un-prefixed form: the field count, not the content,
+   tells the two grammars apart (digit strings are valid tenants and valid
+   timestamps alike). *)
 
-let parse_sizes s =
-  let fields = String.split_on_char ',' s in
-  let rec go = function
-    | [] -> Ok []
-    | f :: rest ->
-        let* x = parse_int "size entry" f in
-        let* xs = go rest in
-        Ok (x :: xs)
-  in
-  let* sizes = go fields in
-  match sizes with
-  | [] -> Error "empty size vector"
-  | _ ->
-      if List.exists (fun x -> x < 0) sizes then Error "negative size"
-      else Ok (Vec.of_list sizes)
+type request =
+  | Q_arrive of { tenant : string; time : float; item_id : int; size : Vec.t }
+  | Q_depart of { tenant : string; time : float; item_id : int }
+  | Q_stats
+  | Q_metrics
+  | Q_snapshot
+  | Q_quit
+  | Q_err of { kind : Metrics.kind; msg : string }  (* answers [ERR msg] *)
 
-let err t msg =
-  t.errors <- t.errors + 1;
-  (Printf.sprintf "ERR %s" msg, false)
+let kind_of_request = function
+  | Q_arrive _ -> Metrics.Arrive
+  | Q_depart _ -> Metrics.Depart
+  | Q_stats -> Metrics.Stats
+  | Q_metrics -> Metrics.Metrics
+  | Q_snapshot -> Metrics.Snapshot
+  | Q_quit -> Metrics.Other
+  | Q_err { kind; _ } -> kind
 
-let placed_reply (p : Session.placement) =
-  String.concat ""
-    [ "PLACED "; string_of_int p.Session.bin_id;
-      (if p.Session.opened_new_bin then " 1" else " 0") ]
+(* ARRIVE and DEPART lines, well-formed or not, are answered in event runs
+   (prep, apply, commit); every other line is handled on its own. *)
+let in_run req =
+  match kind_of_request req with
+  | Metrics.Arrive | Metrics.Depart -> true
+  | Metrics.Stats | Metrics.Snapshot | Metrics.Metrics | Metrics.Other -> false
 
-let handle_arrive t ~tenant ~time ~item_id ~size =
-  match get_session t tenant with
-  | Error msg -> err t msg
-  | Ok session -> (
-      match Session.arrive session ~at:time ~id:item_id ~size () with
-      | exception Session.Session_error msg ->
-          t.rejections <- t.rejections + 1;
-          (Printf.sprintf "REJECT %s" msg, false)
-      | p ->
-          record t
-            (Journal.Arrive
-               { tenant; time; item_id; size; bin_id = p.Session.bin_id;
-                 opened_new_bin = p.Session.opened_new_bin });
-          t.placements <- t.placements + 1;
-          maybe_auto_snapshot t;
-          (placed_reply p, false))
-
-let handle_depart t ~tenant ~time ~item_id =
-  match get_session t tenant with
-  | Error msg -> err t msg
-  | Ok session -> (
-      match Session.depart session ~at:time ~item_id with
-      | exception Session.Session_error msg -> err t msg
-      | () ->
-          record t (Journal.Depart { tenant; time; item_id });
-          t.departures <- t.departures + 1;
-          maybe_auto_snapshot t;
-          ("OK", false))
-
-(* tolerate CRLF clients and stray blanks between fields *)
-let tokenize line =
-  let line =
-    let n = String.length line in
-    if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
-  in
-  String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-
-let arrive_usage = "usage: ARRIVE [tenant] <t> <id> <s1,...,sd>"
-let depart_usage = "usage: DEPART [tenant] <t> <id>"
-
-(* Both grammars are told apart by token count: the tenant-prefixed form
-   has one extra field, and tenant names never parse as timestamps (the
-   charsets overlap only on digit strings, which are valid tenants but
-   also valid times — token count, not content, decides). *)
-let parse_arrive ?(tenant = Tenant.default) ~time ~id ~sizes () =
-  let* tenant = Tenant.validate tenant in
-  let* time = parse_float "timestamp" time in
-  let* item_id = parse_int "item id" id in
-  let* size = parse_sizes sizes in
-  Ok (tenant, time, item_id, size)
-
-let parse_depart ?(tenant = Tenant.default) ~time ~id () =
-  let* tenant = Tenant.validate tenant in
-  let* time = parse_float "timestamp" time in
-  let* item_id = parse_int "item id" id in
-  Ok (tenant, time, item_id)
-
-let handle_line t line =
-  t.requests <- t.requests + 1;
-  Metrics.on_request t.obs (Metrics.kind_of_line line);
-  match tokenize line with
-  | [ "ARRIVE"; time; id; sizes ] -> (
-      match parse_arrive ~time ~id ~sizes () with
-      | Ok (tenant, time, item_id, size) -> handle_arrive t ~tenant ~time ~item_id ~size
-      | Error msg -> err t msg)
-  | [ "ARRIVE"; tenant; time; id; sizes ] -> (
-      match parse_arrive ~tenant ~time ~id ~sizes () with
-      | Ok (tenant, time, item_id, size) -> handle_arrive t ~tenant ~time ~item_id ~size
-      | Error msg -> err t msg)
-  | "ARRIVE" :: _ -> err t arrive_usage
-  | [ "DEPART"; time; id ] -> (
-      match parse_depart ~time ~id () with
-      | Ok (tenant, time, item_id) -> handle_depart t ~tenant ~time ~item_id
-      | Error msg -> err t msg)
-  | [ "DEPART"; tenant; time; id ] -> (
-      match parse_depart ~tenant ~time ~id () with
-      | Ok (tenant, time, item_id) -> handle_depart t ~tenant ~time ~item_id
-      | Error msg -> err t msg)
-  | "DEPART" :: _ -> err t depart_usage
-  | [ "STATS" ] -> (stats_line t, false)
-  | [ "METRICS" ] -> (Metrics.render_text t.obs, false)
-  | [ "SNAPSHOT" ] -> (
-      match take_snapshot t with
-      | Ok path -> (Printf.sprintf "OK snapshot %s events=%d" path t.events, false)
-      | Error msg -> err t msg)
-  | [ "QUIT" ] -> ("BYE", true)
-  | [] -> err t "empty request"
-  | cmd :: _ -> err t (Printf.sprintf "unknown command %S" cmd)
-
-(* {2 Group-commit batch path}
-
-   [handle_batch] is the event loop's entry point: it takes every line the
-   loop drained this tick (arrival order across all connections) and
-   returns one reply per line — {e after} journaling, so releasing the
-   returned replies is always safe (batch-ack: an acked event is fsynced).
-
-   The batch is processed as runs of event lines (ARRIVE/DEPART) broken by
-   control lines (STATS, SNAPSHOT, ...), which are handled one at a time
-   on the calling domain between runs. Within a run:
-
-   + {e prep} (calling domain): parse each line, resolve its tenant
-     session (creating it on first contact), pick its shard;
-   + {e apply} (sharded over [config.jobs] domains via {!Dvbp_parallel}):
-     each shard applies its lines in arrival order against its tenants'
-     sessions and writes the outcome into that line's pre-assigned slot —
-     a tenant's events all land on one shard ({!Tenant.shard}), so every
-     per-tenant packing is bit-identical to [jobs = 1];
-   + {e commit} (calling domain): walk outcomes in arrival order, append
-     applied events to the journal in chunks of at most [fsync_every]
-     records ({!Journal.append_batch}: one buffered write + one fsync per
-     chunk), then account counters and release replies. *)
-
-type prep =
-  | P_none  (* reply already decided at prep (parse or tenant error) *)
-  | P_arrive of {
-      tenant : string;
-      session : Session.t;
-      time : float;
-      item_id : int;
-      size : Vec.t;
-    }
-  | P_depart of { tenant : string; session : Session.t; time : float; item_id : int }
-
-type applied =
-  | A_none
-  | A_err of string  (* ERR reply computed by a worker (failed DEPART) *)
-  | A_reject of string
-  | A_placed of string * Journal.event
-  | A_departed of Journal.event
-
-let prep_shard = function
-  | P_none -> 0
-  | P_arrive { tenant; _ } | P_depart { tenant; _ } -> Tenant.hash tenant
-
-let apply_prepped prep results k =
-  match prep.(k) with
-  | P_none -> ()
-  | P_arrive { tenant; session; time; item_id; size } -> (
-      match Session.arrive session ~at:time ~id:item_id ~size () with
-      | exception Session.Session_error msg -> results.(k) <- A_reject msg
-      | p ->
-          results.(k) <-
-            A_placed
-              ( placed_reply p,
-                Journal.Arrive
-                  { tenant; time; item_id; size; bin_id = p.Session.bin_id;
-                    opened_new_bin = p.Session.opened_new_bin } ))
-  | P_depart { tenant; session; time; item_id } -> (
-      match Session.depart session ~at:time ~item_id with
-      | exception Session.Session_error msg -> results.(k) <- A_err msg
-      | () -> results.(k) <- A_departed (Journal.Depart { tenant; time; item_id }))
-
-let rec split_at n = function
-  | [] -> ([], [])
-  | rest when n <= 0 -> ([], rest)
-  | x :: rest ->
-      let a, b = split_at (n - 1) rest in
-      (x :: a, b)
-
-let flush_staged t staged_rev ~waiters =
-  match (t.journal, staged_rev) with
-  | None, _ | _, [] -> ()
-  | Some w, _ ->
-      Metrics.set_group_commit_waiters t.obs waiters;
-      let rec chunks = function
-        | [] -> ()
-        | events ->
-            (* per-batch ceiling: one commit never spans more than
-               fsync_every records (satellite contract, pinned in tests) *)
-            let chunk, rest = split_at t.config.fsync_every events in
-            Metrics.time_journal_append t.obs (fun () -> Journal.append_batch w chunk);
-            chunks rest
-      in
-      chunks (List.rev staged_rev);
-      Metrics.set_group_commit_waiters t.obs 0
-
-(* {3 Hot-path request scanner}
-
-   [process_run] parses tens of thousands of well-formed ARRIVE/DEPART
-   lines per second, so the common case avoids [tokenize]'s token list and
-   the [parse_*] wrappers entirely: fields are scanned in place and ints
-   are accumulated without allocating. Anything unusual — malformed
-   numbers, sign prefixes, bad tenants, wrong arity — falls back to the
-   tokenize-based parser so every error text and edge-case semantic stays
-   identical to [handle_line]. *)
-
-(* bounds of up to [Array.length starts] space-separated fields; -1 when
-   there are more fields than slots (caller falls back) *)
+(* Bounds of the space-separated fields of [line] (less one trailing CR)
+   into [starts]/[stops]; the count, or [Array.length starts + 1] when
+   there are more fields than slots (the first slots are still filled). *)
 let scan_fields line (starts : int array) (stops : int array) =
   let n = String.length line in
   let n = if n > 0 && String.unsafe_get line (n - 1) = '\r' then n - 1 else n in
-  let max_fields = Array.length starts in
+  let slots = Array.length starts in
   let count = ref 0 in
   let i = ref 0 in
-  while !i < n && !count < max_fields do
+  while !i < n && !count < slots do
     while !i < n && String.unsafe_get line !i = ' ' do incr i done;
     if !i < n then begin
       starts.(!count) <- !i;
@@ -612,7 +426,7 @@ let scan_fields line (starts : int array) (stops : int array) =
     end
   done;
   while !i < n && String.unsafe_get line !i = ' ' do incr i done;
-  if !i < n then -1 else !count
+  if !i < n then slots + 1 else !count
 
 let field_is line s e kw =
   e - s = String.length kw
@@ -635,147 +449,219 @@ let parse_uint line s e =
     if !ok then !v else -1
   end
 
-(* "10,20"-style size vector in [s, e); None on anything but plain
-   decimal segments *)
-let parse_sizes_fast line s e =
-  if e <= s then None
-  else begin
-    let dims = ref 1 in
-    for j = s to e - 1 do
-      if String.unsafe_get line j = ',' then incr dims
-    done;
-    let arr = Array.make !dims 0 in
-    let idx = ref 0 and v = ref 0 and len = ref 0 and ok = ref true in
-    for j = s to e - 1 do
-      let c = String.unsafe_get line j in
-      if c = ',' then begin
-        if !len = 0 || !len > 18 then ok := false;
-        arr.(!idx) <- !v;
-        incr idx;
-        v := 0;
-        len := 0
-      end
-      else
-        let d = Char.code c - 48 in
-        if d < 0 || d > 9 then ok := false
-        else begin
-          v := (!v * 10) + d;
-          incr len
-        end
-    done;
-    if !len = 0 || !len > 18 then ok := false else arr.(!idx) <- !v;
-    if !ok then Some (Vec.of_array arr) else None
-  end
+exception Bad_request of string
 
-let slow_parse t line =
-  match tokenize line with
-  | [ "ARRIVE"; time; id; sizes ] -> (
-      match parse_arrive ~time ~id ~sizes () with
-      | Ok (tenant, time, item_id, size) ->
-          let* session = get_session t tenant in
-          Ok (P_arrive { tenant; session; time; item_id; size })
-      | Error _ as e -> e)
-  | [ "ARRIVE"; tenant; time; id; sizes ] -> (
-      match parse_arrive ~tenant ~time ~id ~sizes () with
-      | Ok (tenant, time, item_id, size) ->
-          let* session = get_session t tenant in
-          Ok (P_arrive { tenant; session; time; item_id; size })
-      | Error _ as e -> e)
-  | "ARRIVE" :: _ -> Error arrive_usage
-  | [ "DEPART"; time; id ] -> (
-      match parse_depart ~time ~id () with
-      | Ok (tenant, time, item_id) ->
-          let* session = get_session t tenant in
-          Ok (P_depart { tenant; session; time; item_id })
-      | Error _ as e -> e)
-  | [ "DEPART"; tenant; time; id ] -> (
-      match parse_depart ~tenant ~time ~id () with
-      | Ok (tenant, time, item_id) ->
-          let* session = get_session t tenant in
-          Ok (P_depart { tenant; session; time; item_id })
-      | Error _ as e -> e)
-  | "DEPART" :: _ -> Error depart_usage
-  | _ -> Error "empty request"
+let bad fmt = Printf.ksprintf (fun msg -> raise (Bad_request msg)) fmt
 
-let process_run t lines (replies : (string * bool) array) ~lo ~hi =
+let parse_int what line s e =
+  let v = parse_uint line s e in
+  if v >= 0 then v
+  else
+    let f = String.sub line s (e - s) in
+    match int_of_string_opt f with Some x -> x | None -> bad "bad %s %S" what f
+
+let parse_time line s e =
+  let f = String.sub line s (e - s) in
+  match float_of_string_opt f with
+  | Some x when Float.is_finite x -> x
+  | Some _ | None -> bad "bad timestamp %S" f
+
+(* "10,20"-style size vector in [s, e): every entry is parsed, left to
+   right, before any is checked for sign *)
+let parse_sizes line s e =
+  let dims = ref 1 in
+  for j = s to e - 1 do
+    if String.unsafe_get line j = ',' then incr dims
+  done;
+  let arr = Array.make !dims 0 in
+  let lo = ref s in
+  for k = 0 to !dims - 1 do
+    let hi = ref !lo in
+    while !hi < e && String.unsafe_get line !hi <> ',' do incr hi done;
+    arr.(k) <- parse_int "size entry" line !lo !hi;
+    lo := !hi + 1
+  done;
+  if Array.exists (fun x -> x < 0) arr then bad "negative size";
+  Vec.of_array arr
+
+let parse_tenant line s e =
+  match Tenant.validate (String.sub line s (e - s)) with
+  | Ok tenant -> tenant
+  | Error msg -> raise (Bad_request msg)
+
+let arrive_usage = "usage: ARRIVE [tenant] <t> <id> <s1,...,sd>"
+let depart_usage = "usage: DEPART [tenant] <t> <id>"
+
+(* fields [b], [b+1], ... follow the command and the optional tenant *)
+let parse_event line starts stops nf ~arrive =
+  let arity = if arrive then 4 else 3 in
+  if nf <> arity && nf <> arity + 1 then
+    raise (Bad_request (if arrive then arrive_usage else depart_usage));
+  let b = nf - arity + 1 in
+  let tenant = if b = 1 then Tenant.default else parse_tenant line starts.(1) stops.(1) in
+  let time = parse_time line starts.(b) stops.(b) in
+  let item_id = parse_int "item id" line starts.(b + 1) stops.(b + 1) in
+  if arrive then
+    Q_arrive { tenant; time; item_id; size = parse_sizes line starts.(b + 2) stops.(b + 2) }
+  else Q_depart { tenant; time; item_id }
+
+let parse_request t line =
+  let starts = t.field_starts and stops = t.field_stops in
+  let nf = scan_fields line starts stops in
+  let arrive = nf > 0 && field_is line starts.(0) stops.(0) "ARRIVE" in
+  if arrive || (nf > 0 && field_is line starts.(0) stops.(0) "DEPART") then
+    try parse_event line starts stops nf ~arrive
+    with Bad_request msg ->
+      Q_err { kind = (if arrive then Metrics.Arrive else Metrics.Depart); msg }
+  else if nf = 0 then Q_err { kind = Metrics.Other; msg = "empty request" }
+  else
+    let cmd = String.sub line starts.(0) (stops.(0) - starts.(0)) in
+    let unknown kind = Q_err { kind; msg = Printf.sprintf "unknown command %S" cmd } in
+    (* control words take no arguments *)
+    let control kind req = if nf = 1 then req else unknown kind in
+    match cmd with
+    | "STATS" -> control Metrics.Stats Q_stats
+    | "METRICS" -> control Metrics.Metrics Q_metrics
+    | "SNAPSHOT" -> control Metrics.Snapshot Q_snapshot
+    | "QUIT" -> control Metrics.Other Q_quit
+    | _ -> unknown Metrics.Other
+
+(* {2 Answering requests}
+
+   Both entry points answer ARRIVE/DEPART lines in runs of consecutive
+   event lines, and every other line on its own between runs (so SNAPSHOT
+   always sees every staged record flushed). A run goes through:
+
+   + {e prep} (calling domain): count the line, resolve its tenant session
+     (creating it on first contact);
+   + {e apply} (sharded over [config.jobs] domains via {!Dvbp_parallel}):
+     each shard applies its lines in arrival order against its tenants'
+     sessions and writes the outcome into that line's pre-assigned slot —
+     a tenant's events all land on one shard ({!Tenant.shard}), so every
+     per-tenant packing is bit-identical to [jobs = 1];
+   + {e commit} (calling domain): walk outcomes in arrival order, account
+     counters, journal the applied events, then release replies.
+
+   The entry points differ only in the commit's journal call:
+   {!handle_line} streams each event with {!Journal.append} (fsync at the
+   [fsync_every] cadence); {!handle_batch} group-commits with
+   {!Journal.append_batch}, in chunks of at most [fsync_every] records,
+   one fsync per chunk, before any reply is released. *)
+
+type applied =
+  | A_none
+  | A_err of string  (* ERR reply computed by a worker (failed DEPART) *)
+  | A_reject of string
+  | A_placed of string * Journal.event
+  | A_departed of Journal.event
+
+let err t msg =
+  t.errors <- t.errors + 1;
+  (Printf.sprintf "ERR %s" msg, false)
+
+let count_request t req =
+  t.requests <- t.requests + 1;
+  Metrics.on_request t.obs (kind_of_request req)
+
+let placed_reply (p : Session.placement) =
+  String.concat ""
+    [ "PLACED "; string_of_int p.Session.bin_id;
+      (if p.Session.opened_new_bin then " 1" else " 0") ]
+
+let apply_request req session =
+  match req with
+  | Q_arrive { tenant; time; item_id; size } -> (
+      match Session.arrive session ~at:time ~id:item_id ~size () with
+      | exception Session.Session_error msg -> A_reject msg
+      | p ->
+          A_placed
+            ( placed_reply p,
+              Journal.Arrive
+                { tenant; time; item_id; size; bin_id = p.Session.bin_id;
+                  opened_new_bin = p.Session.opened_new_bin } ))
+  | Q_depart { tenant; time; item_id } -> (
+      match Session.depart session ~at:time ~item_id with
+      | exception Session.Session_error msg -> A_err msg
+      | () -> A_departed (Journal.Depart { tenant; time; item_id }))
+  | Q_stats | Q_metrics | Q_snapshot | Q_quit | Q_err _ -> A_none
+
+let rec split_at n = function
+  | [] -> ([], [])
+  | rest when n <= 0 -> ([], rest)
+  | x :: rest ->
+      let a, b = split_at (n - 1) rest in
+      (x :: a, b)
+
+let journal_events t ~group_commit events ~waiters =
+  match (t.journal, events) with
+  | None, _ | _, [] -> ()
+  | Some w, _ when not group_commit ->
+      List.iter
+        (fun e -> Metrics.time_journal_append t.obs (fun () -> Journal.append w e))
+        events
+  | Some w, _ ->
+      Metrics.set_group_commit_waiters t.obs waiters;
+      let rec chunks = function
+        | [] -> ()
+        | events ->
+            (* per-batch ceiling: one commit never spans more than
+               fsync_every records (pinned in tests) *)
+            let chunk, rest = split_at t.config.fsync_every events in
+            Metrics.time_journal_append t.obs (fun () -> Journal.append_batch w chunk);
+            chunks rest
+      in
+      chunks events;
+      Metrics.set_group_commit_waiters t.obs 0
+
+(* Answer the event run [reqs.(lo) .. reqs.(hi - 1)] into [replies]. A
+   line whose tenant session cannot be resolved becomes a [Q_err] in
+   [reqs], so the caller sees which lines reached a session. *)
+let process_run t ~group_commit (reqs : request array) (replies : (string * bool) array)
+    ~lo ~hi =
   let jobs = t.config.jobs in
-  let run_t0 = Metrics.now t.obs in
   let n = hi - lo in
-  let prep = Array.make n P_none in
-  let arrives = ref 0 in
-  let starts = Array.make 6 0 and stops = Array.make 6 0 in
-  (* prep: parse + tenant resolution on the calling domain (session
-     creation mutates the tenant table, which workers only read) *)
+  let sessions = Array.make n (session t) in
+  (* prep: session creation mutates the tenant table, which workers only
+     read, so it stays on the calling domain *)
   for k = 0 to n - 1 do
-    let line = lines.(lo + k) in
-    t.requests <- t.requests + 1;
-    let nf = scan_fields line starts stops in
-    (* every line the caller routes here starts with ARRIVE or DEPART *)
-    let arrive = nf > 0 && field_is line starts.(0) stops.(0) "ARRIVE" in
-    if arrive then incr arrives;
-    Metrics.on_request t.obs (if arrive then Metrics.Arrive else Metrics.Depart);
-    let fast =
-      (* tenant field present iff one extra token *)
-      let want = if arrive then 4 else 3 in
-      if nf <> want && nf <> want + 1 then None
-      else begin
-        let base = if nf = want then 1 else 2 in
-        let tenant =
-          if nf = want then Some Tenant.default
-          else
-            let s = String.sub line starts.(1) (stops.(1) - starts.(1)) in
-            match Tenant.validate s with Ok tn -> Some tn | Error _ -> None
-        in
-        match tenant with
-        | None -> None
-        | Some tenant -> (
-            let item_id = parse_uint line starts.(base + 1) stops.(base + 1) in
-            if item_id < 0 then None
-            else
-              match
-                float_of_string
-                  (String.sub line starts.(base) (stops.(base) - starts.(base)))
-              with
-              | exception _ -> None
-              | time -> (
-                  match get_session t tenant with
-                  | Error _ -> None
-                  | Ok session ->
-                      if not arrive then
-                        Some (Ok (P_depart { tenant; session; time; item_id }))
-                      else
-                        parse_sizes_fast line starts.(base + 2) stops.(base + 2)
-                        |> Option.map (fun size ->
-                               Ok (P_arrive { tenant; session; time; item_id; size }))))
-      end
-    in
-    let parsed = match fast with Some p -> p | None -> slow_parse t line in
-    match parsed with
-    | Ok p -> prep.(k) <- p
-    | Error msg -> replies.(lo + k) <- err t msg
+    let req = reqs.(lo + k) in
+    count_request t req;
+    match req with
+    | Q_arrive { tenant; _ } | Q_depart { tenant; _ } -> (
+        match get_session t tenant with
+        | Ok s -> sessions.(k) <- s
+        | Error msg ->
+            reqs.(lo + k) <- Q_err { kind = kind_of_request req; msg };
+            replies.(lo + k) <- err t msg)
+    | Q_err { msg; _ } -> replies.(lo + k) <- err t msg
+    | Q_stats | Q_metrics | Q_snapshot | Q_quit -> ()
   done;
   (* apply: shard by tenant, workers write disjoint slots *)
   let results = Array.make n A_none in
+  let apply k = results.(k) <- apply_request reqs.(lo + k) sessions.(k) in
   if jobs <= 1 then
     for k = 0 to n - 1 do
-      apply_prepped prep results k
+      apply k
     done
   else begin
     let buckets = Array.make jobs [] in
     for k = n - 1 downto 0 do
-      match prep.(k) with
-      | P_none -> ()
-      | p ->
-          let s = prep_shard p mod jobs in
+      match reqs.(lo + k) with
+      | Q_arrive { tenant; _ } | Q_depart { tenant; _ } ->
+          let s = Tenant.hash tenant mod jobs in
           buckets.(s) <- k :: buckets.(s)
+      | Q_stats | Q_metrics | Q_snapshot | Q_quit | Q_err _ -> ()
     done;
-    ignore
-      (Dvbp_parallel.Parallel.map_array ~jobs
-         (fun idxs -> List.iter (fun k -> apply_prepped prep results k) idxs)
-         buckets)
+    ignore (Dvbp_parallel.Parallel.map_array ~jobs (List.iter apply) buckets)
   end;
-  (* commit: journal applied events in arrival order, then release *)
+  (* commit: account in arrival order, journal, then release *)
   let staged_rev = ref [] in
+  let stage e =
+    staged_rev := e :: !staged_rev;
+    t.history_rev <- e :: t.history_rev;
+    t.events <- t.events + 1;
+    t.since_snapshot <- t.since_snapshot + 1
+  in
   for k = 0 to n - 1 do
     match results.(k) with
     | A_none -> ()
@@ -785,65 +671,80 @@ let process_run t lines (replies : (string * bool) array) ~lo ~hi =
         replies.(lo + k) <- (Printf.sprintf "REJECT %s" msg, false)
     | A_placed (reply, e) ->
         t.placements <- t.placements + 1;
-        staged_rev := e :: !staged_rev;
-        t.history_rev <- e :: t.history_rev;
-        t.events <- t.events + 1;
-        t.since_snapshot <- t.since_snapshot + 1;
+        stage e;
         replies.(lo + k) <- (reply, false)
     | A_departed e ->
         t.departures <- t.departures + 1;
-        staged_rev := e :: !staged_rev;
-        t.history_rev <- e :: t.history_rev;
-        t.events <- t.events + 1;
-        t.since_snapshot <- t.since_snapshot + 1;
+        stage e;
         replies.(lo + k) <- ("OK", false)
   done;
-  flush_staged t !staged_rev ~waiters:n;
+  journal_events t ~group_commit (List.rev !staged_rev) ~waiters:n;
   Metrics.set_compaction_lag t.obs t.since_snapshot;
-  maybe_auto_snapshot t;
-  if not (Metrics.is_noop t.obs) then begin
-    (* batch latency: every line in the run waited for the same commit,
-       so each observes the run's full prep+apply+commit wall time — one
-       bulk bucket update per kind and per tenant, not one per line *)
-    let seconds = Metrics.now t.obs -. run_t0 in
-    let per_tenant = Hashtbl.create 8 in
-    for k = 0 to n - 1 do
-      match prep.(k) with
-      | P_none -> ()
-      | P_arrive { tenant; _ } | P_depart { tenant; _ } ->
-          Hashtbl.replace per_tenant tenant
-            (1 + Option.value (Hashtbl.find_opt per_tenant tenant) ~default:0)
-    done;
-    Metrics.observe_request_n t.obs Metrics.Arrive ~seconds !arrives;
-    Metrics.observe_request_n t.obs Metrics.Depart ~seconds (n - !arrives);
-    Hashtbl.iter
-      (fun tenant k -> Metrics.observe_tenant_request_n t.obs ~tenant ~seconds k)
-      per_tenant
-  end
+  if !staged_rev <> [] then maybe_auto_snapshot t
 
-let is_event_line line =
-  match Metrics.kind_of_line line with
-  | Metrics.Arrive | Metrics.Depart -> true
-  | _ -> false
+let handle_control t req =
+  count_request t req;
+  match req with
+  | Q_stats -> (stats_line t, false)
+  | Q_metrics -> (Metrics.render_text t.obs, false)
+  | Q_snapshot -> (
+      match take_snapshot t with
+      | Ok path -> (Printf.sprintf "OK snapshot %s events=%d" path t.events, false)
+      | Error msg -> err t msg)
+  | Q_quit -> ("BYE", true)
+  | Q_err { msg; _ } -> err t msg
+  | Q_arrive _ | Q_depart _ -> invalid_arg "Server.handle_control: event request"
+
+(* the streaming answer to one parsed line: a one-line run or a control *)
+let respond t req =
+  if in_run req then begin
+    let replies = [| ("", false) |] in
+    process_run t ~group_commit:false [| req |] replies ~lo:0 ~hi:1;
+    replies.(0)
+  end
+  else handle_control t req
+
+let handle_line t line = respond t (parse_request t line)
+
+(* batch latency: every line in a run waited for the same commit, so each
+   observes the run's full prep+apply+commit wall time — one bulk bucket
+   update per kind and per tenant, not one per line *)
+let observe_run t reqs ~lo ~hi ~seconds =
+  let arrives = ref 0 in
+  let per_tenant = Hashtbl.create 8 in
+  for k = lo to hi - 1 do
+    if kind_of_request reqs.(k) = Metrics.Arrive then incr arrives;
+    match reqs.(k) with
+    | Q_arrive { tenant; _ } | Q_depart { tenant; _ } ->
+        Hashtbl.replace per_tenant tenant
+          (1 + Option.value (Hashtbl.find_opt per_tenant tenant) ~default:0)
+    | Q_stats | Q_metrics | Q_snapshot | Q_quit | Q_err _ -> ()
+  done;
+  Metrics.observe_request_n t.obs Metrics.Arrive ~seconds !arrives;
+  Metrics.observe_request_n t.obs Metrics.Depart ~seconds (hi - lo - !arrives);
+  Hashtbl.iter
+    (fun tenant k -> Metrics.observe_tenant_request_n t.obs ~tenant ~seconds k)
+    per_tenant
 
 let handle_batch t lines =
-  let n = Array.length lines in
+  let reqs = Array.map (parse_request t) lines in
+  let n = Array.length reqs in
   let replies = Array.make n ("", false) in
   let i = ref 0 in
   while !i < n do
-    if is_event_line lines.(!i) then begin
+    let t0 = Metrics.now t.obs in
+    if in_run reqs.(!i) then begin
       let j = ref !i in
-      while !j < n && is_event_line lines.(!j) do incr j done;
-      process_run t lines replies ~lo:!i ~hi:!j;
+      while !j < n && in_run reqs.(!j) do incr j done;
+      process_run t ~group_commit:true reqs replies ~lo:!i ~hi:!j;
+      if not (Metrics.is_noop t.obs) then
+        observe_run t reqs ~lo:!i ~hi:!j ~seconds:(Metrics.now t.obs -. t0);
       i := !j
     end
     else begin
-      (* control lines run between commits, so SNAPSHOT always sees every
-         staged record flushed *)
-      let t0 = Metrics.now t.obs in
-      let kind = Metrics.kind_of_line lines.(!i) in
-      replies.(!i) <- handle_line t lines.(!i);
-      Metrics.observe_request t.obs kind ~seconds:(Metrics.now t.obs -. t0);
+      replies.(!i) <- handle_control t reqs.(!i);
+      Metrics.observe_request t.obs (kind_of_request reqs.(!i))
+        ~seconds:(Metrics.now t.obs -. t0);
       incr i
     end
   done;
@@ -860,10 +761,11 @@ let serve t ic oc =
     match input_line ic with
     | exception End_of_file -> ()
     | line ->
-        let kind = Metrics.kind_of_line line in
         let t0 = Metrics.now t.obs in
-        let reply, quit = handle_line t line in
-        Metrics.observe_request t.obs kind ~seconds:(Metrics.now t.obs -. t0);
+        let req = parse_request t line in
+        let reply, quit = respond t req in
+        Metrics.observe_request t.obs (kind_of_request req)
+          ~seconds:(Metrics.now t.obs -. t0);
         output_string oc reply;
         output_char oc '\n';
         flush oc;

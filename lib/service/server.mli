@@ -23,6 +23,16 @@
     [# EOF] terminator line. The metric families it carries are
     documented name-by-name in [OPERATIONS.md].
 
+    Both entry points ({!handle_line}, {!handle_batch}) parse with the
+    same scanner, so a line gets the same answer through either. Fields
+    are separated by one or more blanks; leading and trailing blanks and
+    one trailing CR are ignored. Commands are case-sensitive, and control
+    words take no arguments ([STATS now] is an unknown command). [<id>]
+    and each size entry are decimal ints or anything else [int_of_string]
+    accepts ([+7], [0x10], [1_000]; a negative id or size is refused);
+    [<t>] is anything [float_of_string] accepts that is finite ([1e1],
+    [0x1p3]; [nan] and [inf] answer [ERR bad timestamp]).
+
     Per-request error isolation: a malformed request answers [ERR] and the
     loop keeps serving; an arrival the session refuses (oversized item,
     duplicate id, non-monotonic time, ...) answers [REJECT] and the loop
@@ -98,17 +108,19 @@ val resume : ?io:Io.t -> ?metrics:Metrics.t -> config -> Recovery.state -> (t, s
 
 val handle_line : t -> string -> string * bool
 (** [handle_line t line] is [(reply, quit)]; [quit] is true only for QUIT.
-    Exposed for in-process drivers ({!Loadgen}) and tests. Streaming
-    durability (fsync cadence), like {!serve}. *)
+    Exposed for in-process drivers ({!Loadgen}) and tests. The same
+    answer, counters and packing as a one-line {!handle_batch}; only the
+    durability differs: streaming (fsync cadence), like {!serve}. *)
 
 val handle_batch : t -> string array -> (string * bool) array
 (** Group commit: handles every line (arrival order across connections —
     slot [i] answers line [i]) and returns only after all applied events
     are journaled {e and fsynced}, in chunks of at most [fsync_every]
-    records each. Event lines are applied sharded by
-    tenant over [config.jobs] domains; per-tenant results are
-    bit-identical for any [jobs]. Control lines (STATS, SNAPSHOT, QUIT,
-    malformed input) are handled between commits on the calling domain. *)
+    records each. ARRIVE/DEPART lines, malformed ones included, are
+    answered in runs whose events are applied sharded by tenant over
+    [config.jobs] domains; per-tenant results are bit-identical for any
+    [jobs]. Every other line (STATS, SNAPSHOT, QUIT, unknown commands) is
+    handled between commits on the calling domain. *)
 
 val serve : t -> in_channel -> out_channel -> unit
 (** Read-eval-reply until QUIT or EOF, then {!close}. Replies are flushed

@@ -757,12 +757,9 @@ let server_tests =
         Server.close t);
     Alcotest.test_case "malformed requests answer ERR and keep serving" `Quick
       (fun () ->
-        let t = fresh_server () in
-        List.iter
-          (fun line ->
-            let reply, quit = Server.handle_line t line in
-            check_bool ("ERR for " ^ line) true (contains_sub reply "ERR");
-            check_bool "no quit" false quit)
+        (* the same answers through both entry points; non-finite
+           timestamps are malformed input (ERR), not session refusals *)
+        let malformed =
           [
             "";
             "FROB 1 2";
@@ -774,12 +771,33 @@ let server_tests =
             "ARRIVE 0 0 10,-3";
             "DEPART 1";
             "DEPART one 0";
-          ];
-        expect t "ARRIVE 0 0 10,10" "PLACED 0 1";
-        let m = Server.metrics t in
-        check_int "errors counted" 10 m.Server.errors;
-        check_int "requests counted" 11 m.Server.requests;
-        Server.close t);
+            "ARRIVE nan 0 10,10";
+            "ARRIVE inf 0 10,10";
+            "ARRIVE -inf 0 10,10";
+            "DEPART nan 0";
+          ]
+        in
+        List.iter
+          (fun (entry, handle) ->
+            let t = fresh_server () in
+            List.iter
+              (fun line ->
+                let reply, quit = handle t line in
+                check_bool (entry ^ ": ERR for " ^ line) true (contains_sub reply "ERR");
+                check_bool "no quit" false quit)
+              malformed;
+            check_string "non-finite time" "ERR bad timestamp \"inf\""
+              (fst (handle t "ARRIVE inf 0 10,10"));
+            check_string "serving continues" "PLACED 0 1" (fst (handle t "ARRIVE 0 0 10,10"));
+            let m = Server.metrics t in
+            check_int "errors counted" 15 m.Server.errors;
+            check_int "no rejections" 0 m.Server.rejections;
+            check_int "requests counted" 16 m.Server.requests;
+            Server.close t)
+          [
+            ("handle_line", Server.handle_line);
+            ("handle_batch", fun t line -> (Server.handle_batch t [| line |]).(0));
+          ]);
     Alcotest.test_case "rejected arrivals are not journaled" `Quick (fun () ->
         with_tmp_dir (fun dir ->
             let journal = Filename.concat dir "j.log" in
@@ -1361,9 +1379,9 @@ let compaction_tests =
    the fsync-per-batch ceiling, shard-count determinism, the event loop's
    ordering guarantees, and v1 journal compatibility. *)
 
-let fresh_server_jobs ?journal ?metrics ~jobs () =
+let fresh_server_jobs ?io ?journal ?metrics ~jobs () =
   ok_or_fail
-    (Server.create ?metrics
+    (Server.create ?io ?metrics
        {
          Server.policy = "mtf";
          seed = 7;
@@ -1475,6 +1493,22 @@ let batch_tests =
             check_int "waiters gauge resets after release" 0
               (metric_value rows "dvbp_journal_group_commit_waiters");
             Server.close t));
+    Alcotest.test_case "a leading-blank event is group-committed before its reply"
+      `Quick (fun () ->
+        let fs = Dvbp_sim.Sim_fs.create () in
+        let io = Dvbp_sim.Sim_fs.io fs in
+        let m = Metrics.create () in
+        let t = fresh_server_jobs ~io ~journal:"d/j.log" ~metrics:m ~jobs:1 () in
+        let fsyncs () = metric_value (metric_rows m) "dvbp_journal_fsyncs_total" in
+        let before = fsyncs () in
+        let replies = Server.handle_batch t [| " ARRIVE 0 0 10,10"; " DEPART 1 0" |] in
+        check_string "placed" "PLACED 0 1" (fst replies.(0));
+        check_string "departed" "OK" (fst replies.(1));
+        check_bool "fsynced before the replies were released" true (fsyncs () > before);
+        (* power cut right after the replies: only fsynced bytes survive *)
+        Dvbp_sim.Sim_fs.crash fs ~mode:Dvbp_sim.Sim_fs.Lose_unsynced;
+        let st = ok_or_fail (Recovery.recover ~io ~journal:"d/j.log" ()) in
+        check_int "both acked events survive" 2 (List.length st.Recovery.history));
     Alcotest.test_case "jobs=4 batch results are bit-identical to jobs=1" `Quick
       (fun () ->
         let lines = tenant_mix_lines () in
@@ -1596,6 +1630,87 @@ let batch_tests =
             | _ -> Alcotest.fail "first event should be the v1 arrival"));
   ]
 
+(* The two entry points share one parser and one request path: any line
+   stream, answered line by line, as one batch or as one-line batches,
+   yields byte-identical replies, counters, journals and packings. The
+   generator mixes valid events (with and without a tenant), every numeric
+   spelling the stdlib accepts or refuses, blanks and CRLF, wrong arity,
+   bad tenants, unknown or lowercase commands and control words with
+   arguments. *)
+let protocol_line_gen =
+  QCheck2.Gen.(
+    let spelled = oneofl [ "+7"; "0x10"; "1_000"; "-0"; "nan"; "inf"; "-inf"; "1e1"; "-3" ] in
+    let num lo hi = frequency [ (5, map string_of_int (lo -- hi)); (1, spelled) ] in
+    let sizes =
+      frequency
+        [
+          (6, map2 (fun a b -> a ^ "," ^ b) (num 0 60) (num 0 60));
+          (1, oneofl [ "10,"; ",10"; "10,,10"; "5"; "5,5,5"; "-3,4"; "x,1" ]);
+        ]
+    in
+    let tenant =
+      frequency
+        [ (3, return []); (2, oneofl [ [ "t1" ]; [ "t2" ]; [ "42" ] ]);
+          (1, oneofl [ [ "bad!" ]; [ "-" ] ]) ]
+    in
+    let event =
+      let* cmd = frequency [ (5, return "ARRIVE"); (3, return "DEPART");
+                             (1, oneofl [ "arrive"; "Depart" ]) ] in
+      let* tn = tenant in
+      let* time = num 0 20 in
+      let* id = num 0 8 in
+      let* size = sizes in
+      let fields = (cmd :: tn) @ [ time; id ] @ (if cmd = "ARRIVE" then [ size ] else []) in
+      frequency
+        [ (8, return fields); (1, return (List.filteri (fun k _ -> k <> 1) fields));
+          (1, return (fields @ [ "x" ])) ]
+    in
+    let control =
+      oneof
+        [ oneofl [ [ "STATS" ]; [ "METRICS" ]; [ "SNAPSHOT" ]; [ "QUIT" ]; []; [ "FROB"; "1" ] ];
+          map (fun w -> [ w; "now" ]) (oneofl [ "STATS"; "METRICS"; "SNAPSHOT"; "QUIT" ]) ]
+    in
+    let* fields = frequency [ (6, event); (1, control) ] in
+    let* sep = frequency [ (4, return " "); (1, return "  ") ] in
+    let* lead = frequency [ (4, return ""); (1, return " ") ] in
+    let* trail = frequency [ (3, return ""); (1, oneofl [ " "; "\r"; " \r" ]) ] in
+    return (lead ^ String.concat sep fields ^ trail))
+
+(* replies, counters, per-tenant fingerprints and journal of one server
+   driven by [answer] *)
+let protocol_outcome answer lines =
+  let fs = Dvbp_sim.Sim_fs.create () in
+  let io = Dvbp_sim.Sim_fs.io fs in
+  let t = fresh_server_jobs ~io ~journal:"d/j.log" ~metrics:(Metrics.noop ()) ~jobs:1 () in
+  let replies = answer t lines in
+  let metrics = Server.metrics t in
+  let prints = List.map (fun (tn, s) -> (tn, Session.fingerprint s)) (Server.sessions t) in
+  Server.close t;
+  let journal = (ok_or_fail (Journal.read_file ~io "d/j.log")).Journal.events in
+  (replies, metrics, prints, journal)
+
+let prop_one_request_path =
+  QCheck2.Test.make ~name:"handle_line and handle_batch answer every line alike"
+    ~count:300
+    ~print:QCheck2.Print.(list string)
+    QCheck2.Gen.(list_size (1 -- 40) protocol_line_gen)
+    (fun lines ->
+      let by_line = protocol_outcome (fun t -> List.map (Server.handle_line t)) lines in
+      let one_batch =
+        protocol_outcome
+          (fun t ls -> Array.to_list (Server.handle_batch t (Array.of_list ls)))
+          lines
+      in
+      let singles =
+        protocol_outcome
+          (fun t -> List.concat_map (fun l -> Array.to_list (Server.handle_batch t [| l |])))
+          lines
+      in
+      by_line = one_batch && by_line = singles)
+
+let protocol_tests =
+  [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5E4E |]) prop_one_request_path ]
+
 let suites =
   [
     ("service.journal", journal_tests);
@@ -1605,6 +1720,7 @@ let suites =
     ("service.server", server_tests);
     ("service.compaction", compaction_tests);
     ("service.batch", batch_tests);
+    ("service.protocol", protocol_tests);
     ("service.loadgen", loadgen_tests);
     ("service.metrics", metrics_tests);
   ]

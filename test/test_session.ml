@@ -280,6 +280,21 @@ let message_tests =
         (* an event at the original clock is still acceptable *)
         let p = Session.arrive s ~at:1.0 ~id:1 ~size:(v [ 40 ]) () in
         check_bool "same bin" true (p.Session.bin_id = 0));
+    Alcotest.test_case "negative times and ids are refused, not crashes" `Quick
+      (fun () ->
+        (* protocol input reaches these paths unfiltered ("ARRIVE -3 0 5",
+           "DEPART 1 -3"): both must raise Session_error and leave the
+           session as it was *)
+        let s = fresh () in
+        check_mentions "negative arrival time"
+          (message_of (fun () -> Session.arrive s ~at:(-3.0) ~id:0 ~size:(v [ 1 ]) ()))
+          [ "item 0"; "-3"; "negative time" ];
+        check_int "no bin opened" 0 (Session.bins_opened s);
+        let _ = Session.arrive s ~at:1.0 ~id:0 ~size:(v [ 1 ]) () in
+        check_mentions "negative departure id"
+          (message_of (fun () -> Session.depart s ~at:2.0 ~item_id:(-3)))
+          [ "item id -3"; "at 2" ];
+        check_float "clock unmoved" 1.0 (Session.now s));
   ]
 
 let suites =
