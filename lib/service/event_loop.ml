@@ -1,10 +1,20 @@
+(* Each connection owns two growable byte buffers, so the steady state
+   allocates only the request line strings handed to the server:
+   - input: bytes [in_start, in_len) of [inb] are received but not yet
+     split; [in_start, in_scan) is known to hold no newline, so a line
+     arriving over many reads is scanned once, not once per read;
+   - output: replies are appended at [out_len] and written from
+     [out_pos], resuming there after a partial write. *)
 type conn = {
   fd : Unix.file_descr;
-  mutable carry : string;  (* partial line carried between reads *)
+  mutable inb : Bytes.t;
+  mutable in_start : int;
+  mutable in_scan : int;
+  mutable in_len : int;
   pending : string Queue.t;  (* complete lines not yet handled *)
-  out : Buffer.t;  (* reply bytes accumulating until the next write *)
-  mutable flushing : string;  (* snapshot being written, from [out_pos] *)
+  mutable outb : Bytes.t;
   mutable out_pos : int;
+  mutable out_len : int;
   mutable closing : bool;  (* QUIT or EOF seen: drain out, then close *)
   mutable closed : bool;
 }
@@ -13,16 +23,19 @@ let make_conn fd =
   Unix.set_nonblock fd;
   {
     fd;
-    carry = "";
+    inb = Bytes.create 65536;
+    in_start = 0;
+    in_scan = 0;
+    in_len = 0;
     pending = Queue.create ();
-    out = Buffer.create 4096;
-    flushing = "";
+    outb = Bytes.create 4096;
     out_pos = 0;
+    out_len = 0;
     closing = false;
     closed = false;
   }
 
-let has_out c = c.out_pos < String.length c.flushing || Buffer.length c.out > 0
+let has_out c = c.out_pos < c.out_len
 
 let close_conn c =
   if not c.closed then begin
@@ -30,64 +43,92 @@ let close_conn c =
     (try Unix.close c.fd with Unix.Unix_error _ -> ())
   end
 
-(* split [carry ^ chunk] into complete lines + a new carry *)
-let push_lines c chunk =
-  let data = if c.carry = "" then chunk else c.carry ^ chunk in
-  let n = String.length data in
-  let start = ref 0 in
-  (try
-     while true do
-       let nl = String.index_from data !start '\n' in
-       Queue.add (String.sub data !start (nl - !start)) c.pending;
-       start := nl + 1
-     done
-   with Not_found -> ());
-  c.carry <- if !start >= n then "" else String.sub data !start (n - !start)
+(* Free [need] bytes after the live bytes [pos, len) of [buf]: shift
+   them to the front if the buffer then stays at most half full, else
+   move them into a buffer at least twice as large. Either way each byte
+   is copied O(1) times amortised. The live bytes start at 0 in the
+   returned buffer. *)
+let make_room buf ~pos ~len need =
+  let live = len - pos and cap = Bytes.length buf in
+  let dst =
+    if 2 * (live + need) <= cap then buf else Bytes.create (max (live + need) (2 * cap))
+  in
+  Bytes.blit buf pos dst 0 live;
+  dst
 
-(* [buf] is a reusable scratch owned by the calling serve loop: the chunk
-   is copied into line strings before the next read, and allocating 64 KB
-   per read(2) call is needless GC churn at 300k events/s *)
-let read_chunk buf c =
-  match Unix.read c.fd buf 0 (Bytes.length buf) with
+(* the least free space a read is offered *)
+let min_read = 4096
+
+(* queue every complete line in the unscanned input as a request *)
+let split_lines c =
+  let buf = c.inb and stop = c.in_len in
+  for i = c.in_scan to stop - 1 do
+    if Bytes.unsafe_get buf i = '\n' then begin
+      Queue.add (Bytes.sub_string buf c.in_start (i - c.in_start)) c.pending;
+      c.in_start <- i + 1
+    end
+  done;
+  if c.in_start = stop then begin
+    c.in_start <- 0;
+    c.in_len <- 0
+  end;
+  c.in_scan <- c.in_len
+
+(* read straight into the connection's buffer, after what is already
+   there; a line longer than the buffer grows it *)
+let read_chunk c =
+  if Bytes.length c.inb - c.in_len < min_read then begin
+    c.inb <- make_room c.inb ~pos:c.in_start ~len:c.in_len min_read;
+    c.in_len <- c.in_len - c.in_start;
+    c.in_scan <- c.in_scan - c.in_start;
+    c.in_start <- 0
+  end;
+  match Unix.read c.fd c.inb c.in_len (Bytes.length c.inb - c.in_len) with
   | 0 ->
       (* EOF: a trailing unterminated line still counts as a request, like
          the blocking loop's [input_line] *)
-      if c.carry <> "" then begin
-        Queue.add c.carry c.pending;
-        c.carry <- ""
+      if c.in_len > c.in_start then begin
+        Queue.add (Bytes.sub_string c.inb c.in_start (c.in_len - c.in_start)) c.pending;
+        c.in_start <- 0;
+        c.in_scan <- 0;
+        c.in_len <- 0
       end;
       c.closing <- true
-  | n -> push_lines c (Bytes.sub_string buf 0 n)
+  | n ->
+      c.in_len <- c.in_len + n;
+      split_lines c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> c.closing <- true
 
+let add_reply c reply =
+  let len = String.length reply in
+  if c.out_len + len + 1 > Bytes.length c.outb then begin
+    c.outb <- make_room c.outb ~pos:c.out_pos ~len:c.out_len (len + 1);
+    c.out_len <- c.out_len - c.out_pos;
+    c.out_pos <- 0
+  end;
+  Bytes.blit_string reply 0 c.outb c.out_len len;
+  Bytes.unsafe_set c.outb (c.out_len + len) '\n';
+  c.out_len <- c.out_len + len + 1
+
 let try_write c =
   if not c.closed then begin
-    (* snapshot accumulated replies once; a partial write then resumes
-       into the immutable string instead of re-copying the buffer on
-       every attempt (reply windows run to hundreds of KB) *)
-    if c.out_pos >= String.length c.flushing && Buffer.length c.out > 0 then begin
-      c.flushing <- Buffer.contents c.out;
-      Buffer.clear c.out;
-      c.out_pos <- 0
-    end;
-    let len = String.length c.flushing - c.out_pos in
+    let len = c.out_len - c.out_pos in
     if len > 0 then
-      match Unix.single_write_substring c.fd c.flushing c.out_pos len with
+      match Unix.single_write c.fd c.outb c.out_pos len with
       | written ->
           c.out_pos <- c.out_pos + written;
-          if c.out_pos >= String.length c.flushing then begin
-            c.flushing <- "";
-            c.out_pos <- 0
+          if c.out_pos = c.out_len then begin
+            c.out_pos <- 0;
+            c.out_len <- 0
           end
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
         ->
           ()
       | exception Unix.Unix_error _ ->
           (* peer vanished: drop the connection, keep serving the rest *)
-          Buffer.clear c.out;
-          c.flushing <- "";
           c.out_pos <- 0;
+          c.out_len <- 0;
           c.closing <- true
   end;
   if c.closing && (not (has_out c)) && Queue.is_empty c.pending then close_conn c
@@ -103,7 +144,6 @@ let serve ?(max_batch = 16384) ?listen ?(conns = []) ?(stop_when_drained = true)
      round's live array — refilled every dispatch, never re-allocated *)
   let batch_lines = Array.make max_batch "" in
   let batch_owner = Array.make max_batch (-1) in
-  let read_scratch = Bytes.create 65536 in
   let drain_round live_arr =
     (* round-robin across connections: preserves per-connection FIFO while
        interleaving tenants fairly into one batch *)
@@ -132,8 +172,7 @@ let serve ?(max_batch = 16384) ?listen ?(conns = []) ?(stop_when_drained = true)
         (fun i (reply, quit) ->
           let c = live_arr.(batch_owner.(i)) in
           if not c.closed then begin
-            Buffer.add_string c.out reply;
-            Buffer.add_char c.out '\n';
+            add_reply c reply;
             if quit then c.closing <- true
           end)
         replies;
@@ -186,7 +225,7 @@ let serve ?(max_batch = 16384) ?listen ?(conns = []) ?(stop_when_drained = true)
               -> ())
         | _ -> ());
         List.iter
-          (fun c -> if List.memq c.fd readable then read_chunk read_scratch c)
+          (fun c -> if List.memq c.fd readable then read_chunk c)
           !live;
         let live_arr = Array.of_list !live in
         dispatch live_arr (drain_round live_arr);

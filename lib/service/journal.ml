@@ -148,7 +148,28 @@ type writer = {
   mutable unsynced : int;
   mutable appended : int;
   mutable closed : bool;
+  scratch : Record.Scratch.t;  (* one record's fields, reused per record *)
+  enc : Buffer.t;  (* sealed record lines, reused per append *)
 }
+
+(* Every append encodes through the writer's own scratch and buffer, so
+   a group commit allocates only the string it hands to [Io]. The buffer
+   starts small (a 64 KiB block allocated at startup measurably delays a
+   server's first reply) and keeps what it grows to, up to [enc_keep]; a
+   buffer that one oversized batch or a heal's whole region grew past
+   that is released afterwards rather than kept. *)
+let enc_initial = 4096
+let enc_keep = 65536
+
+let add_record scratch buf e =
+  Record.Scratch.reset scratch;
+  Record.encode_into scratch e;
+  Record.seal_to buf scratch
+
+let take_encoded buf =
+  let s = Buffer.contents buf in
+  if Buffer.length buf > enc_keep then Buffer.reset buf else Buffer.clear buf;
+  s
 
 let path w = w.w_path
 let appended w = w.appended
@@ -221,6 +242,8 @@ let create ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
       unsynced = 0;
       appended = 0;
       closed = false;
+      scratch = Record.Scratch.create ();
+      enc = Buffer.create enc_initial;
     }
   in
   gauges w;
@@ -273,7 +296,8 @@ let check_open w = if w.closed then invalid_arg "journal writer is closed"
 
 let append w e =
   check_open w;
-  let line = Record.encode_event e in
+  add_record w.scratch w.enc e;
+  let line = take_encoded w.enc in
   w.out.Io.write line;
   w.out.Io.write "\n";
   w.out.Io.flush ();
@@ -299,18 +323,14 @@ let append_batch w events =
   match events with
   | [] -> ()
   | _ ->
-      let buf = Buffer.create 65536 in
-      let scratch = Record.Scratch.create () in
       let n = ref 0 in
       List.iter
         (fun e ->
-          Record.Scratch.reset scratch;
-          Record.encode_into scratch e;
-          Record.seal_to buf scratch;
-          Buffer.add_char buf '\n';
+          add_record w.scratch w.enc e;
+          Buffer.add_char w.enc '\n';
           incr n)
         events;
-      let s = Buffer.contents buf in
+      let s = take_encoded w.enc in
       let bytes = String.length s in
       w.out.Io.write s;
       w.out.Io.flush ();
@@ -408,14 +428,13 @@ let check_shape ~path (expected : header) (h : header) =
          (Vec.to_string expected.capacity))
   else Ok ()
 
-let encode_region events =
-  let buf = Buffer.create 4096 in
+let encode_region scratch buf events =
   List.iter
     (fun e ->
-      Buffer.add_string buf (Record.encode_event e);
+      add_record scratch buf e;
       Buffer.add_char buf '\n')
     events;
-  Buffer.contents buf
+  take_encoded buf
 
 let append_to ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
     ?(segment_bytes = default_segment_bytes) ~path header =
@@ -423,6 +442,7 @@ let append_to ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
   validate_fsync_every fsync_every;
   validate_segment_bytes segment_bytes;
   let dir = Filename.dirname path in
+  let scratch = Record.Scratch.create () and enc = Buffer.create enc_initial in
   let fresh () =
     let w = create ~io ~metrics ~fsync_every ~segment_bytes ~path header in
     Ok (w, { header; events = []; dropped_torn = false; version = 2 })
@@ -447,6 +467,8 @@ let append_to ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
         unsynced = 0;
         appended = 0;
         closed = false;
+        scratch;
+        enc;
       }
     in
     gauges w;
@@ -469,7 +491,7 @@ let append_to ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
             let unterminated = text.[String.length text - 1] <> '\n' in
             if r.dropped_torn || unterminated then Metrics.on_heal metrics;
             let hdr = Segment.header_string r.header in
-            let region = encode_region r.events in
+            let region = encode_region scratch enc r.events in
             let apath = Segment.name path ~idx:0 Segment.Active in
             let out = io.Io.open_out ~append:false apath in
             out.Io.write hdr;
@@ -526,7 +548,7 @@ let append_to ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
             let hdr = Segment.header_string a.Log.s_header in
             let region =
               if needs_heal then begin
-                let region = encode_region a.Log.s_events in
+                let region = encode_region scratch enc a.Log.s_events in
                 Io.atomic_replace io ~path:a.Log.s_path (hdr ^ region);
                 region
               end

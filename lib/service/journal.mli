@@ -171,7 +171,9 @@ val append_batch : writer -> event list -> unit
     lose a batch-acked record. Batch sizing (the [fsync_every] per-batch
     ceiling) is the caller's job — see {!Server.handle_batch}. The roll
     check runs once per batch (after the fsync), so a segment may
-    overshoot [segment_bytes] by at most one batch. *)
+    overshoot [segment_bytes] by at most one batch. The batch is encoded
+    through the writer's reused buffer, so a call allocates only the
+    string it writes. *)
 
 val sync : writer -> unit
 (** Forces an fsync now. *)

@@ -69,10 +69,14 @@ module Scratch = struct
       t.buf <- nb
     end
 
-  let add_char t c =
-    ensure t 1;
+  (* [put] skips the capacity check: callers [ensure] a whole field first *)
+  let put t c =
     Bytes.unsafe_set t.buf t.pos c;
     t.pos <- t.pos + 1
+
+  let add_char t c =
+    ensure t 1;
+    put t c
 
   let add_string t s =
     let len = String.length s in
@@ -80,14 +84,34 @@ module Scratch = struct
     Bytes.blit_string s 0 t.buf t.pos len;
     t.pos <- t.pos + len
 
-  let add_int t n = add_string t (string_of_int n)
+  (* decimal digits straight into the buffer, no [string_of_int]; the
+     digits come off the non-positive magnitude so [min_int] needs no
+     special case ([mod] truncates toward zero: remainders are in -9..0) *)
+  let add_int t n =
+    let m = if n < 0 then n else -n in
+    let digits = ref 1 and q = ref (m / 10) in
+    while !q <> 0 do
+      incr digits;
+      q := !q / 10
+    done;
+    let len = if n < 0 then !digits + 1 else !digits in
+    ensure t len;
+    if n < 0 then Bytes.unsafe_set t.buf t.pos '-';
+    let r = ref m in
+    for i = t.pos + len - 1 downto t.pos + len - !digits do
+      Bytes.unsafe_set t.buf i (Char.unsafe_chr (Char.code '0' - (!r mod 10)));
+      r := !r / 10
+    done;
+    t.pos <- t.pos + len
 
+  (* same sum as {!checksum}: int arithmetic wraps modulo a multiple of
+     2^16, so masking once at the end equals masking every step *)
   let checksum t =
     let acc = ref 0 in
     for i = 0 to t.pos - 1 do
-      acc := ((!acc * 31) + Char.code (Bytes.unsafe_get t.buf i)) land 0xffff
+      acc := (!acc * 31) + Char.code (Bytes.unsafe_get t.buf i)
     done;
-    !acc
+    !acc land 0xffff
 end
 
 (* v2 times are hex floats (e.g. [0x1.8p+1] for 3.0): they round-trip
@@ -95,29 +119,34 @@ end
    [float_of_string] reads both spellings, so v1 journals (decimal
    times) replay unchanged. Written digit-by-digit from the IEEE bits
    rather than via ["%h"] because [Printf]'s dispatch alone costs more
-   than the record's other fields combined. *)
+   than the record's other fields combined. The 52-bit mantissa and the
+   exponent fit a native int, so the nibble arithmetic boxes nothing. *)
 let add_time s v =
   let bits = Int64.bits_of_float v in
-  if Int64.logand bits Int64.min_int <> 0L then Scratch.add_char s '-';
+  if Int64.compare bits 0L < 0 then Scratch.add_char s '-';
   let e = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
-  let m = Int64.logand bits 0xF_FFFF_FFFF_FFFFL in
-  if e = 0x7ff then Scratch.add_string s (if m = 0L then "inf" else "nan")
-  else if e = 0 && m = 0L then Scratch.add_string s "0x0p+0"
+  let m = Int64.to_int bits land 0xF_FFFF_FFFF_FFFF in
+  if e = 0x7ff then Scratch.add_string s (if m = 0 then "inf" else "nan")
+  else if e = 0 && m = 0 then Scratch.add_string s "0x0p+0"
   else begin
     (* subnormals keep the raw [0x0.<m>p-1022] form: still exact binary,
        still one [float_of_string] away from the original *)
-    let lead, exp = if e = 0 then ('0', -1022) else ('1', e - 1023) in
-    Scratch.add_string s "0x";
-    Scratch.add_char s lead;
-    if m <> 0L then begin
-      Scratch.add_char s '.';
-      let nib i = Int64.to_int (Int64.shift_right_logical m ((12 - i) * 4)) land 0xf in
-      let last = ref 12 in
-      while nib !last = 0 do decr last done;
-      for i = 0 to !last do Scratch.add_char s hex_digits.[nib i] done
-    end;
-    Scratch.add_char s 'p';
-    if exp >= 0 then Scratch.add_char s '+';
+    let exp = if e = 0 then -1022 else e - 1023 in
+    (* the mantissa's 13 nibbles, top first, less the trailing zero ones *)
+    let nibbles = ref (if m = 0 then 0 else 13) in
+    while !nibbles > 0 && (m lsr ((13 - !nibbles) * 4)) land 0xf = 0 do
+      decr nibbles
+    done;
+    Scratch.ensure s (!nibbles + 6);
+    Scratch.put s '0';
+    Scratch.put s 'x';
+    Scratch.put s (if e = 0 then '0' else '1');
+    if !nibbles > 0 then Scratch.put s '.';
+    for i = 0 to !nibbles - 1 do
+      Scratch.put s (String.unsafe_get hex_digits ((m lsr ((12 - i) * 4)) land 0xf))
+    done;
+    Scratch.put s 'p';
+    if exp >= 0 then Scratch.put s '+';
     Scratch.add_int s exp
   end
 

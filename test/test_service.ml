@@ -95,8 +95,103 @@ let record_raw ?(policy = "mtf") ?(seed = 7) ?(capacity = cap) raw =
 
 let sample_events = record_raw sample_raw
 
+(* v2 record bytes, pinned: integer extremes and every float class the
+   hex-time writer distinguishes (signed zeros, subnormals, the largest
+   finite, inf and nan). They are the on-disk format, so any encoder
+   change must reproduce them byte for byte. *)
+let pinned_records =
+  let arrive ?(tenant = dflt) time item_id size bin_id opened_new_bin =
+    Journal.Arrive { tenant; time; item_id; size = v size; bin_id; opened_new_bin }
+  in
+  let depart ?(tenant = dflt) time item_id = Journal.Depart { tenant; time; item_id } in
+  let third = 1.0 /. 3.0 and big = (2.0 ** 53.0) +. 2.0 in
+  let min_normal = 2.2250738585072014e-308 in
+  [
+    (arrive 0.0 0 [ 1; 2 ] 0 true, "arrive,default,0x0p+0,0,0,1,1,2,~37c5");
+    (arrive ~tenant:"t1" (-0.0) 9 [ 10; 99 ] 9 false, "arrive,t1,-0x0p+0,9,9,0,10,99,~435f");
+    ( arrive 0.1 10 [ 100; 1000; 12345 ] 10 true,
+      "arrive,default,0x1.999999999999ap-4,10,10,1,100,1000,12345,~614d" );
+    (arrive third (-1) [ 0 ] (-1) false, "arrive,default,0x1.5555555555555p-2,-1,-1,0,0,~b0ed");
+    ( arrive 5e-324 max_int [ max_int; 0 ] max_int true,
+      "arrive,default,0x0.0000000000001p-1022,4611686018427387903,4611686018427387903,1,\
+       4611686018427387903,0,~5866" );
+    ( arrive big min_int [ 987654321; 1 ] min_int false,
+      "arrive,default,0x1.0000000000001p+53,-4611686018427387904,-4611686018427387904,0,\
+       987654321,1,~3357" );
+    ( arrive ~tenant:"tenant_B.9-x" 1e300 123456789
+        [ 4611686018427387903; 20; 300; 4000; 50000 ] 42 true,
+      "arrive,tenant_B.9-x,0x1.7e43c8800759cp+996,123456789,42,1,4611686018427387903,20,300,\
+       4000,50000,~aac2" );
+    (arrive infinity 7 [ 3; 3 ] 1 false, "arrive,default,inf,7,1,0,3,3,~ea83");
+    (arrive Float.nan 8 [ 5; 6 ] 2 true, "arrive,default,nan,8,2,1,5,6,~0485");
+    (arrive 1.0 11 [ 9; 10 ] 3 false, "arrive,default,0x1p+0,11,3,0,9,10,~3bf3");
+    (arrive (-1.5) 12 [ 99; 100 ] 4 true, "arrive,default,-0x1.8p+0,12,4,1,99,100,~1fa6");
+    (depart 0.0 0, "depart,default,0x0p+0,0,~59f4");
+    (depart (-0.0) 9, "depart,default,-0x0p+0,9,~9a04");
+    (depart 0.1 10, "depart,default,0x1.999999999999ap-4,10,~3c0d");
+    (depart third (-1), "depart,default,0x1.5555555555555p-2,-1,~a6a8");
+    (depart 5e-324 max_int, "depart,default,0x0.0000000000001p-1022,4611686018427387903,~b356");
+    (depart big min_int, "depart,default,0x1.0000000000001p+53,-4611686018427387904,~0b5c");
+    (depart 1e300 99, "depart,default,0x1.7e43c8800759cp+996,99,~f3e7");
+    (depart neg_infinity 100, "depart,default,-inf,100,~5e9c");
+    (depart Float.nan 1000, "depart,default,nan,1000,~d813");
+    (depart (-.Float.nan) 1001, "depart,default,-nan,1001,~181b");
+    (depart min_normal (-10), "depart,default,0x1p-1022,-10,~6102");
+    (depart max_float (-9), "depart,default,0x1.fffffffffffffp+1023,-9,~329f");
+    ( depart (-.Float.pred min_normal) 1_000_000,
+      "depart,default,-0x0.fffffffffffffp-1022,1000000,~3df7" );
+    (depart ~tenant:"t1" 3.0 12345678901, "depart,t1,0x1.8p+1,12345678901,~31a4");
+  ]
+
+(* random finite events over the full int range and every float class the
+   decoder accepts: normals of any magnitude, subnormals, signed zeros *)
+let finite_event_gen =
+  QCheck2.Gen.(
+    let any_int = oneof [ int; oneofl [ 0; 9; 10; -1; max_int; min_int ] ] in
+    let time =
+      oneof
+        [
+          float_range (-1e6) 1e6;
+          map
+            (fun bits ->
+              let f = Int64.float_of_bits bits in
+              if Float.is_finite f then f else 0.5)
+            ui64;
+          oneofl [ 0.0; -0.0; 5e-324; max_float; -.min_float ];
+        ]
+    in
+    let tenant = oneofl [ dflt; "t1"; "tenant_B.9-x" ] in
+    oneof
+      [
+        (let* tenant = tenant and* time = time and* item_id = any_int in
+         let* bin_id = any_int and* opened_new_bin = bool in
+         let+ sizes = list_size (1 -- 6) (oneof [ nat; int_bound max_int ]) in
+         Journal.Arrive { tenant; time; item_id; size = v sizes; bin_id; opened_new_bin });
+        (let+ tenant = tenant and+ time = time and+ item_id = any_int in
+         Journal.Depart { tenant; time; item_id });
+      ])
+
+let prop_codec_round_trip =
+  QCheck2.Test.make ~name:"decode_event inverts encode_event on finite events"
+    ~count:2000
+    ~print:(Fmt.to_to_string Journal.pp_event)
+    finite_event_gen
+    (fun e ->
+      match Journal.decode_event (Journal.encode_event e) with
+      | Ok e' ->
+          Journal.equal_event e e'
+          && Int64.equal
+               (Int64.bits_of_float (Journal.event_time e))
+               (Int64.bits_of_float (Journal.event_time e'))
+      | Error _ -> false)
+
 let journal_tests =
   [
+    Alcotest.test_case "record bytes are pinned" `Quick (fun () ->
+        List.iter
+          (fun (e, want) -> check_string "record" want (Journal.encode_event e))
+          pinned_records);
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xC0DEC |]) prop_codec_round_trip;
     Alcotest.test_case "event codec round trips" `Quick (fun () ->
         List.iter
           (fun e ->
@@ -125,6 +220,47 @@ let journal_tests =
         check_bool "error" true
           (Result.is_error
              (Journal.decode_event (String.sub line 0 (String.length line - 3)))));
+    Alcotest.test_case "group commit allocates only its final string" `Quick
+      (fun () ->
+        (* an [Io] whose files swallow their bytes: what remains of an
+           [append_batch] is encoding and bookkeeping. Words allocated
+           straight into the major heap (not promoted from the minor one)
+           are the oversized blocks a call creates; one 64-record batch's
+           final string is ~500 words, a fresh 64 KiB buffer 8,192 *)
+        let discard = { Io.write = ignore; flush = ignore; fsync = ignore; close = ignore } in
+        let io =
+          {
+            Io.read_file = (fun p -> Error (p ^ ": no such file"));
+            file_exists = (fun _ -> false);
+            open_out = (fun ~append:_ _ -> discard);
+            rename = (fun ~src:_ ~dst:_ -> ());
+            fsync_dir = ignore;
+            remove = ignore;
+            list_dir = (fun _ -> []);
+          }
+        in
+        let w = Journal.create ~io ~path:"d/j.log" (header ()) in
+        let batch =
+          List.init 64 (fun i ->
+              if i mod 4 = 3 then Journal.Depart { tenant = dflt; time = float i /. 3.0; item_id = i - 3 }
+              else
+                Journal.Arrive
+                  { tenant = dflt; time = float i /. 3.0; item_id = i; size = v [ 1 + i; 99 - i ];
+                    bin_id = i / 2; opened_new_bin = i mod 2 = 0 })
+        in
+        Journal.append_batch w batch;
+        let calls = 1000 in
+        let direct () =
+          let s = Gc.quick_stat () in
+          s.Gc.major_words -. s.Gc.promoted_words
+        in
+        let before = direct () in
+        for _ = 1 to calls do Journal.append_batch w batch done;
+        let per_call = (direct () -. before) /. float_of_int calls in
+        Journal.close w;
+        if per_call >= 1024.0 then
+          Alcotest.failf "append_batch allocated %.0f words per call directly in the major heap"
+            per_call);
     Alcotest.test_case "writer / read_file round trip" `Quick (fun () ->
         with_tmp_dir (fun dir ->
             let path = Filename.concat dir "j.log" in
@@ -1581,6 +1717,80 @@ let batch_tests =
         check_string "client b FIFO replies" expected got_b;
         Unix.close c_a;
         Unix.close c_b);
+    Alcotest.test_case "event loop: chunked input answers like one write" `Quick
+      (fun () ->
+        (* the same script, sent whole or in seeded 1-4096-byte pieces,
+           must draw byte-identical replies: lines split across reads, a
+           100 KiB line that outgrows the connection's input buffer, and an
+           unterminated final line answered at EOF *)
+        let script =
+          let rng = Random.State.make [| 0xC4A7 |] in
+          let b = Buffer.create 131072 in
+          for i = 0 to 299 do
+            (match i mod 10 with
+            | 7 -> Buffer.add_string b "ARRIVE a b c 1,1"
+            | 8 -> Printf.bprintf b "DEPART %d %d" i (i - 8)
+            | 9 -> Buffer.add_string b "FROB 1 2"
+            | _ ->
+                Printf.bprintf b "ARRIVE %d %d %d,%d" i i
+                  (1 + Random.State.int rng 60) (1 + Random.State.int rng 60));
+            Buffer.add_char b '\n';
+            if i = 150 then begin
+              Buffer.add_string b "ARRIVE ";
+              Buffer.add_string b (String.make (100 * 1024) '7');
+              Buffer.add_char b '\n'
+            end
+          done;
+          Buffer.add_string b "ARRIVE 400 400 5,5";
+          Buffer.contents b
+        in
+        let write_all fd s pos len =
+          let off = ref pos in
+          while !off < pos + len do
+            off := !off + Unix.write_substring fd s !off (pos + len - !off)
+          done
+        in
+        let serve_in pieces =
+          let s, c = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          let t = fresh_server () in
+          let loop = Domain.spawn (fun () -> Event_loop.serve ~conns:[ s ] t) in
+          let pos = ref 0 in
+          List.iter
+            (fun len ->
+              write_all c script !pos len;
+              pos := !pos + len;
+              Unix.sleepf 0.0002)
+            pieces;
+          Unix.shutdown c Unix.SHUTDOWN_SEND;
+          let buf = Bytes.create 65536 and out = Buffer.create 65536 in
+          let rec go () =
+            match Unix.read c buf 0 (Bytes.length buf) with
+            | 0 -> ()
+            | n ->
+                Buffer.add_subbytes out buf 0 n;
+                go ()
+          in
+          go ();
+          Domain.join loop;
+          Unix.close c;
+          Buffer.contents out
+        in
+        let n = String.length script in
+        let whole = serve_in [ n ] in
+        check_int "every line answered" 302
+          (List.length (String.split_on_char '\n' whole) - 1);
+        List.iter
+          (fun seed ->
+            let rng = Random.State.make [| seed |] in
+            let rec pieces pos =
+              if pos >= n then []
+              else
+                let len = min (n - pos) (1 + Random.State.int rng 4096) in
+                len :: pieces (pos + len)
+            in
+            check_string (Printf.sprintf "seed %d replies" seed) whole
+              (serve_in (pieces 0)))
+          [ 1; 2; 3 ]);
     Alcotest.test_case "append_to upgrades a v1 journal in place" `Quick
       (fun () ->
         with_tmp_dir (fun dir ->
