@@ -54,10 +54,6 @@ let server_config (o : serve_opts) =
       retain_segments = o.retain_segments;
     }
 
-(* a journal "exists" in either form: legacy single file or segment chain *)
-let journal_has_content =
-  Option.fold ~none:false ~some:(fun path -> Service.Journal.exists path)
-
 (* --listen: a unix-domain event loop accepting many concurrent clients
    (group commit across all of them); without it, the classic blocking
    stdin/stdout conversation. *)
@@ -65,13 +61,15 @@ let serve (o : serve_opts) ic oc =
   let* config = server_config o in
   let metrics = Service.Metrics.create () in
   let* server =
-    if o.resume && journal_has_content o.journal then
-      let journal = Option.get o.journal in
-      let* state = Service.Recovery.recover ?snapshot:o.snapshot ~journal () in
-      Service.Server.resume ~metrics config state
-    else if o.resume && o.journal = None then
-      Error "--resume requires --journal"
-    else Service.Server.create ~metrics config
+    let* resumed =
+      if not o.resume then Ok None
+      else if o.journal = None then Error "--resume requires --journal"
+      else Service.Server.restart ~metrics config
+    in
+    (* a journal that holds nothing durable resumes as a fresh start *)
+    match resumed with
+    | Some server -> Ok server
+    | None -> Service.Server.create ~metrics config
   in
   let* () =
     match o.listen with
@@ -109,12 +107,16 @@ let serve (o : serve_opts) ic oc =
       close_out out);
   Ok ()
 
+(* one read of the journal and the snapshot; a journal holding nothing
+   durable is an error here *)
+let recovered ?io ?snapshot journal =
+  let* state = Service.Recovery.load ?io ?snapshot ~journal () in
+  match state with
+  | Some state -> Ok state
+  | None -> Error (Printf.sprintf "journal %s does not exist" journal)
+
 let recover ~journal ~snapshot =
-  let* () =
-    if Service.Journal.exists journal then Ok ()
-    else Error (Printf.sprintf "journal %s does not exist" journal)
-  in
-  let* state = Service.Recovery.recover ?snapshot ~journal () in
+  let* state = recovered ?snapshot journal in
   Ok (Service.Recovery.render state)
 
 (* [dvbp compact]: offline whole-pass compaction — recover the state the
@@ -122,12 +124,8 @@ let recover ~journal ~snapshot =
    the recovered frontier, retire every sealed segment it covers. The
    active segment keeps its tail, so a serve --resume afterwards appends
    where the journal left off. *)
-let compact ~journal ~snapshot ?segment_bytes () =
-  let* () =
-    if Service.Journal.exists journal then Ok ()
-    else Error (Printf.sprintf "journal %s does not exist" journal)
-  in
-  let* state = Service.Recovery.recover ~snapshot ~journal () in
+let compact ?io ~journal ~snapshot ?segment_bytes () =
+  let* state = recovered ?io ~snapshot journal in
   let config =
     {
       Service.Server.policy = state.Service.Recovery.policy;
@@ -142,7 +140,7 @@ let compact ~journal ~snapshot ?segment_bytes () =
       retain_segments = None;
     }
   in
-  let* server = Service.Server.resume config state in
+  let* server = Service.Server.resume ?io config state in
   let outcome = Service.Server.compact server in
   Service.Server.close server;
   let* path, retired = outcome in

@@ -50,11 +50,18 @@ val recover : journal:string -> snapshot:string option -> (string, string) resul
     returns the rendered state summary. *)
 
 val compact :
-  journal:string -> snapshot:string -> ?segment_bytes:int -> unit -> (string, string) result
+  ?io:Dvbp_service.Io.t ->
+  journal:string ->
+  snapshot:string ->
+  ?segment_bytes:int ->
+  unit ->
+  (string, string) result
 (** [dvbp compact]: offline whole-pass compaction. Recovers the state,
     writes a fresh snapshot at the recovered frontier, and retires every
     sealed segment the snapshot covers; the active segment keeps its tail.
-    Returns a one-line summary (events covered, segments retired). *)
+    Returns a one-line summary (events covered, segments retired). Each
+    journal file and the snapshot are read once; [io] (default
+    {!Dvbp_service.Real_io.v}) is the backend every file goes through. *)
 
 type loadgen_opts = {
   source : Workload_select.source;  (** what to replay *)

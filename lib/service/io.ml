@@ -8,6 +8,7 @@ type out = {
 type t = {
   read_file : string -> (string, string) result;
   file_exists : string -> bool;
+  file_size : string -> int option;
   open_out : append:bool -> string -> out;
   rename : src:string -> dst:string -> unit;
   fsync_dir : string -> unit;

@@ -29,6 +29,9 @@ type t = {
   read_file : string -> (string, string) result;
       (** whole contents; [Error] for a missing or unreadable file *)
   file_exists : string -> bool;
+  file_size : string -> int option;
+      (** the size {!read_file} would return the contents at; [None] for a
+          missing file *)
   open_out : append:bool -> string -> out;
       (** creates if missing; truncates unless [append] *)
   rename : src:string -> dst:string -> unit;

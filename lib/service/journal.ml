@@ -56,6 +56,7 @@ let of_string text =
       else lines
     in
     let p = Record.empty_partial () in
+    let decoder = Record.decoder () in
     let version = ref 2 in
     (* The final line of an unterminated file is a torn-write candidate: if
        it fails to parse it is dropped (the crash interrupted the append),
@@ -81,10 +82,12 @@ let of_string text =
             end
             else Error (Printf.sprintf "line 1: expected %S, got %S" magic trimmed)
           else if trimmed = "" || trimmed.[0] = '#' then go (line + 1) ~events rest
-          else if Record.is_record trimmed then
+          else if Record.is_record trimmed 0 (String.length trimmed) then
             (* records may only follow a complete header *)
             let* _ = Record.finish_header p in
-            match Record.decode_event ~version:!version trimmed with
+            match
+              Record.decode ~version:!version ~decoder trimmed 0 (String.length trimmed)
+            with
             | Ok e -> go (line + 1) ~events:(e :: events) rest
             | Error msg ->
                 tear_or (fun () -> Error (Printf.sprintf "line %d: %s" line msg))
@@ -96,6 +99,8 @@ let of_string text =
     go 1 ~events:[] lines
   end
 
+let ( let* ) = Result.bind
+
 let view_read (v : Log.view) =
   {
     header = v.Log.v_header;
@@ -104,22 +109,54 @@ let view_read (v : Log.view) =
     version = 2;
   }
 
-let read_file ?(io = Real_io.v) path =
-  if io.Io.file_exists path then
-    match io.Io.read_file path with Ok text -> of_string text | Error msg -> Error msg
-  else
-    match Log.read ~io path with
-    | Error msg -> Error msg
-    | Ok (Some v) -> Ok (view_read v)
-    | Ok None -> Error (Printf.sprintf "%s: no journal (no file, no segments)" path)
+(* What one read of a journal found: a legacy file (parsed, and whether
+   its last byte was a newline) or a segment chain. {!append_to} reopens
+   the writer from it, so a resume reads each file once. *)
+type form = Legacy of { read : read; unterminated : bool } | Segments of Log.view
+
+(* every file of the journal at [path] (the legacy name and each listed
+   segment) with its size *)
+let stamp ~io path =
+  List.map (fun p -> (p, io.Io.file_size p)) (path :: Log.all_paths ~io path)
+
+(* [stamp] is taken before the files are read: a write after it changes a
+   size or the listing, and {!append_to} then reads the files again *)
+type source = { src_path : string; stamp : (string * int option) list; form : form }
+
+let legacy_form text =
+  let* read = of_string text in
+  Ok (Legacy { read; unterminated = text.[String.length text - 1] <> '\n' })
+
+let load ?(io = Real_io.v) path =
+  let stamp = stamp ~io path in
+  let* form =
+    if io.Io.file_exists path then
+      let* text = io.Io.read_file path in
+      let* form = legacy_form text in
+      Ok (Some form)
+    else
+      let* v = Log.read ~io path in
+      Ok (Option.map (fun v -> Segments v) v)
+  in
+  Ok (Option.map (fun form -> { src_path = path; stamp; form }) form)
+
+let source_read s =
+  match s.form with Legacy l -> l.read | Segments v -> view_read v
+
+let absent path = Printf.sprintf "%s: no journal (no file, no segments)" path
+
+let read_file ?io path =
+  match load ?io path with
+  | Error msg -> Error msg
+  | Ok (Some s) -> Ok (source_read s)
+  | Ok None -> Error (absent path)
 
 (* A journal "exists" once it holds durable state a resume must not ignore:
    a legacy file, any segment with a complete header — or unreadable
    segments, which must surface as a resume error rather than be shadowed
    by a silent fresh start. *)
-let exists ?(io = Real_io.v) path =
-  io.Io.file_exists path
-  || (match Log.read ~io path with Ok None -> false | Ok (Some _) | Error _ -> true)
+let exists ?io path =
+  match load ?io path with Ok None -> false | Ok (Some _) | Error _ -> true
 
 (* ---------- writing ---------- *)
 
@@ -410,8 +447,6 @@ let close w =
     w.closed <- true
   end
 
-let ( let* ) = Result.bind
-
 let check_shape ~path (expected : header) (h : header) =
   if h.policy <> expected.policy then
     Error
@@ -437,7 +472,7 @@ let encode_region scratch buf events =
   take_encoded buf
 
 let append_to ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
-    ?(segment_bytes = default_segment_bytes) ~path header =
+    ?(segment_bytes = default_segment_bytes) ?source ~path header =
   let metrics = match metrics with Some m -> m | None -> Metrics.noop () in
   validate_fsync_every fsync_every;
   validate_segment_bytes segment_bytes;
@@ -474,103 +509,105 @@ let append_to ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
     gauges w;
     w
   in
-  if io.Io.file_exists path then begin
-    (* Legacy single-file journal: validate, heal, then migrate it into one
-       active segment — segment made durable, then the legacy file removed
-       (and the removal dirsynced) before any new append, so at every crash
-       point either the legacy file or a superset segment is authoritative,
-       never neither. *)
-    match io.Io.read_file path with
-    | Error msg -> Error msg
-    | Ok "" -> fresh ()
-    | Ok text -> (
-        match of_string text with
-        | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-        | Ok r ->
-            let* () = check_shape ~path header r.header in
-            let unterminated = text.[String.length text - 1] <> '\n' in
-            if r.dropped_torn || unterminated then Metrics.on_heal metrics;
-            let hdr = Segment.header_string r.header in
-            let region = encode_region scratch enc r.events in
-            let apath = Segment.name path ~idx:0 Segment.Active in
-            let out = io.Io.open_out ~append:false apath in
-            out.Io.write hdr;
-            out.Io.write region;
-            out.Io.fsync ();
-            io.Io.fsync_dir dir;
-            io.Io.remove path;
-            io.Io.fsync_dir dir;
-            Ok
-              ( mk_writer ~out ~active_idx:0 ~active_base:r.header.base
-                  ~active_count:(List.length r.events)
-                  ~active_bytes:(String.length hdr + String.length region)
-                  ~crc:(crc_add 0 region) ~sealed:[],
-                r ))
-  end
-  else
-    match Log.read ~io path with
-    | Error msg -> Error msg
-    | Ok None -> fresh ()
-    | Ok (Some v) ->
-        let* () = check_shape ~path header v.Log.v_header in
-        (* directory maintenance before reopening: finish seals whose
-           rename a crash rolled back, drop stale files the chain walk
-           excluded (retire/truncate leftovers, crashed births) *)
-        let sealed_path (s : Log.seg) =
-          Segment.name path ~idx:s.Log.s_idx Segment.Sealed
-        in
-        List.iter
-          (fun (s : Log.seg) -> io.Io.rename ~src:s.Log.s_path ~dst:(sealed_path s))
-          v.Log.v_misnamed;
-        List.iter (fun p -> io.Io.remove p) v.Log.v_stale;
-        if v.Log.v_misnamed <> [] || v.Log.v_stale <> [] then io.Io.fsync_dir dir;
-        let sealed =
-          List.filter (fun (s : Log.seg) -> s.Log.s_sealed) v.Log.v_chain
-          |> List.map (fun (s : Log.seg) ->
-                 {
-                   si_idx = s.Log.s_idx;
-                   si_base = Log.s_base s;
-                   si_count = s.Log.s_count;
-                   si_bytes = s.Log.s_bytes;
-                   si_path = sealed_path s;
-                 })
-        in
-        let r = view_read v in
-        (match v.Log.v_active with
-        | Some a ->
-            (* an unterminated tail must not stay on disk: appending after
-               it would weld the fragment to the next record. Rewrite the
-               active segment in place (atomically) when its tail was torn
-               or merely missed its final newline. Sealed segments never
-               take this path — a short read there was a hard error. *)
-            let needs_heal = a.Log.s_dropped_torn || a.Log.s_unterminated in
-            if needs_heal then Metrics.on_heal metrics;
-            let hdr = Segment.header_string a.Log.s_header in
-            let region =
-              if needs_heal then begin
-                let region = encode_region scratch enc a.Log.s_events in
-                Io.atomic_replace io ~path:a.Log.s_path (hdr ^ region);
-                region
-              end
-              else a.Log.s_region
-            in
-            Ok
-              ( mk_writer
-                  ~out:(io.Io.open_out ~append:true a.Log.s_path)
-                  ~active_idx:a.Log.s_idx ~active_base:(Log.s_base a)
-                  ~active_count:a.Log.s_count
-                  ~active_bytes:(String.length hdr + String.length region)
-                  ~crc:(crc_add 0 region) ~sealed,
-                r )
-        | None ->
-            (* every chain segment is sealed (or the directory only held
-               sealed files): start a fresh active above the frontier *)
-            let base = Log.frontier v in
-            let out, hbytes =
-              open_active ~io ~path ~idx:v.Log.v_next_idx ~base header
-            in
-            io.Io.fsync_dir dir;
-            Ok
-              ( mk_writer ~out ~active_idx:v.Log.v_next_idx ~active_base:base
-                  ~active_count:0 ~active_bytes:hbytes ~crc:0 ~sealed,
-                r ))
+  (* a source is trusted only while the files are as it found them:
+     after a write it would reopen the writer from a stale count and CRC
+     (and replay done renames), so the files are read again *)
+  let* form =
+    match source with
+    | Some s when String.equal s.src_path path && s.stamp = stamp ~io path ->
+        Ok (Some s.form)
+    | Some _ | None ->
+        if io.Io.file_size path = Some 0 then Ok None
+        else
+          let* s = Result.map_error (Printf.sprintf "%s: %s" path) (load ~io path) in
+          Ok (Option.map (fun s -> s.form) s)
+  in
+  match form with
+  | None -> fresh ()
+  | Some (Legacy { read = r; unterminated }) ->
+      (* Legacy single-file journal: validate, heal, then migrate it into one
+         active segment — segment made durable, then the legacy file removed
+         (and the removal dirsynced) before any new append, so at every crash
+         point either the legacy file or a superset segment is authoritative,
+         never neither. *)
+      let* () = check_shape ~path header r.header in
+      if r.dropped_torn || unterminated then Metrics.on_heal metrics;
+      let hdr = Segment.header_string r.header in
+      let region = encode_region scratch enc r.events in
+      let apath = Segment.name path ~idx:0 Segment.Active in
+      let out = io.Io.open_out ~append:false apath in
+      out.Io.write hdr;
+      out.Io.write region;
+      out.Io.fsync ();
+      io.Io.fsync_dir dir;
+      io.Io.remove path;
+      io.Io.fsync_dir dir;
+      Ok
+        ( mk_writer ~out ~active_idx:0 ~active_base:r.header.base
+            ~active_count:(List.length r.events)
+            ~active_bytes:(String.length hdr + String.length region)
+            ~crc:(crc_add 0 region) ~sealed:[],
+          r )
+  | Some (Segments v) ->
+      let* () = check_shape ~path header v.Log.v_header in
+      (* directory maintenance before reopening: finish seals whose
+         rename a crash rolled back, drop stale files the chain walk
+         excluded (retire/truncate leftovers, crashed births) *)
+      let sealed_path (s : Log.seg) =
+        Segment.name path ~idx:s.Log.s_idx Segment.Sealed
+      in
+      List.iter
+        (fun (s : Log.seg) -> io.Io.rename ~src:s.Log.s_path ~dst:(sealed_path s))
+        v.Log.v_misnamed;
+      List.iter (fun p -> io.Io.remove p) v.Log.v_stale;
+      if v.Log.v_misnamed <> [] || v.Log.v_stale <> [] then io.Io.fsync_dir dir;
+      let sealed =
+        List.filter (fun (s : Log.seg) -> s.Log.s_sealed) v.Log.v_chain
+        |> List.map (fun (s : Log.seg) ->
+               {
+                 si_idx = s.Log.s_idx;
+                 si_base = Log.s_base s;
+                 si_count = s.Log.s_count;
+                 si_bytes = s.Log.s_bytes;
+                 si_path = sealed_path s;
+               })
+      in
+      let r = view_read v in
+      match v.Log.v_active with
+      | Some a ->
+          (* an unterminated tail must not stay on disk: appending after
+             it would weld the fragment to the next record. Rewrite the
+             active segment in place (atomically) when its tail was torn
+             or merely missed its final newline. Sealed segments never
+             take this path — a short read there was a hard error. *)
+          let needs_heal = a.Log.s_dropped_torn || a.Log.s_unterminated in
+          if needs_heal then Metrics.on_heal metrics;
+          let hdr = Segment.header_string a.Log.s_header in
+          let region_bytes, crc =
+            if needs_heal then begin
+              let region = encode_region scratch enc a.Log.s_events in
+              Io.atomic_replace io ~path:a.Log.s_path (hdr ^ region);
+              (String.length region, crc_add 0 region)
+            end
+            else (a.Log.s_region_bytes, a.Log.s_region_crc)
+          in
+          Ok
+            ( mk_writer
+                ~out:(io.Io.open_out ~append:true a.Log.s_path)
+                ~active_idx:a.Log.s_idx ~active_base:(Log.s_base a)
+                ~active_count:a.Log.s_count
+                ~active_bytes:(String.length hdr + region_bytes)
+                ~crc ~sealed,
+              r )
+      | None ->
+          (* every chain segment is sealed (or the directory only held
+             sealed files): start a fresh active above the frontier *)
+          let base = Log.frontier v in
+          let out, hbytes =
+            open_active ~io ~path ~idx:v.Log.v_next_idx ~base header
+          in
+          io.Io.fsync_dir dir;
+          Ok
+            ( mk_writer ~out ~active_idx:v.Log.v_next_idx ~active_base:base
+                ~active_count:0 ~active_bytes:hbytes ~crc:0 ~sealed,
+              r )

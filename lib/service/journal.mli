@@ -89,7 +89,9 @@ val decode_event : ?version:int -> string -> (event, string) result
 (** Inverse of {!encode_event}; validates syntax and checksum.
     [version] (default [2]) selects the record grammar — the two are not
     self-distinguishing, so callers must pass the version named by the
-    file's magic line. v1 records decode with [Tenant.default]. *)
+    file's magic line. v1 records decode with [Tenant.default]. The whole
+    string is one record ({!Record.decode} reads one inside a larger
+    text). *)
 
 (** {1 Reading} *)
 
@@ -105,16 +107,32 @@ val of_string : string -> (read, string) result
 (** Parse a {e legacy} single-file journal (v1/v2 magic). Segment files are
     parsed by {!Segment.parse}. *)
 
+type source
+(** One read of the journal configured at a path: everything {!read_file}
+    returns, plus what {!append_to} needs to reopen the writer without
+    reading the files again. *)
+
+val load : ?io:Io.t -> string -> (source option, string) result
+(** Reads and parses every file of the journal at [path] once: the legacy
+    file if one exists, otherwise the segment chain. [Ok None] when there
+    is nothing durable there — no legacy file and no segment whose header
+    completed (exactly when {!exists} is [false]). Fails on corruption,
+    including any damage inside a sealed segment. *)
+
+val source_read : source -> read
+
 val read_file : ?io:Io.t -> string -> (read, string) result
-(** Read the journal configured at [path]: the legacy file if one exists,
-    otherwise the segment chain. Fails on corruption (including any damage
-    inside a sealed segment) and when neither form is present. *)
+(** {!load}, failing with {!absent} when neither form is present. *)
+
+val absent : string -> string
+(** The error {!read_file} reports for a path holding no journal. *)
 
 val exists : ?io:Io.t -> string -> bool
 (** Whether [path] holds durable journal state a resume must consult: a
     legacy file or at least one readable segment. Unreadable segments
     count as existing — corruption must surface as a resume error, not be
-    shadowed by a fresh start. *)
+    shadowed by a fresh start. A {!load} that keeps only its outcome; the
+    resume path calls {!load} directly. *)
 
 (** {1 Writing} *)
 
@@ -144,12 +162,18 @@ val append_to :
   ?metrics:Metrics.t ->
   ?fsync_every:int ->
   ?segment_bytes:int ->
+  ?source:source ->
   path:string ->
   header ->
   (writer * read, string) result
 (** Re-opens an existing journal for appending after validating that its
     header equals [header] (a policy/capacity/seed mismatch is an error, not
-    a silent divergence); returns the already-present records too. Performs
+    a silent divergence); returns the already-present records too. With
+    [source] — a {!load} of [path] — the files are not read again as long
+    as they are as the load found them: the same journal files, each of
+    the same size. A source from another path, or one whose files have
+    changed since (a write, or an earlier [append_to]), is ignored and the
+    files are read here. Performs
     all resume-time maintenance: heals the active segment's torn tail
     (never a sealed segment's — that is corruption), completes seal renames
     a crash rolled back, deletes stale below-chain files, and migrates a

@@ -26,7 +26,8 @@ type seg = {
   s_sealed : bool;  (* verified seal footer present *)
   s_dropped_torn : bool;
   s_unterminated : bool;
-  s_region : string;
+  s_region_bytes : int;  (* record-region length *)
+  s_region_crc : int;  (* and its CRC-32: the writer's running CRC on reopen *)
   s_bytes : int;  (* file size as read *)
 }
 
@@ -93,7 +94,8 @@ let parse_one ~io (idx, kind, path) =
   in
   match parsed with
   | Segment.Incomplete -> Ok None
-  | Segment.Complete { header; events; sealed; dropped_torn; unterminated; region } ->
+  | Segment.Complete
+      { header; events; sealed; dropped_torn; unterminated; region_bytes; region_crc } ->
       Ok
         (Some
            {
@@ -106,7 +108,8 @@ let parse_one ~io (idx, kind, path) =
              s_sealed = sealed || kind = Segment.Sealed;
              s_dropped_torn = dropped_torn;
              s_unterminated = unterminated;
-             s_region = region;
+             s_region_bytes = region_bytes;
+             s_region_crc = region_crc;
              s_bytes = String.length text;
            })
 
@@ -188,7 +191,8 @@ let read ?(io = Real_io.v) prefix =
                  v_stale = stale;
                  v_misnamed = misnamed;
                  v_next_idx = next_idx;
-                 v_events = List.concat_map (fun s -> s.s_events) chain;
+                 (* the newest segment's list is shared, not copied *)
+                 v_events = List.fold_right (fun s acc -> s.s_events @ acc) chain [];
                  v_dropped_torn =
                    (match active with Some a -> a.s_dropped_torn | None -> false);
                }))

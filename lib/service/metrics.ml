@@ -39,6 +39,9 @@ type t = {
   compaction_seconds : Histogram.t;
   compaction_lag : R.Gauge.t;
   gc_waiters : R.Gauge.t;
+  recovery_seconds : R.Gauge.t;
+  recovery_snapshot : R.Gauge.t;
+  recovery_journal : R.Gauge.t;
   req_total : R.Counter.t array;  (* indexed by kind *)
   req_seconds : Histogram.t array;
   journal_append_seconds : Histogram.t;
@@ -112,6 +115,17 @@ let build reg =
     R.Gauge.make reg "dvbp_journal_group_commit_waiters"
       ~help:"Replies staged behind the in-flight group commit"
   in
+  let recovery_seconds =
+    R.Gauge.make reg "dvbp_recovery_seconds"
+      ~help:"Wall time of the last resume: read, replay, writer reopened"
+  in
+  let recovery_events source =
+    R.Gauge.make reg "dvbp_recovery_events"
+      ~help:"Events the last resume restored, by source"
+      ~labels:[ ("source", source) ]
+  in
+  let recovery_snapshot = recovery_events "snapshot" in
+  let recovery_journal = recovery_events "journal" in
   let req_total =
     Array.of_list
       (List.map
@@ -160,6 +174,9 @@ let build reg =
     compaction_seconds;
     compaction_lag;
     gc_waiters;
+    recovery_seconds;
+    recovery_snapshot;
+    recovery_journal;
     req_total;
     req_seconds;
     journal_append_seconds;
@@ -194,6 +211,11 @@ let time_fsync t f =
     Histogram.observe t.j_fsync_seconds (R.now t.reg -. t0);
     R.Counter.incr t.j_fsyncs
   end
+
+let set_recovery t ~seconds ~from_snapshot ~from_journal =
+  R.Gauge.set t.recovery_seconds seconds;
+  R.Gauge.set t.recovery_snapshot (float_of_int from_snapshot);
+  R.Gauge.set t.recovery_journal (float_of_int from_journal)
 
 let on_truncate t = R.Counter.incr t.j_truncates
 let on_heal t = R.Counter.incr t.j_heals

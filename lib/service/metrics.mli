@@ -84,6 +84,14 @@ val set_compaction_lag : t -> int -> unit
 (** Gauge [dvbp_server_compaction_lag_events]: events applied since the
     last durable snapshot frontier. *)
 
+(** {1 Recovery} *)
+
+val set_recovery : t -> seconds:float -> from_snapshot:int -> from_journal:int -> unit
+(** Gauges [dvbp_recovery_seconds] (wall time of the last resume: files
+    read, state replayed, journal writer reopened) and
+    [dvbp_recovery_events{source="snapshot"|"journal"}] (the events it
+    restored from each). *)
+
 (** {1 Server-side hooks} *)
 
 val on_request : t -> kind -> unit

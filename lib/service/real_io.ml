@@ -33,6 +33,11 @@ let v =
         | text -> Ok text
         | exception Sys_error msg -> Error msg);
     file_exists = Sys.file_exists;
+    file_size =
+      (fun path ->
+        match Unix.stat path with
+        | st -> Some st.Unix.st_size
+        | exception Unix.Unix_error _ -> None);
     open_out = open_out_handle;
     rename = (fun ~src ~dst -> Sys.rename src dst);
     fsync_dir;

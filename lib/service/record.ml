@@ -41,13 +41,6 @@ let pp_event ppf = function
 
 (* ---------- record codec ---------- *)
 
-(* 16-bit rolling checksum over the record body: enough to tell a torn
-   final record from a complete one (a truncated prefix that still passes
-   both the syntax check and the checksum is a 1-in-65536 coincidence per
-   crash, vs certainty of misparse for records whose prefix is valid). *)
-let checksum body =
-  String.fold_left (fun acc c -> ((acc * 31) + Char.code c) land 0xffff) 0 body
-
 let hex_digits = "0123456789abcdef"
 
 (* Hot-path record writer: every journaled event pays encode cost before
@@ -193,15 +186,11 @@ let encode_event e =
 
 let ( let* ) = Result.bind
 
+(* header-row fields (the record decoder below reads its fields in place) *)
 let parse_int what s =
   match int_of_string_opt (String.trim s) with
   | Some x -> Ok x
   | None -> Error (Printf.sprintf "bad %s %S" what s)
-
-let parse_float what s =
-  match float_of_string_opt (String.trim s) with
-  | Some x when Float.is_finite x -> Ok x
-  | Some _ | None -> Error (Printf.sprintf "bad %s %S" what s)
 
 let rec collect_ints what = function
   | [] -> Ok []
@@ -210,68 +199,261 @@ let rec collect_ints what = function
       let* xs = collect_ints what rest in
       Ok (x :: xs)
 
-let split_checksum line =
-  match String.rindex_opt line ',' with
-  | Some i
-    when i + 1 < String.length line
-         && line.[i + 1] = '~'
-         && String.length line - i - 2 = 4 -> (
-      let body = String.sub line 0 i in
-      let hex = String.sub line (i + 2) 4 in
-      match int_of_string_opt ("0x" ^ hex) with
-      | Some sum when sum = checksum body -> Ok body
-      | Some _ -> Error "checksum mismatch"
-      | None -> Error (Printf.sprintf "bad checksum field %S" hex))
-  | _ -> Error "missing checksum field"
+(* ---------- record decoder ---------- *)
+
+(* The decoder reads a record where it lies in the file's text: fields
+   are found by comma offsets, the checksum is summed over the body in
+   place, and the encoder's own spellings of ints and times are read by
+   scanners. A field in any other spelling is cut out and parsed by the
+   [int_of_string_opt]/[float_of_string_opt] of its trimmed text, which
+   is how every field was always read, so the grammar, the values and
+   the error messages stay those of a split-and-parse decoder. *)
+
+(* plain decimal int in [s, e) of [text]; -1 on an empty range, a
+   non-digit or more than 18 digits (so it cannot overflow). Shared with
+   the request parser ({!Server}). *)
+let parse_uint text s e =
+  if e <= s || e - s > 18 then -1
+  else begin
+    let v = ref 0 and ok = ref true in
+    for j = s to e - 1 do
+      let c = Char.code (String.unsafe_get text j) - 48 in
+      if c < 0 || c > 9 then ok := false else v := (!v * 10) + c
+    done;
+    if !ok then !v else -1
+  end
+
+(* blanks as [String.trim] counts them *)
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* [String.trim]'s cut of [text.[lo .. hi-1]] by offsets: the first
+   non-blank index (or [hi]), and one past the last (or [lo]) *)
+let trim_start text lo hi =
+  let i = ref lo in
+  while !i < hi && is_blank (String.unsafe_get text !i) do
+    incr i
+  done;
+  !i
+
+let trim_stop text lo hi =
+  let i = ref hi in
+  while !i > lo && is_blank (String.unsafe_get text (!i - 1)) do
+    decr i
+  done;
+  !i
+
+(* index of the '\n' ending the line that starts at [i], or [n] *)
+let line_stop text i n =
+  let j = ref i in
+  while !j < n && String.unsafe_get text !j <> '\n' do
+    incr j
+  done;
+  !j
+
+(* whether [text.[s .. e-1]] is exactly [kw] *)
+let field_is text s e kw =
+  e - s = String.length kw
+  &&
+  let ok = ref true in
+  for j = 0 to e - s - 1 do
+    if String.unsafe_get text (s + j) <> String.unsafe_get kw j then ok := false
+  done;
+  !ok
+
+(* index of the first ',' in [i, stop), or [stop] *)
+let comma text i stop =
+  let j = ref i in
+  while !j < stop && String.unsafe_get text !j <> ',' do
+    incr j
+  done;
+  !j
+
+exception Bad_record of string
+
+let bad fmt = Printf.ksprintf (fun msg -> raise (Bad_record msg)) fmt
+
+let int_field what text lo hi =
+  let neg = lo < hi && String.unsafe_get text lo = '-' in
+  let u = parse_uint text (if neg then lo + 1 else lo) hi in
+  if u >= 0 then if neg then -u else u
+  else
+    let f = String.sub text lo (hi - lo) in
+    match int_of_string_opt (String.trim f) with
+    | Some x -> x
+    | None -> bad "bad %s %S" what f
+
+let nibble c =
+  match c with
+  | '0' .. '9' -> Char.code c - 48
+  | 'a' .. 'f' -> Char.code c - 87
+  | _ -> -1
+
+(* Exact inverse of {!add_time} on what it writes for finite values:
+   [-?0x1(.h{1,13})?p[+-]d{1,4}] with a normal exponent, the subnormal
+   [-?0x0.h{1,13}p-1022], and [-?0x0p+0]. The value is rebuilt from the
+   mantissa and exponent with [ldexp], exact on all of these. Anything
+   else gives [nan], and the caller reads the field with
+   [float_of_string]. *)
+let canonical_time text lo hi =
+  let neg = lo < hi && String.unsafe_get text lo = '-' in
+  let p = if neg then lo + 1 else lo in
+  if hi - p < 6 || String.unsafe_get text p <> '0' || String.unsafe_get text (p + 1) <> 'x'
+  then Float.nan
+  else begin
+    let lead = String.unsafe_get text (p + 2) in
+    let dot = String.unsafe_get text (p + 3) = '.' in
+    let q = ref (if dot then p + 4 else p + 3) and m = ref 0 and k = ref 0 in
+    while !q < hi && !k < 13 && nibble (String.unsafe_get text !q) >= 0 do
+      m := (!m lsl 4) lor nibble (String.unsafe_get text !q);
+      incr k;
+      incr q
+    done;
+    let digits = hi - !q - 2 in
+    if dot <> (!k > 0) || digits < 1 || digits > 4 || String.unsafe_get text !q <> 'p'
+    then Float.nan
+    else
+      let sign = String.unsafe_get text (!q + 1) in
+      let u = parse_uint text (!q + 2) hi in
+      let exp = if sign = '-' then -u else u in
+      let mant = !m lsl (4 * (13 - !k)) in
+      let v =
+        if u < 0 || (sign <> '+' && sign <> '-') then Float.nan
+        else if lead = '1' && exp >= -1022 && exp <= 1023 then
+          Float.ldexp (Float.of_int (mant lor (1 lsl 52))) (exp - 52)
+        else if lead = '0' && mant <> 0 && exp = -1022 then
+          Float.ldexp (Float.of_int mant) (-1074)
+        else if lead = '0' && (not dot) && exp = 0 then 0.0
+        else Float.nan
+      in
+      if neg then Float.neg v else v
+  end
+
+let time_field what text lo hi =
+  let t = canonical_time text lo hi in
+  if not (Float.is_nan t) then t
+  else
+    let f = String.sub text lo (hi - lo) in
+    match float_of_string_opt (String.trim f) with
+    | Some x when Float.is_finite x -> x
+    | Some _ | None -> bad "bad %s %S" what f
+
+(* 16-bit rolling checksum of the record body [text.[lo .. hi-1]]:
+   enough to tell a torn final record from a complete one (a truncated
+   prefix that still passes both the syntax check and the checksum is a
+   1-in-65536 coincidence per crash, vs certainty of misparse for records
+   whose prefix is valid). Masked once at the end, like
+   {!Scratch.checksum}. *)
+let checksum text lo hi =
+  let acc = ref 0 in
+  for i = lo to hi - 1 do
+    acc := (!acc * 31) + Char.code (String.unsafe_get text i)
+  done;
+  !acc land 0xffff
+
+(* the 4-character checksum field at [i] as [int_of_string ("0x" ^ f)]
+   reads it — a hex digit of either case, then hex digits or '_' — or
+   -1 where that would fail *)
+let checksum_field text i =
+  let v = ref 0 and ok = ref true in
+  for j = i to i + 3 do
+    match String.unsafe_get text j with
+    | '0' .. '9' as c -> v := (!v lsl 4) lor (Char.code c - 48)
+    | 'a' .. 'f' as c -> v := (!v lsl 4) lor (Char.code c - 87)
+    | 'A' .. 'F' as c -> v := (!v lsl 4) lor (Char.code c - 55)
+    | '_' when j > i -> ()
+    | _ -> ok := false
+  done;
+  if !ok then !v else -1
+
+(* Per-file decoding state: the tenant of the previous record, so a run
+   of one tenant's records shares one string. It is always a valid
+   tenant name. *)
+type decoder = { mutable last_tenant : string }
+
+let decoder () = { last_tenant = Tenant.default }
+
+let tenant_field d text lo hi =
+  let last = d.last_tenant in
+  if field_is text lo hi last then last
+  else
+    let t = String.sub text lo (hi - lo) in
+    if Tenant.is_valid t then begin
+      d.last_tenant <- t;
+      t
+    end
+    else bad "bad tenant %S" t
 
 (* v1 records carry no tenant field (they all belong to [Tenant.default]);
    v2 records put the tenant right after the kind. The version comes from
    the file's magic line — the two grammars are not self-distinguishing
    (a v1 arrive's timestamp sits where a v2 tenant would). *)
-let decode_event ?(version = 2) line =
-  let* body = split_checksum line in
-  let parse_tenant tenant =
-    Result.map_error (fun _ -> Printf.sprintf "bad tenant %S" tenant)
-      (Tenant.validate tenant)
+let decode_body ~version d text lo hi =
+  let k = comma text lo hi in
+  let arrive = field_is text lo k "arrive" in
+  if not (arrive || field_is text lo k "depart") then
+    bad "unrecognised record kind %S" (String.sub text lo (k - lo));
+  let fields = ref 1 in
+  for j = k to hi - 1 do
+    if String.unsafe_get text j = ',' then incr fields
+  done;
+  (* kind, [tenant,] time, item, and for arrivals bin and flag *)
+  let fixed = (if arrive then 5 else 3) + if version = 2 then 1 else 0 in
+  if (version <> 1 && version <> 2) || if arrive then !fields < fixed else !fields <> fixed
+  then bad "malformed record";
+  let tenant_end = if version = 2 then comma text (k + 1) hi else k in
+  let tenant =
+    if version = 2 then tenant_field d text (k + 1) tenant_end else Tenant.default
   in
-  let arrive ~tenant ~time ~item ~bin ~fresh ~sizes =
-    let* tenant = parse_tenant tenant in
-    let* time = parse_float "arrival time" time in
-    let* item_id = parse_int "item id" item in
-    let* bin_id = parse_int "bin id" bin in
-    let* fresh = parse_int "opened-new-bin flag" fresh in
-    let* opened_new_bin =
-      match fresh with
-      | 0 -> Ok false
-      | 1 -> Ok true
-      | n -> Error (Printf.sprintf "opened-new-bin flag must be 0 or 1, got %d" n)
-    in
-    let* sizes = collect_ints "size entry" sizes in
-    match sizes with
-    | [] -> Error "arrive record with no size"
-    | _ ->
-        if List.exists (fun s -> s < 0) sizes then Error "negative size"
-        else
-          Ok
-            (Arrive
-               { tenant; time; item_id; size = Vec.of_list sizes; bin_id; opened_new_bin })
+  let te = comma text (tenant_end + 1) hi in
+  let time =
+    time_field (if arrive then "arrival time" else "departure time") text
+      (tenant_end + 1) te
   in
-  let depart ~tenant ~time ~item =
-    let* tenant = parse_tenant tenant in
-    let* time = parse_float "departure time" time in
-    let* item_id = parse_int "item id" item in
-    Ok (Depart { tenant; time; item_id })
-  in
-  match (version, String.split_on_char ',' body) with
-  | 2, "arrive" :: tenant :: time :: item :: bin :: fresh :: sizes ->
-      arrive ~tenant ~time ~item ~bin ~fresh ~sizes
-  | 2, [ "depart"; tenant; time; item ] -> depart ~tenant ~time ~item
-  | 1, "arrive" :: time :: item :: bin :: fresh :: sizes ->
-      arrive ~tenant:Tenant.default ~time ~item ~bin ~fresh ~sizes
-  | 1, [ "depart"; time; item ] -> depart ~tenant:Tenant.default ~time ~item
-  | _, ("arrive" | "depart") :: _ -> Error "malformed record"
-  | _, kind :: _ -> Error (Printf.sprintf "unrecognised record kind %S" kind)
-  | _, [] -> Error "empty record"
+  let ie = comma text (te + 1) hi in
+  let item_id = int_field "item id" text (te + 1) ie in
+  if not arrive then Depart { tenant; time; item_id }
+  else begin
+    let be = comma text (ie + 1) hi in
+    let bin_id = int_field "bin id" text (ie + 1) be in
+    let fe = comma text (be + 1) hi in
+    let fresh = int_field "opened-new-bin flag" text (be + 1) fe in
+    if fresh <> 0 && fresh <> 1 then bad "opened-new-bin flag must be 0 or 1, got %d" fresh;
+    let size = Array.make (!fields - fixed) 0 in
+    let s = ref (fe + 1) in
+    for i = 0 to Array.length size - 1 do
+      let e = comma text !s hi in
+      size.(i) <- int_field "size entry" text !s e;
+      s := e + 1
+    done;
+    if Array.length size = 0 then bad "arrive record with no size";
+    if Array.exists (fun x -> x < 0) size then bad "negative size";
+    Arrive
+      { tenant; time; item_id; size = Vec.of_array size; bin_id;
+        opened_new_bin = fresh = 1 }
+  end
+
+(* The record [text.[pos .. pos+len-1]] (no newline), checksum verified.
+   [version] (default 2) selects the grammar; [decoder] carries the
+   previous record's tenant across the records of one file. *)
+let decode ?(version = 2) ?(decoder = decoder ()) text pos len =
+  let stop = pos + len in
+  let c = ref (stop - 1) in
+  while !c >= pos && String.unsafe_get text !c <> ',' do
+    decr c
+  done;
+  let c = !c in
+  if c < pos || stop - c <> 6 || String.unsafe_get text (c + 1) <> '~' then
+    Error "missing checksum field"
+  else
+    let sum = checksum_field text (c + 2) in
+    if sum < 0 then Error (Printf.sprintf "bad checksum field %S" (String.sub text (c + 2) 4))
+    else if sum <> checksum text pos c then Error "checksum mismatch"
+    else
+      match decode_body ~version decoder text pos c with
+      | e -> Ok e
+      | exception Bad_record msg -> Error msg
+
+let decode_event ?version line = decode ?version line 0 (String.length line)
 
 (* ---------- header rows (shared by the legacy file and segment formats) ---------- *)
 
@@ -338,6 +520,7 @@ let header_row ~line p trimmed =
         Ok ()
   | _ -> Error (Printf.sprintf "line %d: unrecognised header row %S" line trimmed)
 
-let is_record trimmed =
-  String.length trimmed >= 7
-  && (String.sub trimmed 0 7 = "arrive," || String.sub trimmed 0 7 = "depart,")
+(* whether the trimmed line [text.[lo .. hi-1]] is a record *)
+let is_record text lo hi =
+  hi - lo >= 7
+  && (field_is text lo (lo + 7) "arrive," || field_is text lo (lo + 7) "depart,")

@@ -13,6 +13,7 @@ type state = {
   from_snapshot : int;
   from_journal : int;
   dropped_torn : bool;
+  journal : Journal.source;
 }
 
 let ( let* ) = Result.bind
@@ -167,10 +168,8 @@ let rec take n = function
   | [] -> []
   | x :: rest -> x :: take (n - 1) rest
 
-let recover ?(io = Real_io.v) ?snapshot ~journal () =
-  let* j =
-    Result.map_error (Printf.sprintf "%s: %s" journal) (Journal.read_file ~io journal)
-  in
+let recover_source ~io ?snapshot ~journal source =
+  let j = Journal.source_read source in
   let header = j.Journal.header in
   let* snap =
     match snapshot with
@@ -202,6 +201,7 @@ let recover ?(io = Real_io.v) ?snapshot ~journal () =
             from_snapshot = 0;
             from_journal = List.length j.Journal.events;
             dropped_torn = j.Journal.dropped_torn;
+            journal = source;
           }
   | Some s ->
       let* () =
@@ -264,8 +264,25 @@ let recover ?(io = Real_io.v) ?snapshot ~journal () =
               from_snapshot = snapshot_events;
               from_journal = List.length suffix;
               dropped_torn = j.Journal.dropped_torn;
+              journal = source;
             }
       end
+
+let load ?(io = Real_io.v) ?snapshot ~journal () =
+  let* source =
+    Result.map_error (Printf.sprintf "%s: %s" journal) (Journal.load ~io journal)
+  in
+  match source with
+  | None -> Ok None
+  | Some source ->
+      let* st = recover_source ~io ?snapshot ~journal source in
+      Ok (Some st)
+
+let recover ?io ?snapshot ~journal () =
+  match load ?io ?snapshot ~journal () with
+  | Ok (Some st) -> Ok st
+  | Ok None -> Error (Printf.sprintf "%s: %s" journal (Journal.absent journal))
+  | Error msg -> Error msg
 
 let session st =
   match List.assoc_opt Tenant.default st.sessions with

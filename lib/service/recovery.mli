@@ -40,6 +40,10 @@ type state = {
   from_snapshot : int;  (** events restored via the snapshot's history *)
   from_journal : int;  (** events replayed from the journal suffix *)
   dropped_torn : bool;  (** the journal's torn final record was dropped *)
+  journal : Journal.source;
+      (** the journal as recovery read it: {!Server.resume} reopens the
+          writer from it instead of reading the files again, unless the
+          files have changed since ({!Journal.append_to}) *)
 }
 
 val session : state -> Dvbp_engine.Session.t
@@ -55,12 +59,24 @@ val replay :
     recorded placement checked against the recomputed one. Also the
     building block of the loadgen's shadow check. *)
 
+val load :
+  ?io:Io.t ->
+  ?snapshot:string ->
+  journal:string ->
+  unit ->
+  (state option, string) result
+(** Reads every journal file and the snapshot once ({!Journal.load},
+    {!Snapshot.load}) and recovers from them. [Ok None] when the journal
+    holds nothing durable ({!Journal.exists} would say [false]): nothing
+    to recover, and the snapshot is not read. [snapshot] names where
+    snapshots are written; a missing snapshot file is not an error
+    (recovery then replays the whole journal), a corrupt one is. A corrupt
+    journal is an error. [io] (default {!Real_io.v}) is the backend both
+    files are read through. *)
+
 val recover :
   ?io:Io.t -> ?snapshot:string -> journal:string -> unit -> (state, string) result
-(** [snapshot] names where snapshots are written; a missing snapshot file is
-    not an error (recovery then replays the whole journal), a corrupt one
-    is. A missing or corrupt journal is an error. [io] (default
-    {!Real_io.v}) is the backend both files are read through. *)
+(** {!load}, with a missing journal an error. *)
 
 val render : state -> string
 (** Operator-facing multi-line summary of the recovered state. *)

@@ -89,7 +89,8 @@ type parsed =
       sealed : bool;  (* a valid seal footer was present and verified *)
       dropped_torn : bool;  (* active only: unterminated final line dropped *)
       unterminated : bool;  (* final record parsed but missed its newline *)
-      region : string;  (* record-region bytes (post-heal, newlines incl.) *)
+      region_bytes : int;  (* record-region length (post-heal, newlines incl.) *)
+      region_crc : int;  (* CRC-32 of those bytes *)
     }
 
 let ( let* ) = Result.bind
@@ -97,136 +98,157 @@ let ( let* ) = Result.bind
 (* [expect_sealed] turns every healing path into a hard error and requires
    the footer — the read side of the seal invariant. {!Log} passes [false]
    for the active segment (and, with the test-only sensitivity hook on,
-   for sealed ones too, which is exactly what the sweep must catch). *)
+   for sealed ones too, which is exactly what the sweep must catch).
+
+   The text is walked by offsets: each line's trimmed extent is found in
+   place and a record is decoded where it lies ({!Record.decode}), so a
+   parse allocates the events and little else. Only header rows, the
+   footer and error messages are cut out as strings. *)
 let parse ~expect_sealed text =
-  if String.trim text = "" then
+  let n = String.length text in
+  if Record.trim_start text 0 n = n then
     if expect_sealed then Error "empty sealed segment" else Ok Incomplete
   else begin
-    let n = String.length text in
     let terminated = text.[n - 1] = '\n' in
-    (* (line, start offset, is_last) triples *)
-    let lines =
-      let acc = ref [] and start = ref 0 in
-      (try
-         while true do
-           let nl = String.index_from text !start '\n' in
-           acc := (String.sub text !start (nl - !start), !start) :: !acc;
-           start := nl + 1
-         done
-       with Not_found ->
-         if !start < n then acc := (String.sub text !start (n - !start), !start) :: !acc);
-      List.rev !acc
-    in
-    let last_index = List.length lines - 1 in
     let p = Record.empty_partial () in
+    (* memoised once complete: after that every header row is a
+       duplicate, which fails, so the header cannot change *)
+    let header = ref None in
+    let complete_header () =
+      match !header with
+      | Some h -> Ok h
+      | None ->
+          let* h = Record.finish_header p in
+          header := Some h;
+          Ok h
+    in
+    let decoder = Record.decoder () in
     (* record region: [region_lo] is set when the first record (or the
        footer of an empty sealed segment) is reached; [region_hi] advances
        past each accepted record so a healed tail is excluded *)
     let region_lo = ref (-1) and region_hi = ref (-1) in
+    let region_bytes () = if !region_lo < 0 then 0 else !region_hi - !region_lo in
+    let region_crc () =
+      if !region_lo < 0 then 0
+      else
+        Dvbp_tracestore.Crc32.update 0 (Bytes.unsafe_of_string text) ~pos:!region_lo
+          ~len:(region_bytes ())
+    in
     let finish_active ~events ~dropped_torn ~unterminated =
-      match Record.finish_header p with
+      match complete_header () with
       | Error _ ->
           if events <> [] then Error "records before a complete header"
           else Ok Incomplete
       | Ok header ->
-          let region =
-            if !region_lo < 0 then ""
-            else String.sub text !region_lo (!region_hi - !region_lo)
-          in
           Ok
             (Complete
                { header; events = List.rev events; sealed = false; dropped_torn;
-                 unterminated; region })
+                 unterminated; region_bytes = region_bytes (); region_crc = region_crc () })
     in
-    let rec go i ~events = function
-      | [] ->
-          if expect_sealed then Error "sealed segment is missing its seal footer"
-          else finish_active ~events ~dropped_torn:false ~unterminated:false
-      | (raw, off) :: rest -> (
-          let lineno = i + 1 in
-          let is_last = i = last_index in
-          let line_end = if is_last && not terminated then n else off + String.length raw + 1 in
-          let torn_candidate = is_last && (not terminated) && not expect_sealed in
-          let trimmed = String.trim raw in
-          let tear_or error =
-            if torn_candidate then
-              finish_active ~events ~dropped_torn:true ~unterminated:false
-            else error ()
-          in
-          if i = 0 then
-            if trimmed = magic then go 1 ~events rest
-            else if torn_candidate then Ok Incomplete
-            else Error (Printf.sprintf "line 1: expected %S, got %S" magic trimmed)
-          else if trimmed = "" || trimmed.[0] = '#' then begin
-            if !region_lo >= 0 then
-              tear_or (fun () ->
-                  Error (Printf.sprintf "line %d: blank or comment line inside the record region" lineno))
-            else go (i + 1) ~events rest
-          end
-          else if Record.is_record trimmed then begin
-            match Record.finish_header p with
+    (* an error on the final, unterminated line of an active segment is a
+       torn write: drop the line instead *)
+    let tear_or ~torn_candidate ~events error =
+      if torn_candidate then finish_active ~events ~dropped_torn:true ~unterminated:false
+      else error ()
+    in
+    (* [off]: the line's first byte; [lineno] counts from 1 *)
+    let rec go lineno off ~events =
+      if off >= n then
+        if expect_sealed then Error "sealed segment is missing its seal footer"
+        else finish_active ~events ~dropped_torn:false ~unterminated:false
+      else begin
+        let stop = Record.line_stop text off n in
+        let is_last = stop >= n - 1 in
+        let line_end = if stop < n then stop + 1 else n in
+        let torn_candidate = is_last && (not terminated) && not expect_sealed in
+        let lo = Record.trim_start text off stop in
+        let hi = Record.trim_stop text lo stop in
+        if lineno = 1 then
+          if Record.field_is text lo hi magic then go 2 line_end ~events
+          else if torn_candidate then Ok Incomplete
+          else
+            Error
+              (Printf.sprintf "line 1: expected %S, got %S" magic
+                 (String.sub text lo (hi - lo)))
+        else if lo = hi || String.unsafe_get text lo = '#' then begin
+          if !region_lo >= 0 then
+            tear_or ~torn_candidate ~events (fun () ->
+                Error
+                  (Printf.sprintf
+                     "line %d: blank or comment line inside the record region" lineno))
+          else go (lineno + 1) line_end ~events
+        end
+        else if Record.is_record text lo hi then begin
+          match complete_header () with
+          | Error _ ->
+              tear_or ~torn_candidate ~events (fun () ->
+                  Error (Printf.sprintf "line %d: record before a complete header" lineno))
+          | Ok _ -> (
+              match Record.decode ~version:2 ~decoder text lo (hi - lo) with
+              | Ok e ->
+                  if !region_lo < 0 then region_lo := off;
+                  region_hi := line_end;
+                  if is_last && not terminated then
+                    finish_active ~events:(e :: events) ~dropped_torn:false
+                      ~unterminated:true
+                  else go (lineno + 1) line_end ~events:(e :: events)
+              | Error msg ->
+                  tear_or ~torn_candidate ~events (fun () ->
+                      Error (Printf.sprintf "line %d: %s" lineno msg)))
+        end
+        else
+          let trimmed = String.sub text lo (hi - lo) in
+          if is_footer trimmed then begin
+            match complete_header () with
             | Error _ ->
-                tear_or (fun () ->
-                    Error (Printf.sprintf "line %d: record before a complete header" lineno))
-            | Ok _ -> (
-                match Record.decode_event ~version:2 trimmed with
-                | Ok e ->
-                    if !region_lo < 0 then region_lo := off;
-                    region_hi := line_end;
-                    if is_last && not terminated then
-                      finish_active ~events:(e :: events) ~dropped_torn:false
-                        ~unterminated:true
-                    else go (i + 1) ~events:(e :: events) rest
-                | Error msg ->
-                    tear_or (fun () -> Error (Printf.sprintf "line %d: %s" lineno msg)))
-          end
-          else if is_footer trimmed then begin
-            match Record.finish_header p with
-            | Error _ ->
-                tear_or (fun () ->
-                    Error (Printf.sprintf "line %d: seal footer before a complete header" lineno))
+                tear_or ~torn_candidate ~events (fun () ->
+                    Error
+                      (Printf.sprintf "line %d: seal footer before a complete header" lineno))
             | Ok header -> (
                 if is_last && not terminated then
                   (* a torn footer: the seal never completed — the segment
                      is still active (the rename cannot have happened, it
                      follows the footer's fsync) *)
-                  tear_or (fun () ->
+                  tear_or ~torn_candidate ~events (fun () ->
                       Error (Printf.sprintf "line %d: unterminated seal footer" lineno))
                 else if not is_last then
                   Error (Printf.sprintf "line %d: data after the seal footer" lineno)
                 else
                   match parse_footer trimmed with
-                  | None -> Error (Printf.sprintf "line %d: malformed seal footer %S" lineno trimmed)
+                  | None ->
+                      Error
+                        (Printf.sprintf "line %d: malformed seal footer %S" lineno trimmed)
                   | Some (count, crc) ->
                       if !region_lo < 0 then begin
                         region_lo := off;
                         region_hi := off
                       end;
-                      let region = String.sub text !region_lo (!region_hi - !region_lo) in
                       let events = List.rev events in
                       if List.length events <> count then
                         Error
                           (Printf.sprintf
                              "seal footer says %d records but the segment holds %d"
                              count (List.length events))
-                      else if Dvbp_tracestore.Crc32.string region <> crc then
+                      else if region_crc () <> crc then
                         Error "seal footer CRC mismatch — sealed segment corrupted"
                       else
                         Ok
                           (Complete
                              { header; events; sealed = true; dropped_torn = false;
-                               unterminated = false; region }))
+                               unterminated = false; region_bytes = region_bytes ();
+                               region_crc = crc }))
           end
           else begin
             match Record.header_row ~line:lineno p trimmed with
             | Ok () ->
                 if !region_lo >= 0 then
                   Error (Printf.sprintf "line %d: header row inside the record region" lineno)
-                else go (i + 1) ~events rest
-            | Error msg -> tear_or (fun () -> Error msg)
-          end)
+                else go (lineno + 1) line_end ~events
+            | Error msg -> tear_or ~torn_candidate ~events (fun () -> Error msg)
+          end
+      end
     in
-    let* r = go 0 ~events:[] lines in
+    let* r = go 1 0 ~events:[] in
     match r with
     | Incomplete when expect_sealed -> Error "sealed segment header is incomplete"
     | r -> Ok r

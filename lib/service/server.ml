@@ -205,7 +205,7 @@ let resume ?(io = Real_io.v) ?metrics config (st : Recovery.state) =
     | Some path ->
         let* w, r =
           Journal.append_to ~io ~metrics:obs ~fsync_every:config.fsync_every
-            ?segment_bytes:config.segment_bytes ~path
+            ?segment_bytes:config.segment_bytes ~source:st.Recovery.journal ~path
             { Journal.policy = config.policy; seed = config.seed;
               capacity = config.capacity; base = 0 }
         in
@@ -222,6 +222,25 @@ let resume ?(io = Real_io.v) ?metrics config (st : Recovery.state) =
   Ok
     (make_t config ~io ~obs ~tenant_sessions:st.Recovery.sessions journal
        ~history:st.Recovery.history ~since_snapshot:st.Recovery.from_journal)
+
+(* [serve --resume]: one read of the journal and snapshot, the replay,
+   the writer reopened from what was read; the wall time of the whole
+   sequence and its event counts go to the recovery gauges *)
+let restart ?(io = Real_io.v) ?metrics (config : config) =
+  let obs = match metrics with Some m -> m | None -> Metrics.create () in
+  match config.journal with
+  | None -> Error "restart needs a configured journal"
+  | Some journal -> (
+      let t0 = Metrics.now obs in
+      let* st = Recovery.load ~io ?snapshot:config.snapshot ~journal () in
+      match st with
+      | None -> Ok None
+      | Some st ->
+          let* t = resume ~io ~metrics:obs config st in
+          Metrics.set_recovery obs
+            ~seconds:(Metrics.now obs -. t0)
+            ~from_snapshot:st.Recovery.from_snapshot ~from_journal:st.Recovery.from_journal;
+          Ok (Some t))
 
 let metrics t =
   {
@@ -428,33 +447,12 @@ let scan_fields line (starts : int array) (stops : int array) =
   while !i < n && String.unsafe_get line !i = ' ' do incr i done;
   if !i < n then slots + 1 else !count
 
-let field_is line s e kw =
-  e - s = String.length kw
-  &&
-  let ok = ref true in
-  for j = 0 to e - s - 1 do
-    if String.unsafe_get line (s + j) <> String.unsafe_get kw j then ok := false
-  done;
-  !ok
-
-(* plain decimal int in [s, e); -1 on empty, non-digit or > 18 digits *)
-let parse_uint line s e =
-  if e <= s || e - s > 18 then -1
-  else begin
-    let v = ref 0 and ok = ref true in
-    for j = s to e - 1 do
-      let c = Char.code (String.unsafe_get line j) - 48 in
-      if c < 0 || c > 9 then ok := false else v := (!v * 10) + c
-    done;
-    if !ok then !v else -1
-  end
-
 exception Bad_request of string
 
 let bad fmt = Printf.ksprintf (fun msg -> raise (Bad_request msg)) fmt
 
 let parse_int what line s e =
-  let v = parse_uint line s e in
+  let v = Record.parse_uint line s e in
   if v >= 0 then v
   else
     let f = String.sub line s (e - s) in
@@ -508,8 +506,8 @@ let parse_event line starts stops nf ~arrive =
 let parse_request t line =
   let starts = t.field_starts and stops = t.field_stops in
   let nf = scan_fields line starts stops in
-  let arrive = nf > 0 && field_is line starts.(0) stops.(0) "ARRIVE" in
-  if arrive || (nf > 0 && field_is line starts.(0) stops.(0) "DEPART") then
+  let arrive = nf > 0 && Record.field_is line starts.(0) stops.(0) "ARRIVE" in
+  if arrive || (nf > 0 && Record.field_is line starts.(0) stops.(0) "DEPART") then
     try parse_event line starts stops nf ~arrive
     with Bad_request msg ->
       Q_err { kind = (if arrive then Metrics.Arrive else Metrics.Depart); msg }

@@ -106,6 +106,14 @@ val resume : ?io:Io.t -> ?metrics:Metrics.t -> config -> Recovery.state -> (t, s
     counts from genesis (the engine pull family reflects the recovered
     sessions, so replayed events are counted once, not twice). *)
 
+val restart : ?io:Io.t -> ?metrics:Metrics.t -> config -> (t option, string) result
+(** [dvbp serve --resume]: {!Recovery.load} of [config]'s journal and
+    snapshot, then {!resume} from that state — each file is read once.
+    [Ok None] when the journal holds nothing durable (the caller starts
+    fresh with {!create}). Sets the recovery gauges of [metrics]: the
+    sequence's wall time and the events restored from each source.
+    Errors when [config] names no journal. *)
+
 val handle_line : t -> string -> string * bool
 (** [handle_line t line] is [(reply, quit)]; [quit] is true only for QUIT.
     Exposed for in-process drivers ({!Loadgen}) and tests. The same

@@ -130,10 +130,11 @@ let finish_digest (d : dacc) =
     }
 
 let of_string text =
-  if String.trim text = "" then Error "empty snapshot"
+  let n = String.length text in
+  if Record.trim_start text 0 n = n then Error "empty snapshot"
   else begin
     let version = ref 2 in
-    let lines = String.split_on_char '\n' text in
+    let decoder = Record.decoder () in
     let a =
       {
         policy = None;
@@ -175,89 +176,99 @@ let of_string text =
         Ok ()
       end
     in
-    let row ~line trimmed =
-      if a.saw_history
-         && not
-              (String.length trimmed >= 7
-              && (String.sub trimmed 0 7 = "arrive," || String.sub trimmed 0 7 = "depart,"))
-      then Error (Printf.sprintf "line %d: state row after history records" line)
-      else
-        match String.split_on_char ',' trimmed with
-        | "policy" :: [ name ] when String.trim name <> "" ->
-            scalar ~line "policy" a.policy (fun v -> a.policy <- Some v) (String.trim name)
-        | "policy" :: _ -> Error (Printf.sprintf "line %d: empty policy" line)
-        | "seed" :: [ s ] ->
-            let* v = parse_int ~line "seed" s in
-            scalar ~line "seed" a.seed (fun v -> a.seed <- Some v) v
-        | "capacity" :: fields -> (
-            let* cs = collect_ints ~line "capacity entry" fields in
-            match cs with
-            | [] -> Error (Printf.sprintf "line %d: empty capacity" line)
-            | _ when List.exists (fun c -> c <= 0) cs ->
-                Error (Printf.sprintf "line %d: non-positive capacity" line)
-            | _ ->
-                scalar ~line "capacity" a.capacity
-                  (fun v -> a.capacity <- Some v)
-                  (Vec.of_list cs))
-        | "events" :: [ s ] ->
-            let* v = parse_int ~line "events" s in
-            scalar ~line "events" a.events (fun v -> a.events <- Some v) v
-        | "tenant" :: [ name ] ->
-            let name = String.trim name in
-            let* name = Tenant.validate name in
-            if List.exists (fun d -> d.d_tenant = name) a.digests_rev then
-              Error (Printf.sprintf "line %d: duplicate tenant section %S" line name)
-            else begin
-              a.digests_rev <-
-                { d_tenant = name; d_clock = None; d_cost = None;
-                  d_bins_opened = None; d_open_rev = [] }
-                :: a.digests_rev;
-              Ok ()
-            end
-        | "clock" :: [ s ] ->
-            let* v = parse_float ~line "clock" s in
-            let* d = current_digest ~line in
-            dscalar ~line "clock" d.d_clock (fun v -> d.d_clock <- Some v) v
-        | "cost" :: [ s ] ->
-            let* v = parse_float ~line "cost" s in
-            let* d = current_digest ~line in
-            dscalar ~line "cost" d.d_cost (fun v -> d.d_cost <- Some v) v
-        | "bins_opened" :: [ s ] ->
-            let* v = parse_int ~line "bins_opened" s in
-            let* d = current_digest ~line in
-            dscalar ~line "bins_opened" d.d_bins_opened (fun v -> d.d_bins_opened <- Some v) v
-        | "open" :: bin :: occupants ->
-            let* bin_id = parse_int ~line "bin id" bin in
-            let* occupants = collect_ints ~line "occupant id" occupants in
-            let* d = current_digest ~line in
-            d.d_open_rev <- (bin_id, occupants) :: d.d_open_rev;
+    let state_row ~line trimmed =
+      match String.split_on_char ',' trimmed with
+      | "policy" :: [ name ] when String.trim name <> "" ->
+          scalar ~line "policy" a.policy (fun v -> a.policy <- Some v) (String.trim name)
+      | "policy" :: _ -> Error (Printf.sprintf "line %d: empty policy" line)
+      | "seed" :: [ s ] ->
+          let* v = parse_int ~line "seed" s in
+          scalar ~line "seed" a.seed (fun v -> a.seed <- Some v) v
+      | "capacity" :: fields -> (
+          let* cs = collect_ints ~line "capacity entry" fields in
+          match cs with
+          | [] -> Error (Printf.sprintf "line %d: empty capacity" line)
+          | _ when List.exists (fun c -> c <= 0) cs ->
+              Error (Printf.sprintf "line %d: non-positive capacity" line)
+          | _ ->
+              scalar ~line "capacity" a.capacity
+                (fun v -> a.capacity <- Some v)
+                (Vec.of_list cs))
+      | "events" :: [ s ] ->
+          let* v = parse_int ~line "events" s in
+          scalar ~line "events" a.events (fun v -> a.events <- Some v) v
+      | "tenant" :: [ name ] ->
+          let name = String.trim name in
+          let* name = Tenant.validate name in
+          if List.exists (fun d -> d.d_tenant = name) a.digests_rev then
+            Error (Printf.sprintf "line %d: duplicate tenant section %S" line name)
+          else begin
+            a.digests_rev <-
+              { d_tenant = name; d_clock = None; d_cost = None;
+                d_bins_opened = None; d_open_rev = [] }
+              :: a.digests_rev;
             Ok ()
-        | ("arrive" | "depart") :: _ -> (
-            match Journal.decode_event ~version:!version trimmed with
-            | Ok e ->
-                a.saw_history <- true;
-                a.history_rev <- e :: a.history_rev;
-                Ok ()
-            | Error msg -> Error (Printf.sprintf "line %d: %s" line msg))
-        | _ -> Error (Printf.sprintf "line %d: unrecognised row %S" line trimmed)
+          end
+      | "clock" :: [ s ] ->
+          let* v = parse_float ~line "clock" s in
+          let* d = current_digest ~line in
+          dscalar ~line "clock" d.d_clock (fun v -> d.d_clock <- Some v) v
+      | "cost" :: [ s ] ->
+          let* v = parse_float ~line "cost" s in
+          let* d = current_digest ~line in
+          dscalar ~line "cost" d.d_cost (fun v -> d.d_cost <- Some v) v
+      | "bins_opened" :: [ s ] ->
+          let* v = parse_int ~line "bins_opened" s in
+          let* d = current_digest ~line in
+          dscalar ~line "bins_opened" d.d_bins_opened (fun v -> d.d_bins_opened <- Some v) v
+      | "open" :: bin :: occupants ->
+          let* bin_id = parse_int ~line "bin id" bin in
+          let* occupants = collect_ints ~line "occupant id" occupants in
+          let* d = current_digest ~line in
+          d.d_open_rev <- (bin_id, occupants) :: d.d_open_rev;
+          Ok ()
+      | _ -> Error (Printf.sprintf "line %d: unrecognised row %S" line trimmed)
     in
-    let rec go line = function
-      | [] -> Ok ()
-      | raw :: rest ->
-          let trimmed = String.trim raw in
-          if line = 1 then
-            if trimmed = magic then go 2 rest
-            else if trimmed = magic_v1 then begin
-              version := 1;
-              go 2 rest
-            end
-            else Error (Printf.sprintf "line 1: expected %S, got %S" magic trimmed)
-          else if trimmed = "" || trimmed.[0] = '#' then go (line + 1) rest
+    (* the trimmed row [text.[lo .. hi-1]]: a history record is decoded
+       where it lies, a state row is cut out and split *)
+    let row ~line lo hi =
+      if a.saw_history && not (Record.is_record text lo hi) then
+        Error (Printf.sprintf "line %d: state row after history records" line)
+      else
+        let k = Record.comma text lo hi in
+        if Record.field_is text lo k "arrive" || Record.field_is text lo k "depart" then
+          match Record.decode ~version:!version ~decoder text lo (hi - lo) with
+          | Ok e ->
+              a.saw_history <- true;
+              a.history_rev <- e :: a.history_rev;
+              Ok ()
+          | Error msg -> Error (Printf.sprintf "line %d: %s" line msg)
+        else state_row ~line (String.sub text lo (hi - lo))
+    in
+    (* lines are walked by offsets; [off] is the line's first byte *)
+    let rec go line off =
+      if off >= n then Ok ()
+      else
+        let stop = Record.line_stop text off n in
+        let lo = Record.trim_start text off stop in
+        let hi = Record.trim_stop text lo stop in
+        if line = 1 then
+          if Record.field_is text lo hi magic then go 2 (stop + 1)
+          else if Record.field_is text lo hi magic_v1 then begin
+            version := 1;
+            go 2 (stop + 1)
+          end
           else
-            let* () = row ~line trimmed in
-            go (line + 1) rest
+            Error
+              (Printf.sprintf "line 1: expected %S, got %S" magic
+                 (String.sub text lo (hi - lo)))
+        else if lo = hi || String.unsafe_get text lo = '#' then go (line + 1) (stop + 1)
+        else
+          match row ~line lo hi with
+          | Ok () -> go (line + 1) (stop + 1)
+          | Error _ as e -> e
     in
-    let* () = go 1 lines in
+    let* () = go 1 0 in
     let* policy = require "policy" a.policy in
     let* seed = require "seed" a.seed in
     let* capacity = require "capacity" a.capacity in

@@ -147,6 +147,10 @@ let io t =
       (fun path ->
         ensure_alive t;
         Hashtbl.mem t.live path);
+    file_size =
+      (fun path ->
+        ensure_alive t;
+        Option.map (fun f -> String.length f.data) (Hashtbl.find_opt t.live path));
     open_out = (fun ~append path -> open_out_sim t ~append path);
     rename =
       (fun ~src ~dst ->

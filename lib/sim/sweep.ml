@@ -187,22 +187,21 @@ let run ?(policy = "mtf") ?(seed = 11) ?(n = 12) ?(fsync_every = 3)
      with Sim_fs.Crash -> ());
     Sim_fs.crash fs ~mode;
     let resumed, recovered_events =
-      if Journal.exists ~io journal_path then
-        match Recovery.recover ~io ~snapshot:snapshot_path ~journal:journal_path () with
-        | Error e -> failwith ("recovery: " ^ e)
-        | Ok st ->
-            if not (is_prefix st.Recovery.history ~of_:canonical) then
-              failwith "recovered history is not a prefix of the canonical history";
-            let m = List.length st.Recovery.history in
-            (match Server.resume ~io ~metrics:(Metrics.noop ()) config st with
-            | Ok s -> (s, m)
-            | Error e -> failwith ("resume: " ^ e))
-      else
-        (* the journal's creation itself was rolled back: no durable state
-           ever existed, so the operator starts from scratch *)
-        match Server.create ~io ~metrics:(Metrics.noop ()) config with
-        | Ok s -> (s, 0)
-        | Error e -> failwith ("fresh restart: " ^ e)
+      match Recovery.load ~io ~snapshot:snapshot_path ~journal:journal_path () with
+      | Error e -> failwith ("recovery: " ^ e)
+      | Ok (Some st) ->
+          if not (is_prefix st.Recovery.history ~of_:canonical) then
+            failwith "recovered history is not a prefix of the canonical history";
+          let m = List.length st.Recovery.history in
+          (match Server.resume ~io ~metrics:(Metrics.noop ()) config st with
+          | Ok s -> (s, m)
+          | Error e -> failwith ("resume: " ^ e))
+      | Ok None -> (
+          (* the journal's creation itself was rolled back: no durable state
+             ever existed, so the operator starts from scratch *)
+          match Server.create ~io ~metrics:(Metrics.noop ()) config with
+          | Ok s -> (s, 0)
+          | Error e -> failwith ("fresh restart: " ^ e))
     in
     apply_all ?batch ~check:true ~tick resumed (drop recovered_events lines);
     let fp = fingerprint_server resumed in

@@ -232,6 +232,7 @@ let journal_tests =
           {
             Io.read_file = (fun p -> Error (p ^ ": no such file"));
             file_exists = (fun _ -> false);
+            file_size = (fun _ -> None);
             open_out = (fun ~append:_ _ -> discard);
             rename = (fun ~src:_ ~dst:_ -> ());
             fsync_dir = ignore;
@@ -1921,6 +1922,361 @@ let prop_one_request_path =
 let protocol_tests =
   [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5E4E |]) prop_one_request_path ]
 
+(* ---------- one-pass resume: the in-place decoder and one read per file ---------- *)
+
+let time_bits e = Int64.bits_of_float (Journal.event_time e)
+
+(* the in-place decoder against the split-based reference: the same event
+   (times bit for bit) or the same error message. The line is decoded
+   both alone and inside a larger text, so a read outside its extent
+   shows. *)
+let decoders_agree ?version line =
+  let padded = "arrive,x,~0000\n" ^ line ^ ",9,~" in
+  let inner = Record.decode ?version padded 15 (String.length line) in
+  let expected = Record_reference.decode_event ?version line in
+  let same got =
+    match (expected, got) with
+    | Ok a, Ok b -> Journal.equal_event a b && Int64.equal (time_bits a) (time_bits b)
+    | Error a, Error b -> String.equal a b
+    | Ok _, Error _ | Error _, Ok _ -> false
+  in
+  same (Journal.decode_event ?version line) && same inner
+
+let seal body = Printf.sprintf "%s,~%04x" body (Record_reference.checksum body)
+
+(* the body of an encoded record: everything before its ",~xxxx" *)
+let body_of line = String.sub line 0 (String.length line - 6)
+
+let differential_event_gen =
+  QCheck2.Gen.(
+    let id =
+      oneof [ int; int_range (-1000) 1000; oneofl [ 0; -1; 9; 10; max_int; min_int ] ]
+    in
+    let time =
+      oneof
+        [
+          float_range (-1e6) 1e6;
+          map float_of_int (int_range (-100000) 100000);
+          map (fun m -> Float.ldexp (float_of_int m) (-1074)) (int_range 1 ((1 lsl 52) - 1));
+          map
+            (fun bits ->
+              let f = Int64.float_of_bits bits in
+              if Float.is_finite f then f else 1.5)
+            ui64;
+          oneofl
+            [ 0.0; -0.0; 5e-324; -5e-324; Float.ldexp 1.0 1022; Float.ldexp 1.0 (-1022);
+              -.Float.ldexp 1.0 1023; max_float; min_float; 1e15; 3.0 ];
+        ]
+    in
+    let tenant = oneofl [ dflt; "t0"; String.make 64 'z'; "A.b-c_9" ] in
+    oneof
+      [
+        (let* tenant = tenant and* time = time and* item_id = id in
+         let* bin_id = id and* opened_new_bin = bool in
+         let+ sizes = list_size (1 -- 8) (oneof [ int_bound 100; int_bound max_int ]) in
+         Journal.Arrive { tenant; time; item_id; size = v sizes; bin_id; opened_new_bin });
+        (let+ tenant = tenant and+ time = time and+ item_id = id in
+         Journal.Depart { tenant; time; item_id });
+      ])
+
+(* a replacement for one body field: a non-canonical spelling the
+   fallbacks must read exactly as before, or plain junk *)
+let field_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl
+          [ "0x1f"; "1_000"; "+5"; "1e3"; "0x1.8P+1"; "0X1p+0"; "0x1.80p+1"; "0x1.8p+01";
+            "0x1p-1023"; "0x1p+1024"; "0x0.8p-1021"; "0x0p+5"; "0x0.0p-1022"; "-0x0p+0";
+            "0x1.fffffffffffff8p+0"; "0x1.p+0"; "0x0.8p+0"; "0x1.0000000000000p+0";
+            "0x1p+"; "0x1p"; "0x"; " 7"; "7 "; "-0"; "007"; "-"; "--5"; ""; "nan";
+            "inf"; "-inf"; "3.5"; "1_0.5"; "0"; "1"; "2";
+            "-1"; "4611686018427387903"; "-4611686018427387904"; "4611686018427387904";
+            "99999999999999999999"; "bad!"; "default"; "t0"; "Arrive"; "depart"; "frob";
+            String.make 65 'a' ];
+        string_size
+          ~gen:(oneofl [ '0'; '1'; '9'; 'a'; 'f'; 'x'; 'p'; 'P'; '.'; '+'; '-'; '_'; ' '; 'e' ])
+          (0 -- 8);
+        (* near misses of the canonical hex-float spelling *)
+        (let* sign = oneofl [ ""; "-"; "+" ] and* lead = oneofl [ "0"; "1"; "2" ] in
+         let* frac =
+           oneof
+             [ return "";
+               map (fun s -> "." ^ s)
+                 (string_size ~gen:(oneofl [ '0'; '1'; '8'; 'f'; 'F' ]) (0 -- 14)) ]
+         in
+         let* p = oneofl [ "p"; "p"; "P" ] and* esign = oneofl [ "+"; "-"; "" ] in
+         let+ exp = oneof [ int_range 0 1080; oneofl [ 0; 1022; 1023; 1024; 1074; 99999 ] ] in
+         Printf.sprintf "%s0x%s%s%s%s%d" sign lead frac p esign exp);
+      ])
+
+(* encoded records, then re-sealed after field-level edits so the edits
+   reach the field parsers instead of failing the checksum *)
+let mutated_record_gen =
+  QCheck2.Gen.(
+    let* e = differential_event_gen and* version = oneofl [ 2; 2; 2; 1; 3 ] in
+    let fields = String.split_on_char ',' (body_of (Journal.encode_event e)) in
+    (* v1 has no tenant field *)
+    let fields = if version = 1 then List.filteri (fun j _ -> j <> 1) fields else fields in
+    let* edit = int_bound 5 and* i = int_bound (List.length fields - 1) and* f = field_gen in
+    let body =
+      match edit with
+      | 0 -> fields
+      | 1 -> List.filteri (fun j _ -> j <> i) fields
+      | 2 -> fields @ [ f ]
+      | _ -> List.mapi (fun j x -> if j = i then f else x) fields
+    in
+    return (version, seal (String.concat "," body)))
+
+let prop_decoder_differential =
+  QCheck2.Test.make ~name:"in-place decoder agrees with the split-based reference"
+    ~count:5000
+    ~print:QCheck2.Print.(pair int string)
+    mutated_record_gen
+    (fun (version, line) -> decoders_agree ~version line)
+
+(* records every byte-level mutation below starts from *)
+let differential_seeds () =
+  List.map Journal.encode_event
+    [
+      Journal.Arrive
+        { tenant = dflt; time = 3.0; item_id = -5; size = v [ 30; 20 ]; bin_id = 0;
+          opened_new_bin = true };
+      Journal.Arrive
+        { tenant = String.make 64 'q'; time = 5e-324; item_id = max_int;
+          size = v [ 1; 2; 3; 4; 5; 6; 7; 8 ]; bin_id = min_int; opened_new_bin = false };
+      Journal.Depart { tenant = "t0"; time = -0.0; item_id = min_int };
+      Journal.Depart { tenant = dflt; time = Float.ldexp 1.0 (-1022); item_id = 12 };
+      Journal.Arrive
+        { tenant = "t0"; time = 1e15; item_id = 0; size = v [ 0 ]; bin_id = 7;
+          opened_new_bin = true };
+    ]
+
+let upper_checksum line =
+  let n = String.length line in
+  String.sub line 0 (n - 4) ^ String.uppercase_ascii (String.sub line (n - 4) 4)
+
+let check_agree ?version line =
+  if not (decoders_agree ?version line) then
+    Alcotest.failf "decoders disagree on %S (version %s)" line
+      (match version with Some v -> string_of_int v | None -> "default")
+
+(* an [Io] over the real filesystem that counts [read_file] per path *)
+let counting_io () =
+  let reads = Hashtbl.create 8 in
+  let read_file path =
+    Hashtbl.replace reads path (1 + Option.value ~default:0 (Hashtbl.find_opt reads path));
+    Real_io.v.Io.read_file path
+  in
+  ({ Real_io.v with Io.read_file }, reads)
+
+let check_read_once reads paths =
+  List.iter
+    (fun p ->
+      check_int ("reads of " ^ Filename.basename p) 1
+        (Option.value ~default:0 (Hashtbl.find_opt reads p)))
+    paths;
+  check_int "no other file read" (List.length paths) (Hashtbl.length reads)
+
+let resume_config ~journal ~snapshot =
+  {
+    Server.policy = "mtf";
+    seed = 7;
+    capacity = cap;
+    journal = Some journal;
+    snapshot = Some snapshot;
+    snapshot_every = None;
+    fsync_every = 64;
+    jobs = 1;
+    segment_bytes = Some 256;
+    retain_segments = None;
+  }
+
+(* the journal's segment files on disk *)
+let segment_files journal =
+  let dir = Filename.dirname journal and base = Filename.basename journal ^ "." in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> String.starts_with ~prefix:base f)
+  |> List.sort String.compare
+  |> List.map (Filename.concat dir)
+
+(* A two-tenant journal behind a snapshot: events, SNAPSHOT, then enough
+   events after it to seal several 256-byte segments. Returns the segment
+   files on disk. *)
+let build_resume_fixture ~journal ~snapshot =
+  let t = ok_or_fail (Server.create (resume_config ~journal ~snapshot)) in
+  let arrive i =
+    let tenant = if i mod 2 = 0 then "" else "t1 " in
+    let reply, _ = Server.handle_line t (Printf.sprintf "ARRIVE %s%d %d 5,5" tenant i i) in
+    check_bool "placed" true (contains_sub reply "PLACED")
+  in
+  for i = 0 to 9 do arrive i done;
+  let reply, _ = Server.handle_line t "SNAPSHOT" in
+  check_bool "snapshot" true (contains_sub reply "OK");
+  for i = 10 to 49 do arrive i done;
+  Server.close t;
+  segment_files journal
+
+let resume_tests =
+  [
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xDEC0DE |])
+      prop_decoder_differential;
+    Alcotest.test_case "decoders agree on every single-byte change and truncation"
+      `Quick (fun () ->
+        List.iter
+          (fun line ->
+            let n = String.length line in
+            for i = 0 to n - 1 do
+              for c = 0 to 255 do
+                let b = Bytes.of_string line in
+                Bytes.set b i (Char.chr c);
+                check_agree (Bytes.to_string b)
+              done
+            done;
+            for k = 0 to n do
+              check_agree (String.sub line 0 k)
+            done;
+            List.iter check_agree
+              [ " " ^ line; line ^ " "; "\t" ^ line ^ "\r"; line ^ "\r"; upper_checksum line ];
+            check_agree ~version:1 line)
+          (differential_seeds ()));
+    Alcotest.test_case "decoders agree on v1 records" `Quick (fun () ->
+        List.iter
+          (fun body ->
+            check_agree ~version:1 (seal body);
+            check_agree ~version:2 (seal body))
+          [ "arrive,3.5,4,0,1,30,20"; "depart,1e3,4"; "arrive,0x1.8p+1,-4,2,0,5";
+            "depart,0.30000000000000004,9"; "arrive,3,4,0,1"; "depart,3"; "frob,3,4" ]);
+    Alcotest.test_case "a run of one tenant's records shares its name" `Quick (fun () ->
+        let decoder = Record.decoder () in
+        let line =
+          Journal.encode_event (Journal.Depart { tenant = "t9"; time = 1.0; item_id = 1 })
+        in
+        let decode () =
+          match Record.decode ~decoder line 0 (String.length line) with
+          | Ok e -> Journal.event_tenant e
+          | Error msg -> Alcotest.fail msg
+        in
+        let a = decode () in
+        check_bool "same string" true (a == decode ()));
+    Alcotest.test_case "serve --resume, recover and compact read each file once"
+      `Quick (fun () ->
+        with_tmp_dir (fun dir ->
+            let journal = Filename.concat dir "j.log" in
+            let snapshot = Filename.concat dir "s.snap" in
+            let segments = build_resume_fixture ~journal ~snapshot in
+            check_bool "several sealed segments" true
+              (List.length (List.filter (fun f -> Filename.check_suffix f ".seg") segments) >= 3);
+            (* serve --resume: one recovery read, the writer reopened from it *)
+            let io, reads = counting_io () in
+            (match ok_or_fail (Server.restart ~io (resume_config ~journal ~snapshot)) with
+            | None -> Alcotest.fail "nothing to resume"
+            | Some t ->
+                check_int "every event recovered" 50 (Server.metrics t).Server.events;
+                Server.close t);
+            check_read_once reads (snapshot :: segments);
+            (* dvbp recover *)
+            let io, reads = counting_io () in
+            let st = ok_or_fail (Recovery.load ~io ~snapshot ~journal ()) in
+            check_bool "recovered" true (st <> None);
+            check_read_once reads (snapshot :: segment_files journal);
+            (* dvbp compact *)
+            let segments = segment_files journal in
+            let io, reads = counting_io () in
+            ignore
+              (ok_or_fail
+                 (Dvbp_cli_lib.Service_cli.compact ~io ~journal ~snapshot ~segment_bytes:256 ()));
+            check_read_once reads (snapshot :: segments)));
+    Alcotest.test_case "a journal source is trusted only while its files are unchanged"
+      `Quick (fun () ->
+        with_tmp_dir (fun dir ->
+            let path = Filename.concat dir "j.log" in
+            let n = List.length sample_events in
+            let w = Journal.create ~path (header ()) in
+            List.iter (Journal.append w) sample_events;
+            Journal.close w;
+            let source = Option.get (ok_or_fail (Journal.load path)) in
+            let io, reads = counting_io () in
+            let w, r = ok_or_fail (Journal.append_to ~io ~source ~path (header ())) in
+            check_int "reopened from the source" n (List.length r.Journal.events);
+            check_int "no file read" 0 (Hashtbl.length reads);
+            Journal.append w (List.hd sample_events);
+            Journal.close w;
+            (* written since the load: the files are read again and show
+               the new record *)
+            let w, r = ok_or_fail (Journal.append_to ~source ~path (header ())) in
+            check_int "read afresh" (n + 1) (List.length r.Journal.events);
+            Journal.close w;
+            (* a write between a load and a resume that goes on to seal:
+               a writer reopened from the stale count and CRC would write
+               a footer the next read rejects *)
+            let source = Option.get (ok_or_fail (Journal.load path)) in
+            let w, _ = ok_or_fail (Journal.append_to ~segment_bytes:64 ~path (header ())) in
+            List.iter (Journal.append w) sample_events;
+            Journal.close w;
+            let w, r =
+              ok_or_fail (Journal.append_to ~segment_bytes:64 ~source ~path (header ()))
+            in
+            check_int "sees the later write" ((2 * n) + 1) (List.length r.Journal.events);
+            List.iter (Journal.append w) sample_events;
+            Journal.close w;
+            let r = ok_or_fail (Journal.read_file path) in
+            check_int "every record readable" ((3 * n) + 1) (List.length r.Journal.events);
+            let other = Filename.concat dir "k.log" in
+            let source = Option.get (ok_or_fail (Journal.load path)) in
+            let w, r = ok_or_fail (Journal.append_to ~source ~path:other (header ())) in
+            check_int "another path starts fresh" 0 (List.length r.Journal.events);
+            Journal.close w));
+    Alcotest.test_case "a journal with nothing durable resumes as nothing" `Quick
+      (fun () ->
+        with_tmp_dir (fun dir ->
+            let journal = Filename.concat dir "j.log" in
+            let snapshot = Filename.concat dir "s.snap" in
+            let config = resume_config ~journal ~snapshot in
+            check_bool "absent" true (Result.get_ok (Server.restart config) = None);
+            (* a crashed genesis: the header never completed *)
+            Out_channel.with_open_bin (active_seg journal) (fun oc ->
+                Out_channel.output_string oc "# dvbp-segment v1\npolicy,mtf\nseed,7\n");
+            check_bool "exists: header-incomplete" false (Journal.exists journal);
+            check_bool "load: header-incomplete" true
+              (Result.get_ok (Recovery.load ~journal ()) = None);
+            Out_channel.with_open_bin (active_seg journal) (fun oc ->
+                Out_channel.output_string oc "# dvbp-segment v1\npolicy,mtf\nseed,x\n");
+            check_bool "exists: unreadable" true (Journal.exists journal);
+            check_bool "restart: unreadable" true (Result.is_error (Server.restart config))));
+    Alcotest.test_case "METRICS after a resume reports the recovery gauges" `Quick
+      (fun () ->
+        with_tmp_dir (fun dir ->
+            let journal = Filename.concat dir "j.log" in
+            let snapshot = Filename.concat dir "s.snap" in
+            ignore (build_resume_fixture ~journal ~snapshot);
+            let st = ok_or_fail (Recovery.recover ~snapshot ~journal ()) in
+            let metrics = Metrics.create () in
+            let t =
+              Option.get
+                (ok_or_fail (Server.restart ~metrics (resume_config ~journal ~snapshot)))
+            in
+            let text, _ = Server.handle_line t "METRICS" in
+            Server.close t;
+            let rows = ok_or_fail (Dvbp_obs.Prom.parse text) in
+            let value ?labels name =
+              match Dvbp_obs.Prom.find rows ?labels name with
+              | Some r -> r.Dvbp_obs.Prom.value
+              | None -> Alcotest.failf "metric %s missing" name
+            in
+            let seconds = value "dvbp_recovery_seconds" in
+            check_bool "finite, non-negative seconds" true
+              (Float.is_finite seconds && seconds >= 0.0);
+            let events source =
+              value ~labels:[ ("source", source) ] "dvbp_recovery_events"
+            in
+            check_int "from snapshot" st.Recovery.from_snapshot
+              (int_of_float (events "snapshot"));
+            check_int "from journal" st.Recovery.from_journal
+              (int_of_float (events "journal"));
+            check_int "split" 10 st.Recovery.from_snapshot));
+  ]
+
 let suites =
   [
     ("service.journal", journal_tests);
@@ -1933,4 +2289,5 @@ let suites =
     ("service.protocol", protocol_tests);
     ("service.loadgen", loadgen_tests);
     ("service.metrics", metrics_tests);
+    ("service.resume", resume_tests);
   ]
