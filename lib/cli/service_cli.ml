@@ -147,7 +147,7 @@ let compact ?io ~journal ~snapshot ?segment_bytes () =
   Ok
     (Printf.sprintf "compacted: snapshot %s covers %d events, %d sealed segment%s retired"
        path
-       (List.length state.Service.Recovery.history)
+       state.Service.Recovery.events
        retired
        (if retired = 1 then "" else "s"))
 

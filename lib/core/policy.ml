@@ -11,10 +11,56 @@ type t = {
   on_place : bin:Bin.t -> now:float -> unit;
   on_close : bin:Bin.t -> now:float -> unit;
   strict_any_fit : bool;
+  export : unit -> int list;
+  import : int list -> selects:int -> bin:(int -> Bin.t option) -> (unit, string) result;
 }
 
 let no_place ~bin:_ ~now:_ = ()
 let no_close ~bin:_ ~now:_ = ()
+let no_export () = []
+
+let no_import name state ~selects:_ ~bin:_ =
+  match state with
+  | [] -> Ok ()
+  | _ :: _ -> Error (Printf.sprintf "policy %s keeps no state, but some was given" name)
+
+let bad_state name = Error (Printf.sprintf "policy %s: malformed saved state" name)
+
+(* the restored open bin with this id, for the importers below *)
+let bin_of name bin id =
+  match bin id with
+  | Some b -> Ok b
+  | None -> Error (Printf.sprintf "policy %s: saved state names bin %d, which is not open" name id)
+
+let rec import_bins name bin = function
+  | [] -> Ok []
+  | id :: rest -> (
+      match bin_of name bin id with
+      | Error _ as e -> e
+      | Ok b -> Result.map (fun bs -> b :: bs) (import_bins name bin rest))
+
+(* harmonic and hybrid classes: a flat [bin; class; bin; class ...] list,
+   bins ascending *)
+let export_classes bin_class () =
+  Hashtbl.fold (fun id cls acc -> (id, cls) :: acc) bin_class []
+  |> List.sort compare
+  |> List.concat_map (fun (id, cls) -> [ id; cls ])
+
+let import_classes name ~classes bin_class state ~selects:_ ~bin =
+  let rec go = function
+    | [] -> Ok ()
+    | [ _ ] -> bad_state name
+    | id :: cls :: rest -> (
+        if cls < 0 || cls >= classes then bad_state name
+        else
+          match bin_of name bin id with
+          | Error _ as e -> e
+          | Ok _ ->
+              Hashtbl.replace bin_class id cls;
+              go rest)
+  in
+  Hashtbl.reset bin_class;
+  go state
 
 let of_choice = function Some b -> Existing b | None -> Fresh
 
@@ -29,6 +75,8 @@ let first_fit () =
     on_place = no_place;
     on_close = no_close;
     strict_any_fit = true;
+    export = no_export;
+    import = no_import "ff";
   }
 
 let last_fit () =
@@ -42,6 +90,8 @@ let last_fit () =
     on_place = no_place;
     on_close = no_close;
     strict_any_fit = true;
+    export = no_export;
+    import = no_import "lf";
   }
 
 let best_fit ?(measure = Load_measure.Linf) () =
@@ -56,6 +106,8 @@ let best_fit ?(measure = Load_measure.Linf) () =
     on_place = no_place;
     on_close = no_close;
     strict_any_fit = true;
+    export = no_export;
+    import = no_import "bf";
   }
 
 let worst_fit ?(measure = Load_measure.Linf) () =
@@ -70,6 +122,8 @@ let worst_fit ?(measure = Load_measure.Linf) () =
     on_place = no_place;
     on_close = no_close;
     strict_any_fit = true;
+    export = no_export;
+    import = no_import "wf";
   }
 
 let move_to_front () =
@@ -83,6 +137,8 @@ let move_to_front () =
     on_place = no_place;
     on_close = no_close;
     strict_any_fit = true;
+    export = no_export;
+    import = no_import "mtf";
   }
 
 let random_fit ~rng () =
@@ -103,6 +159,18 @@ let random_fit ~rng () =
     on_place = no_place;
     on_close = no_close;
     strict_any_fit = true;
+    (* the rng cannot be serialised: save how far it has drawn, and
+       restore by fast-forwarding the freshly seeded stream. Each select
+       draws once, plus a retry with probability below (open bins)/2^30,
+       so a count over twice the selects is refused, not looped over *)
+    export = (fun () -> [ Rng.bits_drawn rng ]);
+    import =
+      (fun state ~selects ~bin:_ ->
+        match state with
+        | [ n ] when n >= Rng.bits_drawn rng && n <= (2 * selects) + 64 ->
+            Rng.skip rng (n - Rng.bits_drawn rng);
+            Ok ()
+        | _ -> bad_state "rf");
   }
 
 let next_fit () =
@@ -120,6 +188,16 @@ let next_fit () =
     | Some (b : Bin.t) when b.Bin.id = bin.Bin.id -> current := None
     | Some _ | None -> ()
   in
+  let export () = match !current with Some (b : Bin.t) -> [ b.Bin.id ] | None -> [] in
+  let import state ~selects:_ ~bin =
+    match state with
+    | [] ->
+        current := None;
+        Ok ()
+    | [ id ] ->
+        Result.map (fun b -> current := Some b) (bin_of "nf" bin id)
+    | _ -> bad_state "nf"
+  in
   {
     name = "nf";
     describe = "Next Fit: single current bin, released when an item misses";
@@ -127,6 +205,8 @@ let next_fit () =
     on_place;
     on_close;
     strict_any_fit = false;
+    export;
+    import;
   }
 
 let next_k_fit ~k () =
@@ -151,14 +231,22 @@ let next_k_fit ~k () =
   let on_close ~bin ~now:_ =
     candidates := List.filter (fun (b : Bin.t) -> b.Bin.id <> bin.Bin.id) !candidates
   in
+  let name = Printf.sprintf "nf%d" k in
+  let export () = List.map (fun (b : Bin.t) -> b.Bin.id) !candidates in
+  let import state ~selects:_ ~bin =
+    if List.length state > k then bad_state name
+    else Result.map (fun bs -> candidates := bs) (import_bins name bin state)
+  in
   {
-    name = Printf.sprintf "nf%d" k;
+    name;
     describe =
       Printf.sprintf "Next-%d Fit: first fit among the %d most recent bins" k k;
     select;
     on_place;
     on_close;
     strict_any_fit = false;
+    export;
+    import;
   }
 
 let harmonic_fit ?(num_classes = 6) ~capacity () =
@@ -191,6 +279,8 @@ let harmonic_fit ?(num_classes = 6) ~capacity () =
     on_place;
     on_close;
     strict_any_fit = false;
+    export = export_classes bin_class;
+    import = import_classes "hf" ~classes:num_classes bin_class;
   }
 
 (* Latest departure among a bin's active items; the bin stays busy at least
@@ -233,6 +323,8 @@ let duration_aligned_fit ?(slack = 0.0) () =
     on_place = no_place;
     on_close = no_close;
     strict_any_fit = true;
+    export = no_export;
+    import = no_import "daf";
   }
 
 let hybrid_first_fit ?(num_classes = 16) () =
@@ -271,6 +363,8 @@ let hybrid_first_fit ?(num_classes = 16) () =
     on_place;
     on_close;
     strict_any_fit = false;
+    export = export_classes bin_class;
+    import = import_classes "hff" ~classes:(num_classes + 1) bin_class;
   }
 
 let standard_names = [ "mtf"; "ff"; "bf"; "nf"; "wf"; "lf"; "rf" ]

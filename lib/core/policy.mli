@@ -37,6 +37,21 @@ type t = {
       (** true when the policy's open-bin list [L] is {e all} open bins, so
           it must never return {!Fresh} while some open bin fits (checked by
           tests); Next Fit keeps [|L| <= 1] and is exempt *)
+  export : unit -> int list;
+      (** the policy-private state as ints (bin ids name open bins):
+          Next Fit's current bin, Next-K Fit's candidates oldest first,
+          the harmonic and hybrid classes as [bin; class] pairs, Random
+          Fit's rng draw count ({!Dvbp_prelude.Rng.bits_drawn}); [[]] for
+          the stateless policies *)
+  import : int list -> selects:int -> bin:(int -> Bin.t option) -> (unit, string) result;
+      (** replaces the state with an {!export}ed one; [bin] resolves a bin
+          id to the restored open bin, and [selects] bounds how many times
+          the exporting policy's [select] ran (its session's placements
+          plus refusals). For Random Fit the policy's rng must be a fresh
+          copy of the exporting one's: it is fast-forwarded by the draw
+          count, O(draws), and a count over [2 * selects + 64] is
+          refused. Errors on a malformed state or a bin id [bin] does not
+          resolve. *)
 }
 
 (** {1 The paper's Any Fit policies} *)

@@ -77,7 +77,8 @@ val apply : t -> event -> placement option
 val finish : t -> at:float -> Dvbp_core.Packing.t
 (** Departs every still-active item at [at] and returns the final packing.
     The session cannot be used afterwards.
-    @raise Session_error on non-monotonic time or if already finished. *)
+    @raise Session_error on non-monotonic time, if already finished, or on
+    a {!restore}d session. *)
 
 (** {1 Observability} *)
 
@@ -123,7 +124,14 @@ val fit_kernel : t -> string
     ["swar"] or ["scalar"]. *)
 
 val cost_so_far : t -> float
-(** Total bin-time accumulated up to [now] (open bins billed to [now]). *)
+(** Total bin-time accumulated up to [now] (open bins billed to [now]): a
+    Kahan sum fed once per bin close, continued over the open bins in id
+    order. O(open bins). *)
+
+val all_bins : t -> Dvbp_core.Bin.t list
+(** Every bin the session holds, newest first: all bins ever opened, or
+    for a {!restore}d session the bins open at the restore and those
+    opened since. Callers must not mutate. *)
 
 val fingerprint : t -> string
 (** Canonical one-line digest of the observable state: clock, cost (both
@@ -135,4 +143,69 @@ val fingerprint : t -> string
 
 val trace : t -> Trace.t
 (** Everything that happened so far, oldest first. Empty when the session
-    was created with [~record_trace:false]. *)
+    was created with [~record_trace:false].
+    @raise Session_error on a {!restore}d session. *)
+
+(** {1 Saved state}
+
+    What a session's future behaviour depends on, and nothing of its
+    past: the clock, the id and touch counters, the statistics, the cost
+    accumulator, the set of ids ever accepted, the policy's private state
+    and every open bin with its live items. A session {!restore}d from
+    {!export} places every later event exactly as the exporting session
+    would, and has the same {!fingerprint}. *)
+
+module Saved : sig
+  type item = {
+    item_id : int;
+    arrival : float;
+    departure : float;  (** the stored field: provisional unless clairvoyant *)
+    size : Dvbp_vec.Vec.t;
+  }
+
+  type bin = {
+    bin_id : int;
+    opened_at : float;
+    last_used : int;
+    items : item list;  (** live items, placement order *)
+  }
+
+  type t = {
+    clock : float;
+    started : bool;
+    next_item : int;
+    next_bin : int;
+    touch : int;
+    max_open : int;
+    placements : int;
+    departures : int;
+    rejects : int;
+    cost_sum : float;  (** the closed bins' Kahan sum ... *)
+    cost_comp : float;  (** ... and its compensation *)
+    accepted : (int * int) list;
+        (** every id ever accepted, as sorted disjoint inclusive ranges *)
+    policy_state : int list;  (** {!Dvbp_core.Policy.t.export} *)
+    bins : bin list;  (** the open bins, id order *)
+  }
+end
+
+val export : t -> Saved.t
+(** The session's saved state. O(open bins + ids in the item table).
+    @raise Session_error once finished. *)
+
+val restore :
+  ?fit_kernel:[ `Auto | `Scalar ] ->
+  capacity:Dvbp_vec.Vec.t ->
+  policy:Dvbp_core.Policy.t ->
+  Saved.t ->
+  (t, string) result
+(** A session continuing from saved state. [policy] must be freshly
+    created with the exporter's parameters (for Random Fit, a fresh copy
+    of its rng); its state is then {!Dvbp_core.Policy.t.import}ed. The
+    bins re-enter the registry in id order, so every tie-break comes out
+    as it would have. The restored session refuses an id accepted before
+    the restore (arrival: duplicate id; departure: already departed),
+    does not record a trace, and refuses {!trace} and {!finish}.
+    Errors on an inconsistent state (unordered bins or ranges, an item
+    that does not fit, an id outside the accepted ranges, a policy state
+    the policy rejects). *)

@@ -1,4 +1,7 @@
-type t = { state : Random.State.t; path : string }
+(* [drawn] counts the [Random.State.bits] calls made through [int],
+   [int_incl] and [pick], so a stream can be fast-forwarded to where
+   another one stood ({!skip}) without serialising the generator *)
+type t = { state : Random.State.t; path : string; mutable drawn : int }
 
 (* A small integer mixer (xorshift-multiply, 63-bit-safe constants)
    decorrelates child seeds that come from sequential keys. *)
@@ -10,7 +13,7 @@ let mix64 z =
   z lxor (z lsr 32)
 
 let create ~seed =
-  { state = Random.State.make [| mix64 seed; seed |]; path = string_of_int seed }
+  { state = Random.State.make [| mix64 seed; seed |]; path = string_of_int seed; drawn = 0 }
 
 let split t ~key =
   (* Derive the child from a hash of (a fresh draw-free fingerprint of the
@@ -21,13 +24,26 @@ let split t ~key =
   {
     state = Random.State.make [| child_seed; key; fingerprint |];
     path = t.path ^ "/" ^ string_of_int key;
+    drawn = 0;
   }
 
-let int t bound = Random.State.int t.state bound
+let bits t =
+  t.drawn <- t.drawn + 1;
+  Random.State.bits t.state
+
+(* the stdlib's own [Random.State.int] loop over counted [bits] draws, so
+   every stream is the one [Random.State.int] would draw *)
+let rec intaux t n =
+  let r = bits t in
+  let v = r mod n in
+  if r - v > 0x3FFFFFFF - n + 1 then intaux t n else v
+
+let int t bound =
+  if bound > 0x3FFFFFFF || bound <= 0 then invalid_arg "Random.int" else intaux t bound
 
 let int_incl t ~lo ~hi =
   if lo > hi then invalid_arg "Rng.int_incl: lo > hi";
-  lo + Random.State.int t.state (hi - lo + 1)
+  lo + int t (hi - lo + 1)
 
 let float t bound = Random.State.float t.state bound
 let bool t = Random.State.bool t.state
@@ -50,7 +66,15 @@ let pareto t ~shape ~scale =
 
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(Random.State.int t.state (Array.length a))
+  a.(int t (Array.length a))
+
+let bits_drawn t = t.drawn
+
+let skip t n =
+  if n < 0 then invalid_arg "Rng.skip: negative count";
+  for _ = 1 to n do
+    ignore (bits t)
+  done
 
 let seed_path t = t.path
 let state t = t.state

@@ -44,6 +44,17 @@ val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.
     @raise Invalid_argument on an empty array. *)
 
+val bits_drawn : t -> int
+(** How many [Random.State.bits] draws {!int}, {!int_incl} and {!pick}
+    have made on this stream. The other draws ({!float}, {!bool}, the
+    distributions and {!state}) are not counted. *)
+
+val skip : t -> int -> unit
+(** [skip t n] makes [n] counted draws and discards them: a fresh stream
+    skipped by another's {!bits_drawn} continues exactly where that one
+    stands, provided only counted draws were made on it.
+    @raise Invalid_argument if [n < 0]. *)
+
 val seed_path : t -> string
 (** Human-readable derivation path, e.g. ["42/3/17"] — useful in failure
     messages to replay exactly one instance. *)

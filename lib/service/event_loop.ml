@@ -2,9 +2,14 @@
    allocates only the request line strings handed to the server:
    - input: bytes [in_start, in_len) of [inb] are received but not yet
      split; [in_start, in_scan) is known to hold no newline, so a line
-     arriving over many reads is scanned once, not once per read;
+     arriving over many reads is scanned once, not once per read. A
+     request line may be at most [Server.max_line] bytes, so the buffer
+     never grows past [2 * Server.max_line];
    - output: replies are appended at [out_len] and written from
      [out_pos], resuming there after a partial write. *)
+
+let max_line = Server.max_line
+
 type conn = {
   fd : Unix.file_descr;
   mutable inb : Bytes.t;
@@ -16,6 +21,7 @@ type conn = {
   mutable out_pos : int;
   mutable out_len : int;
   mutable closing : bool;  (* QUIT or EOF seen: drain out, then close *)
+  mutable overlong : bool;  (* a line over [max_line]: answer ERR once pending drains *)
   mutable closed : bool;
 }
 
@@ -32,6 +38,7 @@ let make_conn fd =
     out_pos = 0;
     out_len = 0;
     closing = false;
+    overlong = false;
     closed = false;
   }
 
@@ -48,37 +55,55 @@ let close_conn c =
    move them into a buffer at least twice as large. Either way each byte
    is copied O(1) times amortised. The live bytes start at 0 in the
    returned buffer. *)
-let make_room buf ~pos ~len need =
+let make_room ?(max_size = max_int) buf ~pos ~len need =
   let live = len - pos and cap = Bytes.length buf in
-  let dst =
-    if 2 * (live + need) <= cap then buf else Bytes.create (max (live + need) (2 * cap))
-  in
+  let size = min max_size (max (live + need) (2 * cap)) in
+  let dst = if 2 * (live + need) <= cap || size <= cap then buf else Bytes.create size in
   Bytes.blit buf pos dst 0 live;
   dst
 
 (* the least free space a read is offered *)
 let min_read = 4096
 
+(* A line over [max_line] bytes: nothing more is read from this
+   connection; the lines before it are still answered, then the ERR, then
+   the connection closes once its replies are flushed. *)
+let refuse_overlong c =
+  c.overlong <- true;
+  c.closing <- true;
+  c.in_start <- 0;
+  c.in_scan <- 0;
+  c.in_len <- 0
+
 (* queue every complete line in the unscanned input as a request *)
 let split_lines c =
   let buf = c.inb and stop = c.in_len in
-  for i = c.in_scan to stop - 1 do
-    if Bytes.unsafe_get buf i = '\n' then begin
-      Queue.add (Bytes.sub_string buf c.in_start (i - c.in_start)) c.pending;
-      c.in_start <- i + 1
-    end
+  let i = ref c.in_scan in
+  while !i < stop && not c.overlong do
+    if Bytes.unsafe_get buf !i = '\n' then
+      if !i - c.in_start > max_line then refuse_overlong c
+      else begin
+        Queue.add (Bytes.sub_string buf c.in_start (!i - c.in_start)) c.pending;
+        c.in_start <- !i + 1
+      end;
+    incr i
   done;
-  if c.in_start = stop then begin
-    c.in_start <- 0;
-    c.in_len <- 0
-  end;
-  c.in_scan <- c.in_len
+  if not c.overlong then
+    if c.in_len - c.in_start > max_line then refuse_overlong c
+    else begin
+      if c.in_start = stop then begin
+        c.in_start <- 0;
+        c.in_len <- 0
+      end;
+      c.in_scan <- c.in_len
+    end
 
 (* read straight into the connection's buffer, after what is already
-   there; a line longer than the buffer grows it *)
+   there; a line longer than the buffer grows it, up to [2 * max_line] *)
 let read_chunk c =
   if Bytes.length c.inb - c.in_len < min_read then begin
-    c.inb <- make_room c.inb ~pos:c.in_start ~len:c.in_len min_read;
+    c.inb <-
+      make_room ~max_size:(2 * max_line) c.inb ~pos:c.in_start ~len:c.in_len min_read;
     c.in_len <- c.in_len - c.in_start;
     c.in_scan <- c.in_scan - c.in_start;
     c.in_start <- 0
@@ -87,7 +112,7 @@ let read_chunk c =
   | 0 ->
       (* EOF: a trailing unterminated line still counts as a request, like
          the blocking loop's [input_line] *)
-      if c.in_len > c.in_start then begin
+      if c.in_len > c.in_start && not c.overlong then begin
         Queue.add (Bytes.sub_string c.inb c.in_start (c.in_len - c.in_start)) c.pending;
         c.in_start <- 0;
         c.in_scan <- 0;
@@ -231,6 +256,13 @@ let serve ?(max_batch = 16384) ?listen ?(conns = []) ?(stop_when_drained = true)
         dispatch live_arr (drain_round live_arr);
         List.iter
           (fun c ->
+            if c.overlong && Queue.is_empty c.pending && not c.closed then begin
+              add_reply c Server.overlong_reply;
+              c.overlong <- false
+            end)
+          !live;
+        List.iter
+          (fun c ->
             if List.memq c.fd writable || has_out c || c.closing then try_write c)
           !live;
         (* one bounded unit of compaction per tick, after replies are
@@ -245,3 +277,6 @@ let serve ?(max_batch = 16384) ?listen ?(conns = []) ?(stop_when_drained = true)
       List.iter close_conn !live;
       Server.close server)
     loop
+
+let input_capacity c = Bytes.length c.inb
+let refused c = c.overlong

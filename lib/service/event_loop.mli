@@ -41,3 +41,26 @@ val serve :
       termination condition. With a [listen] socket the loop serves until
       the process dies. SIGPIPE is ignored (peer death must surface as an
       [EPIPE] on that one connection, not kill the server). *)
+
+(** {2 Request framing}
+
+    One connection's input side as {!serve} drives it, exposed so tests
+    can check the input bound directly. *)
+
+type conn
+
+val make_conn : Unix.file_descr -> conn
+(** Sets the fd nonblocking. *)
+
+val read_chunk : conn -> unit
+(** One nonblocking read into the connection's input buffer, then queue
+    every complete line. A line over {!Server.max_line} bytes refuses the
+    connection: nothing more is read from it. *)
+
+val input_capacity : conn -> int
+(** Bytes allocated for the connection's input; never over
+    [2 * Server.max_line]. *)
+
+val refused : conn -> bool
+(** A line over {!Server.max_line} bytes arrived and its ERR is not yet
+    queued. *)

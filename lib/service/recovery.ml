@@ -9,7 +9,8 @@ type state = {
   policy : string;
   seed : int;
   capacity : Vec.t;
-  history : Journal.event list;
+  events : int;
+  last : Journal.event option;
   from_snapshot : int;
   from_journal : int;
   dropped_torn : bool;
@@ -33,13 +34,17 @@ type sessions = {
   capacity : Vec.t;
 }
 
+let add_session s tenant session =
+  Hashtbl.add s.tbl tenant session;
+  s.order_rev <- tenant :: s.order_rev
+
+let no_sessions ~policy ~seed ~capacity =
+  { tbl = Hashtbl.create 8; order_rev = []; policy; seed; capacity }
+
 let make_sessions ~policy ~seed ~capacity =
-  let s =
-    { tbl = Hashtbl.create 8; order_rev = []; policy; seed; capacity }
-  in
+  let s = no_sessions ~policy ~seed ~capacity in
   let* default = fresh_session ~policy ~seed ~capacity ~tenant:Tenant.default in
-  Hashtbl.add s.tbl Tenant.default default;
-  s.order_rev <- [ Tenant.default ];
+  add_session s Tenant.default default;
   Ok s
 
 let session_for s tenant =
@@ -49,8 +54,7 @@ let session_for s tenant =
       let* session =
         fresh_session ~policy:s.policy ~seed:s.seed ~capacity:s.capacity ~tenant
       in
-      Hashtbl.add s.tbl tenant session;
-      s.order_rev <- tenant :: s.order_rev;
+      add_session s tenant session;
       Ok session
 
 let to_list s =
@@ -94,7 +98,16 @@ let replay ~policy ~seed ~capacity events =
   let* () = replay_into s ~policy_name:policy ~first_index:0 events in
   Ok (to_list s)
 
-(* compare one rebuilt tenant session against its snapshot digest *)
+(* The cost a v1/v2 snapshot recorded: the Kahan sum over every bin ever
+   opened, newest first, open bins billed to the clock — the v2 writer's
+   order, so its digest is checked bit for bit. *)
+let v2_cost session =
+  let horizon = Session.now session in
+  Dvbp_prelude.Listx.sum_by
+    (fun (b : Bin.t) -> Option.value ~default:horizon b.Bin.closed_at -. b.Bin.opened_at)
+    (Session.all_bins session)
+
+(* compare one rebuilt tenant session against its v1/v2 snapshot digest *)
 let check_one_digest session (d : Snapshot.digest) =
   let fail fmt =
     Printf.ksprintf
@@ -104,8 +117,8 @@ let check_one_digest session (d : Snapshot.digest) =
   in
   if Session.now session <> d.Snapshot.clock then
     fail "clock %.17g, snapshot says %.17g" (Session.now session) d.Snapshot.clock
-  else if Session.cost_so_far session <> d.Snapshot.cost then
-    fail "cost %.17g, snapshot says %.17g" (Session.cost_so_far session) d.Snapshot.cost
+  else if v2_cost session <> d.Snapshot.cost then
+    fail "cost %.17g, snapshot says %.17g" (v2_cost session) d.Snapshot.cost
   else if Session.bins_opened session <> d.Snapshot.bins_opened then
     fail "bins_opened %d, snapshot says %d" (Session.bins_opened session)
       d.Snapshot.bins_opened
@@ -136,7 +149,7 @@ let check_one_digest session (d : Snapshot.digest) =
    the server snapshots sessions that exist but have applied nothing, e.g.
    a tenant whose only request was rejected), and every tenant the history
    touched must carry a digest. *)
-let check_digests s (snap : Snapshot.t) =
+let check_digests s (digests : Snapshot.digest list) =
   let rec each = function
     | [] -> Ok ()
     | (d : Snapshot.digest) :: rest ->
@@ -144,10 +157,11 @@ let check_digests s (snap : Snapshot.t) =
         let* () = check_one_digest session d in
         each rest
   in
-  let* () = each snap.Snapshot.digests in
+  let* () = each digests in
   let missing =
     List.filter
-      (fun (tenant, _) -> Snapshot.find_digest snap tenant = None)
+      (fun (tenant, _) ->
+        not (List.exists (fun (d : Snapshot.digest) -> d.Snapshot.tenant = tenant) digests))
       (to_list s)
   in
   match missing with
@@ -158,25 +172,90 @@ let check_digests s (snap : Snapshot.t) =
            "snapshot has no digest for tenant %s though its history touches it"
            tenant)
 
-let rec drop n = function
-  | rest when n <= 0 -> rest
-  | [] -> []
-  | _ :: rest -> drop (n - 1) rest
+(* v3: each tenant's session restored from its section (fresh policy,
+   saved state imported) and checked against the recorded fingerprint *)
+let restore_sessions ~policy ~seed ~capacity sections =
+  let s = no_sessions ~policy ~seed ~capacity in
+  let rec each = function
+    | [] -> Ok ()
+    | (sec : Snapshot.section) :: rest ->
+        let tenant = sec.Snapshot.tenant in
+        let* p = Policy.of_name ~rng:(Tenant.rng ~seed tenant) policy in
+        let* session =
+          Result.map_error
+            (Printf.sprintf "snapshot section %s: %s" tenant)
+            (Session.restore ~capacity ~policy:p sec.Snapshot.state)
+        in
+        let fp = Session.fingerprint session in
+        if fp <> sec.Snapshot.fingerprint then
+          Error
+            (Printf.sprintf
+               "snapshot fingerprint mismatch (tenant %s): restored %s, snapshot says %s"
+               tenant fp sec.Snapshot.fingerprint)
+        else begin
+          add_session s tenant session;
+          each rest
+        end
+  in
+  let* () = each sections in
+  (* the server registers the default tenant first, always *)
+  if Hashtbl.mem s.tbl Tenant.default then Ok s
+  else Error "snapshot has no section for the default tenant"
 
-let rec take n = function
-  | _ when n <= 0 -> []
-  | [] -> []
-  | x :: rest -> x :: take (n - 1) rest
+(* The journal records from the snapshot's frontier [n] on. Records below
+   [n] are covered by the snapshot and skipped; the one just below it, if
+   the journal holds it, must be the snapshot's last covered event — the
+   files must agree about the past they share. *)
+let suffix_after ~base ~n ~last events =
+  let rec go i = function
+    | [] -> Ok []
+    | rest when i >= n -> Ok rest
+    | e :: rest ->
+        if i = n - 1 then
+          match last with
+          | Some l when Journal.equal_event e l -> go (i + 1) rest
+          | Some _ | None ->
+              Error
+                (Printf.sprintf
+                   "journal record %d differs from the snapshot's last covered event — \
+                    mismatched files"
+                   i)
+        else go (i + 1) rest
+  in
+  go base events
+
+let last_of ~default events =
+  match List.rev events with e :: _ -> Some e | [] -> default
 
 let recover_source ~io ?snapshot ~journal source =
   let j = Journal.source_read source in
   let header = j.Journal.header in
+  let policy = header.Journal.policy
+  and seed = header.Journal.seed
+  and capacity = header.Journal.capacity in
   let* snap =
     match snapshot with
     | Some path when io.Io.file_exists path ->
         let* s = Snapshot.load ~io ~path () in
         Ok (Some s)
     | Some _ | None -> Ok None
+  in
+  let state ~sessions ~n ~last suffix =
+    let* () = replay_into sessions ~policy_name:policy ~first_index:n suffix in
+    let m = List.length suffix in
+    Ok
+      {
+        sessions = to_list sessions;
+        policy;
+        seed;
+        capacity;
+        events = n + m;
+        last = last_of ~default:last suffix;
+        from_snapshot = n;
+        from_journal = m;
+        dropped_torn = j.Journal.dropped_torn;
+        journal = source;
+      }
   in
   match snap with
   | None ->
@@ -187,86 +266,47 @@ let recover_source ~io ?snapshot ~journal source =
               snapshotted prefix is missing"
              journal header.Journal.base)
       else
-        let* sessions =
-          replay ~policy:header.Journal.policy ~seed:header.Journal.seed
-            ~capacity:header.Journal.capacity j.Journal.events
-        in
-        Ok
-          {
-            sessions;
-            policy = header.Journal.policy;
-            seed = header.Journal.seed;
-            capacity = header.Journal.capacity;
-            history = j.Journal.events;
-            from_snapshot = 0;
-            from_journal = List.length j.Journal.events;
-            dropped_torn = j.Journal.dropped_torn;
-            journal = source;
-          }
+        let* sessions = make_sessions ~policy ~seed ~capacity in
+        state ~sessions ~n:0 ~last:None j.Journal.events
   | Some s ->
       let* () =
-        if s.Snapshot.policy <> header.Journal.policy then
+        if s.Snapshot.policy <> policy then
           Error
             (Printf.sprintf "snapshot policy %s does not match journal policy %s"
-               s.Snapshot.policy header.Journal.policy)
-        else if s.Snapshot.seed <> header.Journal.seed then
+               s.Snapshot.policy policy)
+        else if s.Snapshot.seed <> seed then
           Error
             (Printf.sprintf "snapshot seed %d does not match journal seed %d"
-               s.Snapshot.seed header.Journal.seed)
-        else if not (Vec.equal s.Snapshot.capacity header.Journal.capacity) then
+               s.Snapshot.seed seed)
+        else if not (Vec.equal s.Snapshot.capacity capacity) then
           Error
             (Printf.sprintf "snapshot capacity %s does not match journal capacity %s"
                (Vec.to_string s.Snapshot.capacity)
-               (Vec.to_string header.Journal.capacity))
+               (Vec.to_string capacity))
         else Ok ()
       in
-      let snapshot_events = List.length s.Snapshot.history in
-      if header.Journal.base > snapshot_events then
+      let n = s.Snapshot.events in
+      if header.Journal.base > n then
         Error
           (Printf.sprintf
              "journal starts at event %d but the snapshot only covers %d events — \
               records are missing"
-             header.Journal.base snapshot_events)
-      else begin
-        (* journal records the snapshot already absorbed (a crash between
-           snapshot write and journal truncation leaves them behind) must
-           agree with the snapshot's history *)
-        let overlap_len = snapshot_events - header.Journal.base in
-        let overlap = take overlap_len j.Journal.events in
-        let expected = drop header.Journal.base s.Snapshot.history in
-        let expected = take (List.length overlap) expected in
-        if not (List.equal Journal.equal_event overlap expected) then
-          Error
-            "journal records overlapping the snapshot differ from the snapshot's \
-             history — mismatched files"
-        else
-          let suffix = drop overlap_len j.Journal.events in
-          let* sessions =
-            make_sessions ~policy:header.Journal.policy ~seed:header.Journal.seed
-              ~capacity:header.Journal.capacity
-          in
-          let* () =
-            replay_into sessions ~policy_name:header.Journal.policy ~first_index:0
-              s.Snapshot.history
-          in
-          let* () = check_digests sessions s in
-          let* () =
-            replay_into sessions ~policy_name:header.Journal.policy
-              ~first_index:snapshot_events suffix
-          in
-          Ok
-            {
-              sessions = to_list sessions;
-              policy = header.Journal.policy;
-              seed = header.Journal.seed;
-              capacity = header.Journal.capacity;
-              history = s.Snapshot.history @ suffix;
-              from_snapshot = snapshot_events;
-              from_journal = List.length suffix;
-              dropped_torn = j.Journal.dropped_torn;
-              journal = source;
-            }
-      end
+             header.Journal.base n)
+      else
+        let* suffix =
+          suffix_after ~base:header.Journal.base ~n ~last:s.Snapshot.last j.Journal.events
+        in
+        let* sessions =
+          match s.Snapshot.body with
+          | Snapshot.State sections -> restore_sessions ~policy ~seed ~capacity sections
+          | Snapshot.History { digests; history } ->
+              (* the v1/v2 upgrade path: replay the history, check digests *)
+              let* sessions = make_sessions ~policy ~seed ~capacity in
+              let* () = replay_into sessions ~policy_name:policy ~first_index:0 history in
+              let* () = check_digests sessions digests in
+              Ok sessions
+        in
+        state ~sessions ~n ~last:s.Snapshot.last suffix
 
 let load ?(io = Real_io.v) ?snapshot ~journal () =
   let* source =

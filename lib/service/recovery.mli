@@ -1,29 +1,31 @@
 (** Rebuild live tenant sessions from snapshot + journal, verifying as it
     goes.
 
-    The recovery invariant: replaying the recorded event history through
-    fresh deterministic sessions must reproduce {e exactly} the placements
-    the original server recorded — same bin id, same opened-new-bin flag,
-    event by event. Sessions are deterministic (the golden tests pin this)
+    The recovery invariant: the recovered sessions are {e exactly} the
+    ones the original server held after the same events — same
+    {!Dvbp_engine.Session.fingerprint}, and the same placements for every
+    later event. Sessions are deterministic (the golden tests pin this)
     and tenant shard/rng assignment is a pure function of the tenant name
-    ({!Tenant}), so any deviation means the files are corrupt, were produced
-    by a different policy/seed/capacity, or the library's behaviour changed;
-    all three must be a hard error, never silent divergence.
+    ({!Tenant}), so any deviation means the files are corrupt, were
+    produced by a different policy/seed/capacity, or the library's
+    behaviour changed; all three must be a hard error, never silent
+    divergence.
 
     Order of operations:
     + load the snapshot if one exists (its absence is fine: the journal then
       must start at event 0);
-    + replay the snapshot's history (arrival order across tenants, each
-      event routed to its tenant's session, sessions created on first
-      touch), verifying each recorded placement;
-    + cross-check every rebuilt session against the snapshot's per-tenant
-      state digests (clock, cost, bins opened, open bins with occupants) —
-      both directions: a digest without a matching session is checked
-      against a fresh zero-state one, a touched tenant without a digest is
-      an error;
-    + replay the journal suffix (records the snapshot has already absorbed
-      are skipped after checking they match the snapshot history), verifying
-      each recorded placement.
+    + skip the journal records below the snapshot's frontier [N]; the
+      journal's record [N - 1], if it holds one, must equal the snapshot's
+      last covered event;
+    + a v3 snapshot: restore each tenant's session from its saved state
+      ({!Dvbp_engine.Session.restore}) and check it against the recorded
+      fingerprint. A v1/v2 snapshot (the upgrade path): replay its history
+      through fresh sessions, verifying each recorded placement, then check
+      every session against the snapshot's digests — both directions: a
+      digest without a matching session is checked against a fresh
+      zero-state one, a touched tenant without a digest is an error;
+    + replay the journal suffix through the same {!replay}-style
+      verification of each recorded placement.
 
     The returned sessions are live: a server can resume serving from them. *)
 
@@ -34,10 +36,11 @@ type state = {
   policy : string;
   seed : int;
   capacity : Dvbp_vec.Vec.t;
-  history : Journal.event list;
-      (** every applied event since genesis, in order — what the next
-          snapshot must record *)
-  from_snapshot : int;  (** events restored via the snapshot's history *)
+  events : int;  (** applied events since genesis: the recovered frontier *)
+  last : Journal.event option;
+      (** event [events - 1] (what the next snapshot records as its last
+          covered event); [None] iff [events = 0] *)
+  from_snapshot : int;  (** events the snapshot covers *)
   from_journal : int;  (** events replayed from the journal suffix *)
   dropped_torn : bool;  (** the journal's torn final record was dropped *)
   journal : Journal.source;

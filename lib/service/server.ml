@@ -39,7 +39,7 @@ type t = {
   mutable tenant_order_rev : string list;
   journal : Journal.writer option;
   mutable compaction : compaction;
-  mutable history_rev : Journal.event list;
+  mutable last_event : Journal.event option;  (* event [events - 1] *)
   mutable events : int;
   mutable since_snapshot : int;
   mutable requests : int;
@@ -102,8 +102,7 @@ let register_tenant t tenant session =
 let sessions t =
   List.rev_map (fun tn -> (tn, Hashtbl.find t.tenants tn)) t.tenant_order_rev
 
-let make_t config ~io ~obs ~tenant_sessions journal ~history ~since_snapshot =
-  let history_rev = List.rev history in
+let make_t config ~io ~obs ~tenant_sessions journal ~events ~last ~since_snapshot =
   let t =
     {
       config;
@@ -112,8 +111,8 @@ let make_t config ~io ~obs ~tenant_sessions journal ~history ~since_snapshot =
       tenant_order_rev = [];
       journal;
       compaction = C_idle;
-      history_rev;
-      events = List.length history;
+      last_event = last;
+      events;
       since_snapshot;
       requests = 0;
       placements = 0;
@@ -178,7 +177,7 @@ let create ?(io = Real_io.v) ?metrics config =
   Ok
     (make_t config ~io ~obs
        ~tenant_sessions:[ (Tenant.default, session) ]
-       journal ~history:[] ~since_snapshot:0)
+       journal ~events:0 ~last:None ~since_snapshot:0)
 
 let resume ?(io = Real_io.v) ?metrics config (st : Recovery.state) =
   let obs = match metrics with Some m -> m | None -> Metrics.create () in
@@ -215,13 +214,14 @@ let resume ?(io = Real_io.v) ?metrics config (st : Recovery.state) =
            events only the snapshot holds, so bring its base up to the
            recovered frontier first. *)
         let frontier = r.Journal.header.base + List.length r.Journal.events in
-        let recovered = List.length st.Recovery.history in
-        if frontier < recovered then Journal.truncate w ~new_base:recovered;
+        if frontier < st.Recovery.events then
+          Journal.truncate w ~new_base:st.Recovery.events;
         Ok (Some w)
   in
   Ok
     (make_t config ~io ~obs ~tenant_sessions:st.Recovery.sessions journal
-       ~history:st.Recovery.history ~since_snapshot:st.Recovery.from_journal)
+       ~events:st.Recovery.events ~last:st.Recovery.last
+       ~since_snapshot:st.Recovery.from_journal)
 
 (* [serve --resume]: one read of the journal and snapshot, the replay,
    the writer reopened from what was read; the wall time of the whole
@@ -286,7 +286,7 @@ let stats_line t =
   let open_bins, bins_opened, active_items, clock, cost =
     List.fold_left
       (fun (ob, bo, ai, clk, cost) (_, s) ->
-        ( ob + List.length (Session.open_bins s),
+        ( ob + Session.open_bin_count s,
           bo + Session.bins_opened s,
           ai + Session.active_items s,
           Float.max clk (Session.now s),
@@ -306,15 +306,9 @@ let stats_line t =
    segments while the active one keeps streaming. *)
 let write_snapshot t path =
   Metrics.time_snapshot t.obs (fun () ->
-      let digests =
-        List.map
-          (fun (tenant, session) -> Snapshot.digest_of_session ~tenant session)
-          (sessions t)
-      in
       Snapshot.write ~io:t.io ~path
-        { Snapshot.policy = t.config.policy; seed = t.config.seed;
-          capacity = t.config.capacity; digests;
-          history = List.rev t.history_rev });
+        (Snapshot.of_sessions ~policy:t.config.policy ~seed:t.config.seed
+           ~capacity:t.config.capacity ~events:t.events ~last:t.last_event (sessions t)));
   t.since_snapshot <- 0;
   t.snapshots <- t.snapshots + 1;
   Metrics.set_compaction_lag t.obs 0
@@ -656,7 +650,6 @@ let process_run t ~group_commit (reqs : request array) (replies : (string * bool
   let staged_rev = ref [] in
   let stage e =
     staged_rev := e :: !staged_rev;
-    t.history_rev <- e :: t.history_rev;
     t.events <- t.events + 1;
     t.since_snapshot <- t.since_snapshot + 1
   in
@@ -676,6 +669,7 @@ let process_run t ~group_commit (reqs : request array) (replies : (string * bool
         stage e;
         replies.(lo + k) <- ("OK", false)
   done;
+  (match !staged_rev with e :: _ -> t.last_event <- Some e | [] -> ());
   journal_events t ~group_commit (List.rev !staged_rev) ~waiters:n;
   Metrics.set_compaction_lag t.obs t.since_snapshot;
   if !staged_rev <> [] then maybe_auto_snapshot t
@@ -754,11 +748,38 @@ let close t =
     t.closed <- true
   end
 
+let max_line = 65536
+
+let overlong_reply = Printf.sprintf "ERR request line exceeds %d bytes" max_line
+
+(* [input_line] bounded like the event loop's framing: a line longer
+   than [max_line] bytes is [`Overlong] as soon as its next byte arrives;
+   at EOF an unterminated line still counts *)
+let read_request_line buf ic =
+  Buffer.clear buf;
+  let rec go () =
+    match input_char ic with
+    | '\n' -> `Line (Buffer.contents buf)
+    | _ when Buffer.length buf = max_line -> `Overlong
+    | ch ->
+        Buffer.add_char buf ch;
+        go ()
+    | exception End_of_file ->
+        if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
+  in
+  go ()
+
 let serve t ic oc =
+  let buf = Buffer.create 256 in
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | line ->
+    match read_request_line buf ic with
+    | `Eof -> ()
+    | `Overlong ->
+        (* refused, and nothing more is read *)
+        output_string oc overlong_reply;
+        output_char oc '\n';
+        flush oc
+    | `Line line ->
         let t0 = Metrics.now t.obs in
         let req = parse_request t line in
         let reply, quit = respond t req in

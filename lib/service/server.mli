@@ -130,10 +130,20 @@ val handle_batch : t -> string array -> (string * bool) array
     [jobs]. Every other line (STATS, SNAPSHOT, QUIT, unknown commands) is
     handled between commits on the calling domain. *)
 
+val max_line : int
+(** The longest request line either transport accepts: 65,536 bytes,
+    newline excluded. *)
+
+val overlong_reply : string
+(** The reply to a longer line: [ERR request line exceeds 65536 bytes].
+    Nothing more is read from that input afterwards. *)
+
 val serve : t -> in_channel -> out_channel -> unit
-(** Read-eval-reply until QUIT or EOF, then {!close}. Replies are flushed
-    per request. Per-request handling latency is recorded into the
-    per-kind request histograms (see {!latency_summary}). *)
+(** Read-eval-reply until QUIT, EOF or a line over {!max_line} bytes
+    (answered {!overlong_reply}), then {!close}. Replies are flushed per
+    request, byte-identical to {!Event_loop}'s for the same
+    input. Per-request handling latency is recorded into the per-kind
+    request histograms (see {!latency_summary}). *)
 
 val metrics : t -> metrics
 val stats_line : t -> string

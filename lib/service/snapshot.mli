@@ -1,63 +1,101 @@
-(** Checkpoint of the full live service state.
+(** Checkpoint of the live service state.
 
     A snapshot lets recovery keep the journal short: after a successful
-    snapshot the journal is truncated ({!Journal.truncate}) and only events
-    appended after the checkpoint remain in it.
+    snapshot the journal is truncated ({!Journal.truncate}) or its covered
+    sealed segments retired ({!Journal.retire_sealed}), and only events
+    after the snapshot's frontier need replaying.
 
-    Because policies carry private mutable state that is deliberately not
-    serialisable (Move To Front's recency order, Next Fit's current bin,
-    Random Fit's rng stream), the checkpoint stores two complementary
-    sections and recovery uses both:
+    Format v3 holds, per tenant, the session's saved state
+    ({!Dvbp_engine.Session.Saved}): what the tenant's future placements
+    depend on — clock, counters, cost accumulator, the ids ever accepted,
+    the policy's private state, and every open bin with its live items —
+    and nothing of the departed past, so its size follows the live state,
+    not the history — with one exception: the ids ever accepted, kept so
+    a reused departed id stays refused. They are written as ranges (one
+    range when a tenant's ids arrive in order) or, when shorter, as a
+    bitmap of one bit per id between the least and the greatest. Each section ends with the session's
+    {!Dvbp_engine.Session.fingerprint}, which recovery checks the restored
+    session against. The file records its frontier (the number of events
+    it covers) and the last covered event, which recovery matches against
+    the journal, and ends with a CRC-32 row over every byte before it.
 
-    - one {b state digest} per tenant — clock, accumulated usage-time cost,
-      bins opened, and every open bin with its occupant item ids — which is
-      what the operator reads and what recovery {e verifies} against;
-    - the {b event history} since genesis in arrival order across all
-      tenants (same checksummed record format as the journal), which is
-      what recovery {e replays} to rebuild the exact sessions, policy state
-      included.
+    {v
+    # dvbp-snapshot v3
+    policy,<name>
+    seed,<int>
+    capacity,<c1>,...,<cd>
+    events,<N>
+    last,<journal record of event N-1>        (absent when N = 0)
+    tenant,<name>                              (one section per tenant,
+    clock,<hex float>,<started 0|1>             in registration order)
+    next,<next item>,<next bin>,<touch>,<max open>
+    stats,<placements>,<departures>,<rejects>
+    cost,<hex sum>,<hex compensation>
+    ids[,<lo>-<hi>]...  or  idbits,<lo>,<hex bitmap>
+    policy_state[,<int>]...
+    bin,<id>,<opened_at hex>,<last_used>       (open bins, id order)
+    item,<id>,<arrival hex>,<departure hex>,<s1>,...,<sd>
+    fingerprint,<Session.fingerprint>
+    crc,<8 hex digits>
+    v}
 
-    Replaying the history through fresh deterministic sessions and then
-    checking the result against the digests means corruption, a policy
-    mismatch, or a library behaviour change is a hard error, never silent
-    divergence (see {!Recovery}).
-
-    Format v2 groups digest rows under [tenant,<name>] section headers
-    (written in tenant-name order so the bytes are independent of arrival
-    interleaving). v1 files — one implicit digest section belonging to
-    {!Tenant.default}, v1 history records — still load; new snapshots are
-    always written v2.
+    v1 and v2 files (a state digest per tenant plus the whole event
+    history since genesis) are still read, as the upgrade path only:
+    recovery replays their history and checks the digests. Nothing writes
+    them any more.
 
     Snapshots are written atomically (temp file, fsync, rename), so unlike
     the journal a torn snapshot cannot exist; any parse failure on load is
     reported as corruption. *)
 
+type section = {
+  tenant : string;
+  state : Dvbp_engine.Session.Saved.t;
+  fingerprint : string;  (** {!Dvbp_engine.Session.fingerprint} at the write *)
+}
+
 type digest = {
   tenant : string;
   clock : float;  (** timestamp of the tenant's last applied event *)
-  cost : float;  (** usage-time cost accumulated up to [clock] *)
+  cost : float;  (** usage-time cost accumulated up to [clock], v2 summation order *)
   bins_opened : int;
   open_bins : (int * int list) list;
       (** open bins in opening order; occupant item ids ascending *)
 }
+(** A v1/v2 tenant digest. *)
+
+type body =
+  | State of section list  (** v3: sections in the server's registration order *)
+  | History of { digests : digest list; history : Journal.event list }
+      (** v1/v2: digests in section order, every applied event since
+          genesis in arrival order *)
 
 type t = {
   policy : string;
   seed : int;
   capacity : Dvbp_vec.Vec.t;
-  digests : digest list;  (** one per tenant, section order (tenant-name order when written by {!to_string}) *)
-  history : Journal.event list;  (** every applied event since genesis, arrival order *)
+  events : int;  (** the frontier: events since genesis the snapshot covers *)
+  last : Journal.event option;  (** event [events - 1]; [None] iff [events = 0] *)
+  body : body;
 }
 
-val digest_of_session : tenant:string -> Dvbp_engine.Session.t -> digest
-(** Reads one tenant's digest fields off its live session. *)
-
-val find_digest : t -> string -> digest option
+val of_sessions :
+  policy:string ->
+  seed:int ->
+  capacity:Dvbp_vec.Vec.t ->
+  events:int ->
+  last:Journal.event option ->
+  (string * Dvbp_engine.Session.t) list ->
+  t
+(** A v3 snapshot of the given tenant sessions, in the given order. *)
 
 val to_string : t -> string
+(** The v3 text. @raise Invalid_argument on a [History] body. *)
+
 val of_string : string -> (t, string) result
-(** Fully validated; reports the offending line. Checks internally that the
-    recorded event count matches the history section. *)
+(** Reads v3, v2 and v1. Fully validated; reports the offending line. A
+    v3 text whose CRC row does not match is refused whole; a v1/v2 text
+    must hold as many history records as its [events] row says. *)
 
 val write : ?io:Io.t -> path:string -> t -> unit
 (** Atomic: temp file, fsync, rename, directory fsync (see

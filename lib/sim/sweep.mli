@@ -1,15 +1,17 @@
 (** Exhaustive crash-point sweep over the serve → journal → snapshot path.
 
     One uninterrupted run of a canonical workload over {!Sim_fs} fixes the
-    number of I/O boundaries [B], the canonical event history, and the
-    reference final state ({!Dvbp_engine.Session.fingerprint}). Then, for
+    number of I/O boundaries [B], the event count, and the reference final
+    state ({!Dvbp_engine.Session.fingerprint}); a journal-less reference
+    server fed the same lines records the fingerprints after every event. Then, for
     {e every} boundary [k < B] and every blanket crash mode (lose-unsynced,
     keep-unsynced, torn), the same run is repeated with a crash planted at
     [k]; after the power cut the surviving files are recovered, the
     remainder of the workload is replayed through a resumed server, and the
     final fingerprint must equal the reference bit for bit. Along the way
-    the recovered history must be a prefix of the canonical one, and every
-    replayed request must be accepted.
+    a recovery of [m] events must reproduce, tenant by tenant, the
+    reference fingerprints after [m] events, and every replayed request
+    must be accepted.
 
     A rolled-back journal creation (nothing durable ever existed) is
     handled the way an operator would: start a fresh server and replay the
@@ -24,7 +26,7 @@ type failure = { boundary : int; mode : string; message : string }
 type outcome = {
   boundaries : int;  (** I/O boundaries in the uninterrupted run *)
   scenarios : int;  (** boundaries x crash modes *)
-  events : int;  (** events in the canonical history *)
+  events : int;  (** events the uninterrupted run applied *)
   failures : failure list;
 }
 

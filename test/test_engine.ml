@@ -150,6 +150,8 @@ let policy_difference_tests =
             on_place = (fun ~bin:_ ~now:_ -> ());
             on_close = (fun ~bin:_ ~now:_ -> ());
             strict_any_fit = false;
+            export = (fun () -> []);
+            import = (fun _ ~selects:_ ~bin:_ -> Ok ());
           }
         in
         let specs = [ (0.0, 4.0, v [ 10 ]) ] in
@@ -172,6 +174,8 @@ let policy_difference_tests =
             on_place = (fun ~bin:_ ~now:_ -> ());
             on_close = (fun ~bin:_ ~now:_ -> ());
             strict_any_fit = false;
+            export = (fun () -> []);
+            import = (fun _ ~selects:_ ~bin:_ -> Ok ());
           }
         in
         let specs = [ (0.0, 4.0, v [ 10 ]); (1.0, 5.0, v [ 10 ]) ] in
@@ -290,6 +294,8 @@ let misbehaving_policy_tests =
             on_place = (fun ~bin:_ ~now:_ -> ());
             on_close = (fun ~bin:_ ~now:_ -> ());
             strict_any_fit = true;
+            export = (fun () -> []);
+            import = (fun _ ~selects:_ ~bin:_ -> Ok ());
           }
         in
         let specs = [ (0.0, 2.0, v [ 10 ]); (1.0, 2.0, v [ 10 ]) ] in
@@ -305,6 +311,8 @@ let misbehaving_policy_tests =
             on_place = (fun ~bin:_ ~now:_ -> ());
             on_close = (fun ~bin:_ ~now:_ -> ());
             strict_any_fit = false;
+            export = (fun () -> []);
+            import = (fun _ ~selects:_ ~bin:_ -> Ok ());
           }
         in
         let specs = [ (0.0, 2.0, v [ 10 ]); (1.0, 2.0, v [ 10 ]) ] in
@@ -323,6 +331,8 @@ let misbehaving_policy_tests =
             on_place = (fun ~bin:_ ~now:_ -> ());
             on_close = (fun ~bin:_ ~now:_ -> ());
             strict_any_fit = false;
+            export = (fun () -> []);
+            import = (fun _ ~selects:_ ~bin:_ -> Ok ());
           }
         in
         let specs = [ (0.0, 2.0, v [ 60 ]); (1.0, 2.0, v [ 60 ]) ] in

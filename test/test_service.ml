@@ -532,60 +532,198 @@ let replay_exn events =
   | Ok sessions -> List.assoc dflt sessions
   | Error e -> Alcotest.fail e
 
-let digest_of ?(history = sample_events) session =
-  {
-    Snapshot.policy = "mtf";
-    seed = 7;
-    capacity = cap;
-    digests = [ Snapshot.digest_of_session ~tenant:dflt session ];
-    history;
-  }
+let last_event events = match List.rev events with e :: _ -> Some e | [] -> None
+
+(* a v3 snapshot of the default tenant's [session] after [history] *)
+let snap_of ?(history = sample_events) session =
+  Snapshot.of_sessions ~policy:"mtf" ~seed:7 ~capacity:cap ~events:(List.length history)
+    ~last:(last_event history) [ (dflt, session) ]
+
+(* The parent format's writer, kept as the reference the v1/v2 upgrade
+   path reads: one digest section per tenant in tenant-name order (cost
+   summed newest bin first), then the history since genesis. *)
+let v2_snapshot_text ?(policy = "mtf") ?(seed = 7) ~history sessions =
+  let buf = Buffer.create 1024 in
+  let row fmt = Printf.bprintf buf fmt in
+  row "# dvbp-snapshot v2\npolicy,%s\nseed,%d\ncapacity,100,100\nevents,%d\n" policy
+    seed (List.length history);
+  List.iter
+    (fun (tenant, session) ->
+      let horizon = Session.now session in
+      let cost =
+        Dvbp_prelude.Listx.sum_by
+          (fun (b : Dvbp_core.Bin.t) ->
+            Option.value ~default:horizon b.Dvbp_core.Bin.closed_at
+            -. b.Dvbp_core.Bin.opened_at)
+          (Session.all_bins session)
+      in
+      row "tenant,%s\nclock,%.17g\ncost,%.17g\nbins_opened,%d\n" tenant horizon cost
+        (Session.bins_opened session);
+      List.iter
+        (fun (b : Dvbp_core.Bin.t) ->
+          row "open,%d" b.Dvbp_core.Bin.id;
+          List.map (fun (r : Dvbp_core.Item.t) -> r.Dvbp_core.Item.id)
+            b.Dvbp_core.Bin.active_items
+          |> List.sort Int.compare
+          |> List.iter (row ",%d");
+          row "\n")
+        (Session.open_bins session))
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) sessions);
+  List.iter (fun e -> row "%s\n" (Journal.encode_event e)) history;
+  Buffer.contents buf
+
+let section_of (snap : Snapshot.t) =
+  match snap.Snapshot.body with
+  | Snapshot.State [ sec ] -> sec
+  | Snapshot.State _ | Snapshot.History _ -> Alcotest.fail "expected one v3 section"
 
 let snapshot_tests =
   [
     Alcotest.test_case "string round trip" `Quick (fun () ->
-        let snap = digest_of (replay_exn sample_events) in
-        let snap' = ok_or_fail (Snapshot.of_string (Snapshot.to_string snap)) in
-        check_string "policy" snap.Snapshot.policy snap'.Snapshot.policy;
-        let d = List.hd snap.Snapshot.digests
-        and d' = List.hd snap'.Snapshot.digests in
-        check_string "tenant" d.Snapshot.tenant d'.Snapshot.tenant;
-        check_bool "clock" true (d.Snapshot.clock = d'.Snapshot.clock);
-        check_bool "cost" true (d.Snapshot.cost = d'.Snapshot.cost);
-        check_int "bins_opened" d.Snapshot.bins_opened d'.Snapshot.bins_opened;
-        check_bool "open bins" true (d.Snapshot.open_bins = d'.Snapshot.open_bins);
-        check_bool "history" true
-          (List.equal Journal.equal_event snap.Snapshot.history snap'.Snapshot.history));
+        List.iter
+          (fun k ->
+            let history = List.filteri (fun i _ -> i < k) sample_events in
+            let snap = snap_of ~history (replay_exn history) in
+            let text = Snapshot.to_string snap in
+            check_bool "v3 magic" true (String.starts_with ~prefix:"# dvbp-snapshot v3\n" text);
+            let snap' = ok_or_fail (Snapshot.of_string text) in
+            check_string "policy" snap.Snapshot.policy snap'.Snapshot.policy;
+            check_int "events" k snap'.Snapshot.events;
+            check_bool "last" true
+              (Option.equal Journal.equal_event snap.Snapshot.last snap'.Snapshot.last);
+            let d = section_of snap and d' = section_of snap' in
+            check_string "tenant" d.Snapshot.tenant d'.Snapshot.tenant;
+            check_string "fingerprint" d.Snapshot.fingerprint d'.Snapshot.fingerprint;
+            check_bool "saved state" true (d.Snapshot.state = d'.Snapshot.state);
+            check_string "rewritten byte for byte" text (Snapshot.to_string snap'))
+          [ 0; 3; 6 ]);
     Alcotest.test_case "digest reflects the live session" `Quick (fun () ->
         (* cut before the departures: bins 0 and 1 still open *)
         let prefix = List.filteri (fun i _ -> i < 3) sample_events in
-        let d = Snapshot.digest_of_session ~tenant:dflt (replay_exn prefix) in
-        check_int "bins opened" 2 d.Snapshot.bins_opened;
+        let session = replay_exn prefix in
+        let d = section_of (snap_of ~history:prefix session) in
+        let st = d.Snapshot.state in
+        check_int "bins opened" 2 st.Session.Saved.next_bin;
+        check_string "fingerprint" (Session.fingerprint session) d.Snapshot.fingerprint;
         (* mtf keeps bin 1 at the front after placing item 1, so item 2 lands
-           there too *)
+           there too; items in placement order *)
         check_bool "occupants" true
-          (d.Snapshot.open_bins = [ (0, [ 0 ]); (1, [ 1; 2 ]) ]));
+          (List.map
+             (fun (b : Session.Saved.bin) ->
+               ( b.Session.Saved.bin_id,
+                 List.map (fun (r : Session.Saved.item) -> r.Session.Saved.item_id)
+                   b.Session.Saved.items ))
+             st.Session.Saved.bins
+          = [ (0, [ 0 ]); (1, [ 1; 2 ]) ]);
+        check_bool "accepted ids" true (st.Session.Saved.accepted = [ (0, 2) ]));
     Alcotest.test_case "file round trip" `Quick (fun () ->
         with_tmp_dir (fun dir ->
             let path = Filename.concat dir "s.snap" in
-            Snapshot.write ~path (digest_of (replay_exn sample_events));
+            Snapshot.write ~path (snap_of (replay_exn sample_events));
             let snap' = ok_or_fail (Snapshot.load ~path ()) in
-            check_int "history" (List.length sample_events)
-              (List.length snap'.Snapshot.history)));
+            check_int "events" (List.length sample_events) snap'.Snapshot.events));
     Alcotest.test_case "event count mismatch rejected" `Quick (fun () ->
-        let text = Snapshot.to_string (digest_of (replay_exn sample_events)) in
-        (* claim one more event than the history section holds *)
+        (* v2: the events row must count the history section *)
+        let text =
+          v2_snapshot_text ~history:sample_events [ (dflt, replay_exn sample_events) ]
+        in
+        ignore (ok_or_fail (Snapshot.of_string text));
         let doctored = replace_sub text ~sub:"events,6" ~by:"events,7" in
-        check_bool "error" true (Result.is_error (Snapshot.of_string doctored)));
+        check_bool "v2 error" true (Result.is_error (Snapshot.of_string doctored));
+        (* v3: the crc row covers the events row *)
+        let text = Snapshot.to_string (snap_of (replay_exn sample_events)) in
+        let doctored = replace_sub text ~sub:"events,6" ~by:"events,7" in
+        check_bool "v3 error" true (Result.is_error (Snapshot.of_string doctored)));
     Alcotest.test_case "corrupt history record rejected by its checksum" `Quick
       (fun () ->
-        let text = Snapshot.to_string (digest_of (replay_exn sample_events)) in
+        let text =
+          v2_snapshot_text ~history:sample_events [ (dflt, replay_exn sample_events) ]
+        in
         (* v2 times are hex floats: 3.0 = 0x1.8p+1, 4.0 = 0x1p+2 *)
         let doctored =
           replace_sub text ~sub:"depart,default,0x1.8p+1,0"
             ~by:"depart,default,0x1p+2,0"
         in
         check_bool "error" true (Result.is_error (Snapshot.of_string doctored)));
+    Alcotest.test_case "v3: spread ids are written as a bitmap and read back" `Quick
+      (fun () ->
+        (* every third id, as a tenant sees ids dealt over three clients *)
+        let p = Dvbp_core.Policy.of_name_exn ~rng:(Rng.create ~seed:7) "mtf" in
+        let s = Session.create ~capacity:cap ~policy:p () in
+        for i = 0 to 99 do
+          ignore (Session.arrive s ~at:(float_of_int i) ~id:(3 * i) ~size:(v [ 10; 10 ]) ());
+          if i >= 2 then Session.depart s ~at:(float_of_int i +. 0.5) ~item_id:(3 * (i - 2))
+        done;
+        let snap =
+          Snapshot.of_sessions ~policy:"mtf" ~seed:7 ~capacity:cap ~events:0 ~last:None
+            [ (dflt, s) ]
+        in
+        let text = Snapshot.to_string snap in
+        check_bool "bitmap row" true (contains_sub text "\nidbits,0,");
+        let d = section_of snap and d' = section_of (ok_or_fail (Snapshot.of_string text)) in
+        check_bool "same ids" true
+          (d.Snapshot.state.Session.Saved.accepted = d'.Snapshot.state.Session.Saved.accepted);
+        check_int "one range per id" 100 (List.length d'.Snapshot.state.Session.Saved.accepted);
+        let r =
+          ok_or_fail
+            (Session.restore ~capacity:cap
+               ~policy:(Dvbp_core.Policy.of_name_exn ~rng:(Rng.create ~seed:7) "mtf")
+               d'.Snapshot.state)
+        in
+        let refused id =
+          match Session.arrive r ~at:200.0 ~id ~size:(v [ 1; 1 ]) () with
+          | _ -> false
+          | exception Session.Session_error _ -> true
+        in
+        check_bool "a departed id stays refused" true (refused 150);
+        check_bool "an id never seen is accepted" false (refused 151));
+    Alcotest.test_case "v3: the crc row refuses every damaged byte and a cut" `Quick
+      (fun () ->
+        let prefix = List.filteri (fun i _ -> i < 3) sample_events in
+        let text = Snapshot.to_string (snap_of ~history:prefix (replay_exn prefix)) in
+        let n = String.length text in
+        for i = String.length "# dvbp-snapshot v3\n" to n - 1 do
+          let b = Bytes.of_string text in
+          Bytes.set b i (Char.chr (Char.code text.[i] lxor 0x10));
+          check_bool (Printf.sprintf "byte %d" i) true
+            (Result.is_error (Snapshot.of_string (Bytes.to_string b)))
+        done;
+        for k = String.length "# dvbp-snapshot v3\n" to n - 2 do
+          check_bool (Printf.sprintf "cut at %d" k) true
+            (Result.is_error (Snapshot.of_string (String.sub text 0 k)))
+        done);
+    Alcotest.test_case "v3: a negative size under a valid crc is an Error" `Quick
+      (fun () ->
+        (* the crc guards against damage, not against a file written
+           wrong: the parser still checks every field *)
+        let prefix = List.filteri (fun i _ -> i < 3) sample_events in
+        let text = Snapshot.to_string (snap_of ~history:prefix (replay_exn prefix)) in
+        let rows = String.split_on_char '\n' text in
+        let rows = List.filteri (fun i _ -> i < List.length rows - 2) rows in
+        let doctored_one = ref false in
+        let rows =
+          List.map
+            (fun r ->
+              if (not !doctored_one) && String.starts_with ~prefix:"item," r then begin
+                doctored_one := true;
+                let fields = String.split_on_char ',' r in
+                String.concat ","
+                  (List.filteri (fun i _ -> i < List.length fields - 1) fields @ [ "-5" ])
+              end
+              else r)
+            rows
+        in
+        check_bool "an item row was doctored" true !doctored_one;
+        let body = String.concat "\n" rows ^ "\n" in
+        let crc =
+          Dvbp_tracestore.Crc32.update 0 (Bytes.of_string body) ~pos:0
+            ~len:(String.length body)
+        in
+        let doctored = Printf.sprintf "%scrc,%08x\n" body crc in
+        match Snapshot.of_string doctored with
+        | Ok _ -> Alcotest.fail "a negative size was accepted"
+        | Error msg -> check_bool msg true (contains_sub msg "negative size")
+        | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e));
   ]
 
 let event_of_record = function
@@ -677,8 +815,10 @@ let recovery_tests =
             let st = ok_or_fail (Recovery.recover ~journal:path ()) in
             check_int "from journal" (List.length sample_events) st.Recovery.from_journal;
             check_int "from snapshot" 0 st.Recovery.from_snapshot;
-            check_bool "history" true
-              (List.equal Journal.equal_event sample_events st.Recovery.history)));
+            check_int "events" (List.length sample_events) st.Recovery.events;
+            check_bool "last event" true
+              (Option.equal Journal.equal_event (last_event sample_events)
+                 st.Recovery.last)));
     Alcotest.test_case "recover requires base=0 without a snapshot" `Quick (fun () ->
         with_tmp_dir (fun dir ->
             let path = Filename.concat dir "j.log" in
@@ -694,7 +834,7 @@ let recovery_tests =
             let w = Journal.create ~path:journal (header ()) in
             List.iter (Journal.append w) sample_events;
             Journal.close w;
-            let snap = digest_of ~history:[] (replay_exn []) in
+            let snap = snap_of ~history:[] (replay_exn []) in
             Snapshot.write ~path:snapshot { snap with Snapshot.policy = "ff" };
             check_bool "error" true
               (Result.is_error (Recovery.recover ~snapshot ~journal ()))));
@@ -771,7 +911,7 @@ let recovery_tests =
             let suffix = List.filteri (fun i _ -> i >= 3) sample_events in
             let journal = Filename.concat dir "j.log" in
             let snapshot = Filename.concat dir "s.snap" in
-            Snapshot.write ~path:snapshot (digest_of ~history:prefix (replay_exn prefix));
+            Snapshot.write ~path:snapshot (snap_of ~history:prefix (replay_exn prefix));
             let w = Journal.create ~path:journal (header ~base:3 ()) in
             List.iter (Journal.append w) suffix;
             Journal.close w;
@@ -791,7 +931,7 @@ let recovery_tests =
             let journal = Filename.concat dir "j.log" in
             let snapshot = Filename.concat dir "s.snap" in
             let prefix = List.filteri (fun i _ -> i < 4) sample_events in
-            Snapshot.write ~path:snapshot (digest_of ~history:prefix (replay_exn prefix));
+            Snapshot.write ~path:snapshot (snap_of ~history:prefix (replay_exn prefix));
             let w = Journal.create ~path:journal (header ()) in
             List.iter (Journal.append w) sample_events;
             Journal.close w;
@@ -806,7 +946,7 @@ let recovery_tests =
             let journal = Filename.concat dir "j.log" in
             let snapshot = Filename.concat dir "s.snap" in
             let prefix = List.filteri (fun i _ -> i < 4) sample_events in
-            Snapshot.write ~path:snapshot (digest_of ~history:prefix (replay_exn prefix));
+            Snapshot.write ~path:snapshot (snap_of ~history:prefix (replay_exn prefix));
             (* journal claims a different event where the snapshot's history
                ends: the files disagree about the past *)
             let doctored =
@@ -1645,7 +1785,7 @@ let batch_tests =
         (* power cut right after the replies: only fsynced bytes survive *)
         Dvbp_sim.Sim_fs.crash fs ~mode:Dvbp_sim.Sim_fs.Lose_unsynced;
         let st = ok_or_fail (Recovery.recover ~io ~journal:"d/j.log" ()) in
-        check_int "both acked events survive" 2 (List.length st.Recovery.history));
+        check_int "both acked events survive" 2 st.Recovery.events);
     Alcotest.test_case "jobs=4 batch results are bit-identical to jobs=1" `Quick
       (fun () ->
         let lines = tenant_mix_lines () in
@@ -1722,8 +1862,8 @@ let batch_tests =
       (fun () ->
         (* the same script, sent whole or in seeded 1-4096-byte pieces,
            must draw byte-identical replies: lines split across reads, a
-           100 KiB line that outgrows the connection's input buffer, and an
-           unterminated final line answered at EOF *)
+           60 KiB line (within the 64 KiB request-line bound) spanning many
+           reads, and an unterminated final line answered at EOF *)
         let script =
           let rng = Random.State.make [| 0xC4A7 |] in
           let b = Buffer.create 131072 in
@@ -1738,7 +1878,7 @@ let batch_tests =
             Buffer.add_char b '\n';
             if i = 150 then begin
               Buffer.add_string b "ARRIVE ";
-              Buffer.add_string b (String.make (100 * 1024) '7');
+              Buffer.add_string b (String.make (60 * 1024) '7');
               Buffer.add_char b '\n'
             end
           done;
@@ -1792,6 +1932,132 @@ let batch_tests =
             check_string (Printf.sprintf "seed %d replies" seed) whole
               (serve_in (pieces 0)))
           [ 1; 2; 3 ]);
+    Alcotest.test_case "event loop: an overlong request line is refused and bounded"
+      `Quick (fun () ->
+        (* a client streams 1 MiB with no newline: it gets one ERR and its
+           connection closes, the input buffer never exceeds twice the
+           64 KiB line bound, a well-behaved client beside it gets
+           byte-for-byte the replies it gets alone, and the blocking stdin
+           loop answers an overlong line exactly as the event loop does *)
+        let script =
+          "ARRIVE 0 0 60,10\nARRIVE 1 1 50,50\nSTATS\nDEPART 2 0\nARRIVE 3 2 10,10\nQUIT\n"
+        in
+        let read_all fd =
+          let buf = Bytes.create 4096 and out = Buffer.create 256 in
+          let rec go () =
+            match Unix.read fd buf 0 (Bytes.length buf) with
+            | 0 -> Buffer.contents out
+            | n ->
+                Buffer.add_subbytes out buf 0 n;
+                go ()
+            | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> Buffer.contents out
+          in
+          go ()
+        in
+        let strip_latency reply =
+          String.split_on_char ' ' reply
+          |> List.filter (fun f -> not (String.starts_with ~prefix:"latency" f))
+          |> String.concat " "
+        in
+        let run ~hostile =
+          let t = fresh_server_jobs ~jobs:1 () in
+          let s_g, c_g = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          let pairs =
+            if hostile then [ Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 ] else []
+          in
+          let loop =
+            Domain.spawn (fun () -> Event_loop.serve ~conns:(List.map fst pairs @ [ s_g ]) t)
+          in
+          let flood =
+            List.map
+              (fun (_, c_h) ->
+                Domain.spawn (fun () ->
+                    let chunk = String.make 65536 'A' in
+                    (try
+                       for _ = 1 to 16 do
+                         let off = ref 0 in
+                         while !off < 65536 do
+                           off := !off + Unix.write_substring c_h chunk !off (65536 - !off)
+                         done
+                       done
+                     with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+                    (* end of input: an unbounded server answers now instead of hanging *)
+                    try Unix.shutdown c_h Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ()))
+              pairs
+          in
+          if hostile then Unix.sleepf 0.05;
+          ignore (Unix.write_substring c_g script 0 (String.length script));
+          let got_g = read_all c_g in
+          List.iter Domain.join flood;
+          let got_h = List.map (fun (_, c_h) -> read_all c_h) pairs in
+          Domain.join loop;
+          Unix.close c_g;
+          List.iter (fun (_, c_h) -> Unix.close c_h) pairs;
+          (String.split_on_char '\n' got_g |> List.map strip_latency, got_h)
+        in
+        let alone, _ = run ~hostile:false in
+        let beside, hostile_replies = run ~hostile:true in
+        check_bool "the other client's replies are unchanged" true (alone = beside);
+        check_bool "its replies are real" true (List.length alone = 7);
+        check_bool "one ERR, then the connection closed" true
+          (hostile_replies = [ "ERR request line exceeds 65536 bytes\n" ]);
+        (* the framing alone: 4 KiB writes with no newline until refused *)
+        let s, c = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        let conn = Event_loop.make_conn s in
+        let chunk = String.make 4096 'A' in
+        let sent = ref 0 and peak = ref 0 in
+        while (not (Event_loop.refused conn)) && !sent < 1 lsl 20 do
+          sent := !sent + Unix.write_substring c chunk 0 4096;
+          Event_loop.read_chunk conn;
+          peak := max !peak (Event_loop.input_capacity conn)
+        done;
+        Unix.close s;
+        Unix.close c;
+        check_bool "refused within the line bound" true
+          (Event_loop.refused conn && !sent <= 65536 + 4096);
+        check_bool (Printf.sprintf "input buffer peak %d <= 131072" !peak) true
+          (!peak <= 2 * 65536);
+        (* both transports: the lines before the overlong one answered,
+           then the ERR, then nothing *)
+        let script =
+          "ARRIVE 0 0 60,10\nARRIVE 1 1 50,50\nARRIVE 2 " ^ String.make 70000 '9'
+          ^ " 5,5\nARRIVE 3 2 10,10\nQUIT\n"
+        in
+        let via_stdin =
+          let req_r, req_w = Unix.pipe () and resp_r, resp_w = Unix.pipe () in
+          let t = fresh_server () in
+          let srv =
+            Domain.spawn (fun () ->
+                let oc = Unix.out_channel_of_descr resp_w in
+                Server.serve t (Unix.in_channel_of_descr req_r) oc;
+                close_out oc)
+          in
+          let writer =
+            Domain.spawn (fun () ->
+                (try ignore (Unix.write_substring req_w script 0 (String.length script))
+                 with Unix.Unix_error (Unix.EPIPE, _, _) -> ());
+                Unix.close req_w)
+          in
+          let got = read_all resp_r in
+          Domain.join srv;
+          Domain.join writer;
+          Unix.close req_r;
+          Unix.close resp_r;
+          got
+        in
+        let via_loop =
+          let s, c = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          let loop = Domain.spawn (fun () -> Event_loop.serve ~conns:[ s ] (fresh_server ())) in
+          (try ignore (Unix.write_substring c script 0 (String.length script))
+           with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+          let got = read_all c in
+          Domain.join loop;
+          Unix.close c;
+          got
+        in
+        check_string "stdin and event loop answer alike" via_loop via_stdin;
+        check_int "two replies, then the ERR" 3
+          (List.length (String.split_on_char '\n' via_stdin) - 1));
     Alcotest.test_case "append_to upgrades a v1 journal in place" `Quick
       (fun () ->
         with_tmp_dir (fun dir ->
@@ -2277,6 +2543,163 @@ let resume_tests =
             check_int "split" 10 st.Recovery.from_snapshot));
   ]
 
+(* {1 State snapshots: size follows the live state; v2 files upgrade} *)
+
+(* [n] events of one tenant ending with the same live shape whatever [n]:
+   item [i] arrives at time [i] and item [i - 3] departs just before it,
+   so three 40,40 items are live at the end *)
+let sliding_lines n =
+  let arrivals = (n + 3) / 2 in
+  List.concat
+    (List.init arrivals (fun i ->
+         (if i >= 3 then [ Printf.sprintf "DEPART %d %d" i (i - 3) ] else [])
+         @ [ Printf.sprintf "ARRIVE %d %d 40,40" i i ]))
+
+let compacting_snapshot_bytes ~dir n =
+  let journal = Filename.concat dir "j.log" and snapshot = Filename.concat dir "s.snap" in
+  let t =
+    ok_or_fail
+      (Server.create ~metrics:(Metrics.noop ())
+         {
+           Server.policy = "mtf";
+           seed = 7;
+           capacity = cap;
+           journal = Some journal;
+           snapshot = Some snapshot;
+           snapshot_every = None;
+           fsync_every = 1024;
+           jobs = 1;
+           segment_bytes = Some 65536;
+           retain_segments = Some 1;
+         })
+  in
+  let rec feed = function
+    | [] -> ()
+    | lines ->
+        let chunk = List.filteri (fun i _ -> i < 1024) lines in
+        Array.iter
+          (fun (reply, _) ->
+            if reply.[0] <> 'P' && reply.[0] <> 'O' then Alcotest.failf "refused: %s" reply)
+          (Server.handle_batch t (Array.of_list chunk));
+        Server.compaction_step t;
+        feed (List.filteri (fun i _ -> i >= 1024) lines)
+  in
+  let lines = sliding_lines n in
+  feed lines;
+  ignore (ok_or_fail (Server.compact t));
+  let fp = Session.fingerprint (Server.session t) in
+  Server.close t;
+  let st = ok_or_fail (Recovery.recover ~snapshot ~journal ()) in
+  check_int "recovered every event" (List.length lines) st.Recovery.events;
+  check_int "all from the snapshot" (List.length lines) st.Recovery.from_snapshot;
+  check_string "restored state" fp (Session.fingerprint (Recovery.session st));
+  let bytes = (Unix.stat snapshot).Unix.st_size in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  bytes
+
+let fixture = Filename.concat "fixtures" "v2-upgrade"
+
+let copy_fixture dir =
+  List.iter
+    (fun name ->
+      let text = In_channel.with_open_bin (Filename.concat fixture name) In_channel.input_all in
+      Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+          Out_channel.output_string oc text))
+    [ "s.snap"; "j.log.000001.seg.open" ]
+
+(* the fixture's per-tenant fingerprints and STATS engine fields *)
+let fixture_expectations () =
+  match
+    In_channel.with_open_bin (Filename.concat fixture "fingerprints") In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  with
+  | [ d; b; stats ] ->
+      let split l =
+        let i = String.index l ' ' in
+        (String.sub l 0 i, String.sub l (i + 1) (String.length l - i - 1))
+      in
+      ([ split d; split b ], stats)
+  | _ -> Alcotest.fail "malformed fixture fingerprints"
+
+let engine_fields stats =
+  String.split_on_char ' ' stats
+  |> List.filter (fun f ->
+         List.exists
+           (fun k -> String.starts_with ~prefix:(k ^ "=") f)
+           [ "events"; "open_bins"; "bins_opened"; "active_items"; "clock"; "cost" ])
+
+let state_snapshot_tests =
+  [
+    Alcotest.test_case "snapshot bytes follow the live state, not the history" `Slow
+      (fun () ->
+        with_tmp_dir (fun dir ->
+            let small = compacting_snapshot_bytes ~dir 10_000 in
+            let large = compacting_snapshot_bytes ~dir 100_000 in
+            Printf.printf "v3 snapshot bytes: %d after 10k events, %d after 100k\n" small
+              large;
+            check_bool
+              (Printf.sprintf "%d and %d bytes differ by at most 64" small large)
+              true
+              (abs (large - small) <= 64)));
+    Alcotest.test_case "a v2 snapshot and journal resume and are rewritten as v3" `Quick
+      (fun () ->
+        with_tmp_dir (fun dir ->
+            copy_fixture dir;
+            let journal = Filename.concat dir "j.log" and snapshot = Filename.concat dir "s.snap" in
+            let fps, stats = fixture_expectations () in
+            let check_state what (st : Recovery.state) =
+              check_int (what ^ ": events") 90 st.Recovery.events;
+              check_bool (what ^ ": tenant order") true
+                (List.map fst st.Recovery.sessions = List.map fst fps);
+              List.iter
+                (fun (tenant, fp) ->
+                  check_string (what ^ ": tenant " ^ tenant) fp
+                    (Session.fingerprint (List.assoc tenant st.Recovery.sessions)))
+                fps
+            in
+            let st = ok_or_fail (Recovery.recover ~snapshot ~journal ()) in
+            check_state "from v2" st;
+            check_int "v2 history replayed" 60 st.Recovery.from_snapshot;
+            let config =
+              {
+                Server.policy = "rf";
+                seed = 7;
+                capacity = cap;
+                journal = Some journal;
+                snapshot = Some snapshot;
+                snapshot_every = None;
+                fsync_every = 64;
+                jobs = 1;
+                segment_bytes = None;
+                retain_segments = None;
+              }
+            in
+            let t = ok_or_fail (Server.resume config st) in
+            check_bool "STATS engine fields" true
+              (engine_fields (Server.stats_line t) = engine_fields stats);
+            ignore (ok_or_fail (Server.compact t));
+            Server.close t;
+            let text = In_channel.with_open_bin snapshot In_channel.input_all in
+            check_bool "rewritten as v3" true
+              (String.starts_with ~prefix:"# dvbp-snapshot v3\n" text);
+            let st = ok_or_fail (Recovery.recover ~snapshot ~journal ()) in
+            check_state "from v3" st;
+            check_int "v3 covers every event" 90 st.Recovery.from_snapshot;
+            (* both resume paths place the next events alike *)
+            let t = ok_or_fail (Server.resume config st) in
+            let again = ok_or_fail (Recovery.recover ~journal:(Filename.concat fixture "j.log") ~snapshot:(Filename.concat fixture "s.snap") ()) in
+            let u = ok_or_fail (Server.resume { config with journal = None; snapshot = None } again) in
+            List.iter
+              (fun line ->
+                check_string line (fst (Server.handle_line u line))
+                  (fst (Server.handle_line t line)))
+              [ "ARRIVE 26 100 30,30"; "ARRIVE b 26 100 30,30"; "ARRIVE 27 101 60,60";
+                "DEPART b 27 100"; "ARRIVE b 28 101 60,60"; "ARRIVE 29 102 90,5" ];
+            Server.close t;
+            Server.close u));
+  ]
+
 let suites =
   [
     ("service.journal", journal_tests);
@@ -2290,4 +2713,5 @@ let suites =
     ("service.loadgen", loadgen_tests);
     ("service.metrics", metrics_tests);
     ("service.resume", resume_tests);
+    ("service.state_snapshot", state_snapshot_tests);
   ]

@@ -257,7 +257,7 @@ let message_tests =
         Session.depart s ~at:3.0 ~item_id:1;
         check_mentions "double departure"
           (message_of (fun () -> Session.depart s ~at:4.0 ~item_id:1))
-          [ "item 1"; "at 4"; "departed at 3" ]);
+          [ "item 1"; "at 4"; "already departed" ]);
     Alcotest.test_case "bad clairvoyant departure names both timestamps" `Quick
       (fun () ->
         let s = fresh () in
@@ -297,9 +297,224 @@ let message_tests =
         check_float "clock unmoved" 1.0 (Session.now s));
   ]
 
+(* {1 Restore differential}
+
+   Session A runs a random event stream whole. Session B runs a prefix and
+   is exported, written out as v3 snapshot text, read back and restored as
+   C, which runs the suffix. A and C must agree at every step — the same
+   placement or the same refusal, and equal fingerprints — and then again
+   on injected refusals: an arrival reusing a departed id, a departure of
+   a departed id, a departure of an id never seen. *)
+
+type op =
+  | Op_arrive of float * int * int * float option * int
+      (* dt, sizes, clairvoyant duration, ids skipped before this one *)
+  | Op_depart of float * int  (* dt, index among live items *)
+
+let restore_policies = [ "ff"; "lf"; "bf"; "wf"; "mtf"; "nf"; "nf3"; "rf"; "daf"; "hff" ]
+let restore_cap = v [ 10; 10 ]
+
+let op_gen =
+  QCheck2.Gen.(
+    let dt = oneof [ pure 0.0; map (fun k -> float_of_int k /. 4.0) (int_range 1 8); float_range 0.01 3.0 ] in
+    frequency
+      [
+        ( 3,
+          map
+            (fun (dt, a, b, dur, skip) -> Op_arrive (dt, a, b, dur, skip))
+            (tup5 dt (int_range 1 10) (int_range 1 10)
+               (option (float_range 0.5 20.0))
+               (frequency [ (3, pure 0); (1, int_range 1 3) ])) );
+        (2, map2 (fun dt i -> Op_depart (dt, i)) dt (int_range 0 1000));
+      ])
+
+(* the stream as session events: ids in order, departures of live items
+   (or, with no live item, of an id never used — a refusal) *)
+let events_of ops =
+  let clock = ref 0.0 and next = ref 0 and live = ref [] in
+  List.map
+    (fun op ->
+      match op with
+      | Op_arrive (dt, a, b, dur, skip) ->
+          clock := !clock +. dt;
+          let id = !next + skip in
+          next := id + 1;
+          live := !live @ [ id ];
+          `Arrive (!clock, id, v [ a; b ], Option.map (fun d -> !clock +. d) dur)
+      | Op_depart (dt, i) -> (
+          clock := !clock +. dt;
+          match !live with
+          | [] -> `Depart (!clock, 1_000_000 + i)
+          | l ->
+              let id = List.nth l (i mod List.length l) in
+              live := List.filter (fun x -> x <> id) l;
+              `Depart (!clock, id)))
+    ops
+
+let step s = function
+  | `Arrive (at, id, size, departure) -> (
+      match Session.arrive s ~at ~id ?departure ~size () with
+      | p -> Ok (Some (p.Session.bin_id, p.Session.opened_new_bin))
+      | exception Session.Session_error msg -> Error msg)
+  | `Depart (at, item_id) -> (
+      match Session.depart s ~at ~item_id with
+      | () -> Ok None
+      | exception Session.Session_error msg -> Error msg)
+
+let through_v3 ~name session =
+  let open Dvbp_service in
+  let snap =
+    Snapshot.of_sessions ~policy:name ~seed:9 ~capacity:restore_cap ~events:0 ~last:None
+      [ (Tenant.default, session) ]
+  in
+  match Snapshot.of_string (Snapshot.to_string snap) with
+  | Ok { Snapshot.body = Snapshot.State [ sec ]; _ } -> sec.Snapshot.state
+  | Ok _ -> failwith "unexpected snapshot body"
+  | Error e -> failwith e
+
+let restore_differential =
+  QCheck2.Test.make ~name:"a restored session continues exactly like the original"
+    ~count:200
+    QCheck2.Gen.(pair (list_size (int_range 1 60) op_gen) (float_range 0.0 1.0))
+    (fun (ops, cut) ->
+      let events = events_of ops in
+      let k = int_of_float (cut *. float_of_int (List.length events)) in
+      List.iter
+        (fun name ->
+          List.iter
+            (fun fit_kernel ->
+              let fresh () =
+                Session.create ~fit_kernel ~capacity:restore_cap
+                  ~policy:(Policy.of_name_exn ~rng:(Rng.create ~seed:9) name) ()
+              in
+              let a = fresh () and b = fresh () in
+              let fail what i =
+                QCheck2.Test.fail_reportf "%s (%s kernel): %s at step %d" name
+                  (match fit_kernel with `Auto -> "auto" | `Scalar -> "scalar")
+                  what i
+              in
+              List.iteri
+                (fun i e ->
+                  if i < k then begin
+                    ignore (step a e);
+                    ignore (step b e)
+                  end)
+                events;
+              let c =
+                match
+                  Session.restore ~fit_kernel ~capacity:restore_cap
+                    ~policy:(Policy.of_name_exn ~rng:(Rng.create ~seed:9) name)
+                    (through_v3 ~name b)
+                with
+                | Ok c -> c
+                | Error e -> fail ("restore failed: " ^ e) k
+              in
+              if Session.fingerprint c <> Session.fingerprint a then fail "fingerprint" k;
+              List.iteri
+                (fun i e ->
+                  if i >= k then begin
+                    if step a e <> step c e then fail "outcome" i;
+                    if Session.fingerprint a <> Session.fingerprint c then
+                      fail "fingerprint" i
+                  end)
+                events;
+              let departed =
+                List.filter_map
+                  (function `Depart (_, id) when id < 1_000_000 -> Some id | _ -> None)
+                  events
+              in
+              let at = Session.now a +. 1.0 in
+              let injected =
+                (match departed with
+                | id :: _ -> [ `Arrive (at, id, v [ 1; 1 ], None); `Depart (at, id) ]
+                | [] -> [])
+                @ [ `Depart (at, 999_999) ]
+              in
+              List.iter
+                (fun e ->
+                  let ra = step a e and rc = step c e in
+                  if ra <> rc then
+                    let show = function Ok _ -> "ok" | Error m -> m in
+                    fail ("injected event: " ^ show ra ^ " vs " ^ show rc) (List.length events))
+                injected;
+              if Session.fingerprint a <> Session.fingerprint c then
+                fail "fingerprint after refusals" (List.length events))
+            [ `Auto; `Scalar ])
+        restore_policies;
+      true)
+
+let restore_tests =
+  [
+    QCheck_alcotest.to_alcotest restore_differential;
+    Alcotest.test_case "a restored session refuses finish and trace" `Quick (fun () ->
+        let s = fresh () in
+        ignore (Session.arrive s ~at:0.0 ~id:0 ~size:(v [ 5 ]) ());
+        Session.depart s ~at:1.0 ~item_id:0;
+        let r =
+          match
+            Session.restore ~capacity:cap ~policy:(Policy.first_fit ()) (Session.export s)
+          with
+          | Ok r -> r
+          | Error e -> Alcotest.fail e
+        in
+        check_bool "finish refused" true (raises_session (fun () -> Session.finish r ~at:2.0));
+        check_bool "trace refused" true (raises_session (fun () -> Session.trace r));
+        check_bool "departed id still refused" true
+          (raises_session (fun () -> Session.arrive r ~at:2.0 ~id:0 ~size:(v [ 1 ]) ())));
+    Alcotest.test_case "restore refuses inconsistent saved state" `Quick (fun () ->
+        let s = fresh () in
+        ignore (Session.arrive s ~at:0.0 ~id:0 ~size:(v [ 60 ]) ());
+        ignore (Session.arrive s ~at:1.0 ~id:1 ~size:(v [ 60 ]) ());
+        let st = Session.export s in
+        let restore st = Session.restore ~capacity:cap ~policy:(Policy.first_fit ()) st in
+        check_bool "as exported" true (Result.is_ok (restore st));
+        let bins = st.Session.Saved.bins in
+        check_bool "bins out of order" true
+          (Result.is_error (restore { st with Session.Saved.bins = List.rev bins }));
+        check_bool "item outside the accepted ids" true
+          (Result.is_error (restore { st with Session.Saved.accepted = [ (0, 0) ] }));
+        check_bool "bin id beyond next_bin" true
+          (Result.is_error (restore { st with Session.Saved.next_bin = 1 }));
+        (match bins with
+        | b0 :: b1 :: _ ->
+            check_bool "an item that does not fit" true
+              (Result.is_error
+                 (restore
+                    {
+                      st with
+                      Session.Saved.bins =
+                        [ { b0 with Session.Saved.items = b0.Session.Saved.items @ b1.Session.Saved.items } ];
+                    }))
+        | _ -> Alcotest.fail "expected two bins");
+        check_bool "a stateless policy given state" true
+          (Result.is_error (restore { st with Session.Saved.policy_state = [ 1 ] }));
+        check_bool "a negative counter" true
+          (Result.is_error (restore { st with Session.Saved.rejects = -1 })));
+    Alcotest.test_case "restore refuses an rf draw count beyond its selects" `Quick
+      (fun () ->
+        (* fast-forwarding the rng costs one step per draw: a count no
+           real history could reach is refused, not looped over *)
+        let rf () = Policy.random_fit ~rng:(Rng.create ~seed:3) () in
+        let s = fresh ~policy:(rf ()) () in
+        for i = 0 to 49 do
+          ignore (Session.arrive s ~at:(float_of_int i) ~id:i ~size:(v [ 30 ]) ())
+        done;
+        let st = Session.export s in
+        let restore st = Session.restore ~capacity:cap ~policy:(rf ()) st in
+        (match restore st with
+        | Ok r -> check_bool "as exported" true (Session.fingerprint r = Session.fingerprint s)
+        | Error e -> Alcotest.fail e);
+        check_bool "a draw count past twice the selects" true
+          (Result.is_error
+             (restore { st with Session.Saved.policy_state = [ (2 * 50) + 65 ] }));
+        check_bool "a huge draw count" true
+          (Result.is_error (restore { st with Session.Saved.policy_state = [ max_int ] })));
+  ]
+
 let suites =
   [
     ("session.lifecycle", lifecycle_tests);
     ("session.errors", error_tests);
     ("session.error_messages", message_tests);
+    ("session.restore", restore_tests);
   ]
