@@ -36,6 +36,7 @@ type t = {
   mutable trace_rev : Trace.event list;
   mutable max_open : int;
   mutable finished : bool;
+  mutable live : int;  (* items placed and not yet departed *)
   (* Observability tallies — scraped by the metrics layer at render
      time, never read by the engine itself. Refused events are counted
      here precisely because they leave everything else untouched. *)
@@ -79,6 +80,7 @@ let make ~record_trace ~expected_items ~fit_kernel ~capacity ~policy ~accepted ~
     trace_rev = [];
     max_open = 0;
     finished = false;
+    live = 0;
     stat_placements = 0;
     stat_departures = 0;
     stat_rejects = 0;
@@ -238,6 +240,7 @@ let arrive_core t ~at ?id ?departure ~size () =
   Bin.place target item ~touch:(next_touch t);
   Bin_registry.refresh t.open_bins target;
   Int_table.replace t.items item_id { item; bin = target; departed_at = None };
+  t.live <- t.live + 1;
   emit t (Trace.Placed { time = at; item_id; bin_id = target.Bin.id });
   t.policy.Policy.on_place ~bin:target ~now:at;
   { item_id; bin_id = target.Bin.id; opened_new_bin }
@@ -271,6 +274,7 @@ let depart_core t ~at ~item_id =
       state.item.Item.arrival;
   commit_advance t at;
   state.departed_at <- Some at;
+  t.live <- t.live - 1;
   Bin.remove state.bin state.item;
   emit t (Trace.Departed { time = at; item_id; bin_id = state.bin.Bin.id });
   if Bin.is_empty state.bin then begin
@@ -301,10 +305,7 @@ let apply t = function
 
 let open_bins t = Bin_registry.to_list t.open_bins
 
-let active_items t =
-  Int_table.fold t.items
-    (fun _ s acc -> match s.departed_at with None -> acc + 1 | Some _ -> acc)
-    0
+let active_items t = t.live
 
 let bins_opened t = t.next_bin
 let max_open_bins t = t.max_open
@@ -324,8 +325,6 @@ let cost_so_far t =
   Bin_registry.iter t.open_bins (fun (b : Bin.t) ->
       kahan_step sum comp (horizon -. b.Bin.opened_at));
   sum.time
-
-let all_bins t = t.all_bins_desc
 
 let fingerprint t =
   let buf = Buffer.create 256 in
@@ -511,6 +510,7 @@ let restore ?(fit_kernel = `Auto) ~capacity ~policy (st : Saved.t) =
     t.next_bin <- st.Saved.next_bin;
     t.touch <- st.Saved.touch;
     t.max_open <- st.Saved.max_open;
+    t.live <- live;
     t.stat_placements <- st.Saved.placements;
     t.stat_departures <- st.Saved.departures;
     t.stat_rejects <- st.Saved.rejects;

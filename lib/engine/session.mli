@@ -92,6 +92,7 @@ val open_bins : t -> Dvbp_core.Bin.t list
 (** Currently open bins in opening order. Callers must not mutate. *)
 
 val active_items : t -> int
+(** Items placed and not yet departed. O(1). *)
 
 val bins_opened : t -> int
 
@@ -127,11 +128,6 @@ val cost_so_far : t -> float
 (** Total bin-time accumulated up to [now] (open bins billed to [now]): a
     Kahan sum fed once per bin close, continued over the open bins in id
     order. O(open bins). *)
-
-val all_bins : t -> Dvbp_core.Bin.t list
-(** Every bin the session holds, newest first: all bins ever opened, or
-    for a {!restore}d session the bins open at the restore and those
-    opened since. Callers must not mutate. *)
 
 val fingerprint : t -> string
 (** Canonical one-line digest of the observable state: clock, cost (both

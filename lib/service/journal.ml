@@ -1,8 +1,5 @@
 module Vec = Dvbp_vec.Vec
 
-let magic = "# dvbp-journal v2"
-let magic_v1 = "# dvbp-journal v1"
-
 (* the codec lives in {!Record} (shared with {!Segment}); re-exported here
    so every existing caller keeps reading [Journal.Arrive]/[Journal.header] *)
 type header = Record.header = {
@@ -33,115 +30,52 @@ let decode_event = Record.decode_event
 
 (* ---------- reading ---------- *)
 
-type read = {
-  header : header;
-  events : event list;
-  dropped_torn : bool;
-  version : int;
-}
-
-(* legacy single-file reader (v1/v2 magic). Kept for reading journals from
-   before the segmented format; {!append_to} migrates such a file into an
-   active segment before the first new record. *)
-let of_string text =
-  let ( let* ) = Result.bind in
-  if String.trim text = "" then Error "empty journal"
-  else begin
-    let terminated = text.[String.length text - 1] = '\n' in
-    let lines = String.split_on_char '\n' text in
-    (* a terminated file splits into a final "" pseudo-line: drop it *)
-    let lines =
-      if terminated then
-        match List.rev lines with "" :: rest -> List.rev rest | _ -> lines
-      else lines
-    in
-    let p = Record.empty_partial () in
-    let decoder = Record.decoder () in
-    let version = ref 2 in
-    (* The final line of an unterminated file is a torn-write candidate: if
-       it fails to parse it is dropped (the crash interrupted the append),
-       never reported as corruption. Everywhere else, failures are hard. *)
-    let rec go line ~events = function
-      | [] ->
-          let* header = Record.finish_header p in
-          Ok { header; events = List.rev events; dropped_torn = false; version = !version }
-      | raw :: rest -> (
-          let torn_candidate = rest = [] && not terminated in
-          let trimmed = String.trim raw in
-          let tear_or error =
-            if torn_candidate then
-              let* header = Record.finish_header p in
-              Ok { header; events = List.rev events; dropped_torn = true; version = !version }
-            else error ()
-          in
-          if line = 1 then
-            if trimmed = magic then go 2 ~events rest
-            else if trimmed = magic_v1 then begin
-              version := 1;
-              go 2 ~events rest
-            end
-            else Error (Printf.sprintf "line 1: expected %S, got %S" magic trimmed)
-          else if trimmed = "" || trimmed.[0] = '#' then go (line + 1) ~events rest
-          else if Record.is_record trimmed 0 (String.length trimmed) then
-            (* records may only follow a complete header *)
-            let* _ = Record.finish_header p in
-            match
-              Record.decode ~version:!version ~decoder trimmed 0 (String.length trimmed)
-            with
-            | Ok e -> go (line + 1) ~events:(e :: events) rest
-            | Error msg ->
-                tear_or (fun () -> Error (Printf.sprintf "line %d: %s" line msg))
-          else
-            match Record.header_row ~line p trimmed with
-            | Ok () -> go (line + 1) ~events rest
-            | Error msg -> tear_or (fun () -> Error msg))
-    in
-    go 1 ~events:[] lines
-  end
+type read = { header : header; events : event list; dropped_torn : bool }
 
 let ( let* ) = Result.bind
 
 let view_read (v : Log.view) =
-  {
-    header = v.Log.v_header;
-    events = v.Log.v_events;
-    dropped_torn = v.Log.v_dropped_torn;
-    version = 2;
-  }
+  { header = v.Log.v_header; events = v.Log.v_events; dropped_torn = v.Log.v_dropped_torn }
 
-(* What one read of a journal found: a legacy file (parsed, and whether
-   its last byte was a newline) or a segment chain. {!append_to} reopens
-   the writer from it, so a resume reads each file once. *)
-type form = Legacy of { read : read; unterminated : bool } | Segments of Log.view
+let retired format =
+  Printf.sprintf
+    "%s is a retired format; run `dvbp compact` with a build from commit 3660be8 or \
+     earlier to rewrite it in the current one"
+    format
 
-(* every file of the journal at [path] (the legacy name and each listed
-   segment) with its size *)
-let stamp ~io path =
-  List.map (fun p -> (p, io.Io.file_size p)) (path :: Log.all_paths ~io path)
+(* The single-file formats that preceded segments ([# dvbp-journal v1]
+   and [v2] at the journal's own path) are no longer read. A file there
+   is refused rather than skipped, so a resume never starts fresh over
+   it; [create] still wipes it on an explicit fresh start. *)
+let refuse_file ~io path =
+  let first =
+    match io.Io.read_file path with
+    | Ok text -> String.trim (List.hd (String.split_on_char '\n' text))
+    | Error _ -> ""
+  in
+  if first = "# dvbp-journal v1" || first = "# dvbp-journal v2" then
+    Error (retired (Printf.sprintf "a single-file journal (%s)" first))
+  else
+    Error
+      (Printf.sprintf
+         "a regular file, not a journal (a journal is the segment files %s.NNNNNN.seg)"
+         (Filename.basename path))
+
+(* every segment file of the journal at [path] with its size *)
+let stamp ~io path = List.map (fun p -> (p, io.Io.file_size p)) (Log.all_paths ~io path)
 
 (* [stamp] is taken before the files are read: a write after it changes a
    size or the listing, and {!append_to} then reads the files again *)
-type source = { src_path : string; stamp : (string * int option) list; form : form }
-
-let legacy_form text =
-  let* read = of_string text in
-  Ok (Legacy { read; unterminated = text.[String.length text - 1] <> '\n' })
+type source = { src_path : string; stamp : (string * int option) list; view : Log.view }
 
 let load ?(io = Real_io.v) path =
-  let stamp = stamp ~io path in
-  let* form =
-    if io.Io.file_exists path then
-      let* text = io.Io.read_file path in
-      let* form = legacy_form text in
-      Ok (Some form)
-    else
-      let* v = Log.read ~io path in
-      Ok (Option.map (fun v -> Segments v) v)
-  in
-  Ok (Option.map (fun form -> { src_path = path; stamp; form }) form)
+  if io.Io.file_exists path then refuse_file ~io path
+  else
+    let stamp = stamp ~io path in
+    let* v = Log.read ~io path in
+    Ok (Option.map (fun view -> { src_path = path; stamp; view }) v)
 
-let source_read s =
-  match s.form with Legacy l -> l.read | Segments v -> view_read v
+let source_read s = view_read s.view
 
 let absent path = Printf.sprintf "%s: no journal (no file, no segments)" path
 
@@ -152,9 +86,10 @@ let read_file ?io path =
   | Ok None -> Error (absent path)
 
 (* A journal "exists" once it holds durable state a resume must not ignore:
-   a legacy file, any segment with a complete header — or unreadable
-   segments, which must surface as a resume error rather than be shadowed
-   by a silent fresh start. *)
+   any segment with a complete header — or a file a resume must refuse
+   (unreadable segments, a file at the journal's own path), which must
+   surface as a resume error rather than be shadowed by a silent fresh
+   start. *)
 let exists ?io path =
   match load ?io path with Ok None -> false | Ok (Some _) | Error _ -> true
 
@@ -193,8 +128,8 @@ type writer = {
    a group commit allocates only the string it hands to [Io]. The buffer
    starts small (a 64 KiB block allocated at startup measurably delays a
    server's first reply) and keeps what it grows to, up to [enc_keep]; a
-   buffer that one oversized batch or a heal's whole region grew past
-   that is released afterwards rather than kept. *)
+   buffer that one oversized batch grew past that is released afterwards
+   rather than kept. *)
 let enc_initial = 4096
 let enc_keep = 65536
 
@@ -246,21 +181,8 @@ let open_active ~(io : Io.t) ~path ~idx ~base shape =
   out.Io.fsync ();
   (out, String.length hdr)
 
-let create ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
-    ?(segment_bytes = default_segment_bytes) ~path header =
-  let metrics = match metrics with Some m -> m | None -> Metrics.noop () in
-  validate_fsync_every fsync_every;
-  validate_segment_bytes segment_bytes;
-  if header.base < 0 then invalid_arg "journal base must be non-negative";
-  (* wipe whatever previous journal lived at this path: the legacy single
-     file and any segment files (including crashed-genesis leftovers) *)
-  let leftovers =
-    (if io.Io.file_exists path then [ path ] else []) @ Log.all_paths ~io path
-  in
-  List.iter (fun p -> io.Io.remove p) leftovers;
-  if leftovers <> [] then io.Io.fsync_dir (Filename.dirname path);
-  let out, hbytes = open_active ~io ~path ~idx:0 ~base:header.base header in
-  io.Io.fsync_dir (Filename.dirname path);
+let make_writer ~io ~metrics ~fsync_every ~segment_bytes ~path ~shape ~out ~active_idx
+    ~active_base ~active_count ~active_bytes ~crc ~sealed =
   let w =
     {
       w_path = path;
@@ -268,14 +190,14 @@ let create ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
       metrics;
       fsync_every;
       segment_bytes;
-      shape = header;
+      shape;
       out;
-      active_idx = 0;
-      active_base = header.base;
-      active_count = 0;
-      active_bytes = hbytes;
-      crc = 0;
-      sealed = [];
+      active_idx;
+      active_base;
+      active_count;
+      active_bytes;
+      crc;
+      sealed;
       unsynced = 0;
       appended = 0;
       closed = false;
@@ -285,6 +207,25 @@ let create ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
   in
   gauges w;
   w
+
+let create ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
+    ?(segment_bytes = default_segment_bytes) ~path header =
+  let metrics = match metrics with Some m -> m | None -> Metrics.noop () in
+  validate_fsync_every fsync_every;
+  validate_segment_bytes segment_bytes;
+  if header.base < 0 then invalid_arg "journal base must be non-negative";
+  (* wipe whatever previous journal lived at this path: any segment files
+     (including crashed-genesis leftovers) and a file at the path itself *)
+  let leftovers =
+    (if io.Io.file_exists path then [ path ] else []) @ Log.all_paths ~io path
+  in
+  List.iter (fun p -> io.Io.remove p) leftovers;
+  if leftovers <> [] then io.Io.fsync_dir (Filename.dirname path);
+  let out, hbytes = open_active ~io ~path ~idx:0 ~base:header.base header in
+  io.Io.fsync_dir (Filename.dirname path);
+  make_writer ~io ~metrics ~fsync_every ~segment_bytes ~path ~shape:header ~out
+    ~active_idx:0 ~active_base:header.base ~active_count:0 ~active_bytes:hbytes ~crc:0
+    ~sealed:[]
 
 (* Seal protocol: footer (count + region CRC), fsync, close, rename [.open]
    → [.seg], open the successor active with its header, one directory
@@ -463,13 +404,15 @@ let check_shape ~path (expected : header) (h : header) =
          (Vec.to_string expected.capacity))
   else Ok ()
 
-let encode_region scratch buf events =
+(* a healed active segment's records, rewritten once per resume *)
+let encode_region events =
+  let scratch = Record.Scratch.create () and buf = Buffer.create enc_initial in
   List.iter
     (fun e ->
       add_record scratch buf e;
       Buffer.add_char buf '\n')
     events;
-  take_encoded buf
+  Buffer.contents buf
 
 let append_to ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
     ?(segment_bytes = default_segment_bytes) ?source ~path header =
@@ -477,78 +420,27 @@ let append_to ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
   validate_fsync_every fsync_every;
   validate_segment_bytes segment_bytes;
   let dir = Filename.dirname path in
-  let scratch = Record.Scratch.create () and enc = Buffer.create enc_initial in
   let fresh () =
     let w = create ~io ~metrics ~fsync_every ~segment_bytes ~path header in
-    Ok (w, { header; events = []; dropped_torn = false; version = 2 })
+    Ok (w, { header; events = []; dropped_torn = false })
   in
-  let mk_writer ~out ~active_idx ~active_base ~active_count ~active_bytes ~crc
-      ~sealed =
-    let w =
-      {
-        w_path = path;
-        io;
-        metrics;
-        fsync_every;
-        segment_bytes;
-        shape = header;
-        out;
-        active_idx;
-        active_base;
-        active_count;
-        active_bytes;
-        crc;
-        sealed;
-        unsynced = 0;
-        appended = 0;
-        closed = false;
-        scratch;
-        enc;
-      }
-    in
-    gauges w;
-    w
+  let mk_writer =
+    make_writer ~io ~metrics ~fsync_every ~segment_bytes ~path ~shape:header
   in
   (* a source is trusted only while the files are as it found them:
      after a write it would reopen the writer from a stale count and CRC
      (and replay done renames), so the files are read again *)
-  let* form =
+  let* view =
     match source with
     | Some s when String.equal s.src_path path && s.stamp = stamp ~io path ->
-        Ok (Some s.form)
+        Ok (Some s.view)
     | Some _ | None ->
-        if io.Io.file_size path = Some 0 then Ok None
-        else
-          let* s = Result.map_error (Printf.sprintf "%s: %s" path) (load ~io path) in
-          Ok (Option.map (fun s -> s.form) s)
+        let* s = Result.map_error (Printf.sprintf "%s: %s" path) (load ~io path) in
+        Ok (Option.map (fun s -> s.view) s)
   in
-  match form with
+  match view with
   | None -> fresh ()
-  | Some (Legacy { read = r; unterminated }) ->
-      (* Legacy single-file journal: validate, heal, then migrate it into one
-         active segment — segment made durable, then the legacy file removed
-         (and the removal dirsynced) before any new append, so at every crash
-         point either the legacy file or a superset segment is authoritative,
-         never neither. *)
-      let* () = check_shape ~path header r.header in
-      if r.dropped_torn || unterminated then Metrics.on_heal metrics;
-      let hdr = Segment.header_string r.header in
-      let region = encode_region scratch enc r.events in
-      let apath = Segment.name path ~idx:0 Segment.Active in
-      let out = io.Io.open_out ~append:false apath in
-      out.Io.write hdr;
-      out.Io.write region;
-      out.Io.fsync ();
-      io.Io.fsync_dir dir;
-      io.Io.remove path;
-      io.Io.fsync_dir dir;
-      Ok
-        ( mk_writer ~out ~active_idx:0 ~active_base:r.header.base
-            ~active_count:(List.length r.events)
-            ~active_bytes:(String.length hdr + String.length region)
-            ~crc:(crc_add 0 region) ~sealed:[],
-          r )
-  | Some (Segments v) ->
+  | Some v ->
       let* () = check_shape ~path header v.Log.v_header in
       (* directory maintenance before reopening: finish seals whose
          rename a crash rolled back, drop stale files the chain walk
@@ -585,7 +477,7 @@ let append_to ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
           let hdr = Segment.header_string a.Log.s_header in
           let region_bytes, crc =
             if needs_heal then begin
-              let region = encode_region scratch enc a.Log.s_events in
+              let region = encode_region a.Log.s_events in
               Io.atomic_replace io ~path:a.Log.s_path (hdr ^ region);
               (String.length region, crc_add 0 region)
             end

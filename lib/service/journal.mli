@@ -31,7 +31,7 @@
     the segment is unlinked ({!retire_sealed}) without touching the active
     write path — disk stays bounded while the server keeps serving.
 
-    Record layout (v2, same codec as the legacy format — see {!Record}):
+    Record layout (see {!Record}):
     - [arrive,<tenant>,<t>,<item>,<bin>,<new01>,<s1>,...,<sd>,~<sum>]
     - [depart,<tenant>,<t>,<item>,~<sum>]
 
@@ -39,11 +39,12 @@
     record in the {e active} segment is detected and dropped rather than
     misparsed.
 
-    {b Legacy journals.} A pre-segment single file at [path] itself
-    ([# dvbp-journal v1]/[v2] magic) is still read, and {!append_to}
-    migrates it into an active segment — segment first made durable, then
-    the legacy file unlinked — so old journals keep replaying
-    bit-identically and the migration is crash-safe at every boundary.
+    {b Retired formats.} The single-file journal that preceded segments
+    ([# dvbp-journal v1]/[v2] magic, stored at [path] itself) is not
+    read: any regular file at [path] makes {!load} fail ({!retired}), so
+    a resume stops instead of starting fresh over it. To upgrade such a
+    journal, run [dvbp compact] with a build from commit [3660be8] or
+    earlier, which rewrites it as segments.
 
     Durability: the writer flushes every record to the OS ([write(2)]) as it
     is appended — a [SIGKILL] loses nothing already appended — and batches
@@ -85,11 +86,8 @@ val pp_event : Format.formatter -> event -> unit
 val encode_event : event -> string
 (** One v2 record line, checksum included, no trailing newline. *)
 
-val decode_event : ?version:int -> string -> (event, string) result
-(** Inverse of {!encode_event}; validates syntax and checksum.
-    [version] (default [2]) selects the record grammar — the two are not
-    self-distinguishing, so callers must pass the version named by the
-    file's magic line. v1 records decode with [Tenant.default]. The whole
+val decode_event : string -> (event, string) result
+(** Inverse of {!encode_event}; validates syntax and checksum. The whole
     string is one record ({!Record.decode} reads one inside a larger
     text). *)
 
@@ -99,13 +97,12 @@ type read = {
   header : header;  (** [base] = index of the first event below *)
   events : event list;  (** journal order (oldest first) *)
   dropped_torn : bool;  (** the active segment's torn tail was dropped *)
-  version : int;  (** segmented journals read as [2]; legacy files report
-                      their magic's version *)
 }
 
-val of_string : string -> (read, string) result
-(** Parse a {e legacy} single-file journal (v1/v2 magic). Segment files are
-    parsed by {!Segment.parse}. *)
+val retired : string -> string
+(** [retired format] is the error for a file in a retired on-disk
+    format: it names [format] and the upgrade step, [dvbp compact] run
+    with a build from commit [3660be8] or earlier. *)
 
 type source
 (** One read of the journal configured at a path: everything {!read_file}
@@ -113,24 +110,25 @@ type source
     reading the files again. *)
 
 val load : ?io:Io.t -> string -> (source option, string) result
-(** Reads and parses every file of the journal at [path] once: the legacy
-    file if one exists, otherwise the segment chain. [Ok None] when there
-    is nothing durable there — no legacy file and no segment whose header
+(** Reads and parses every segment of the journal at [path] once. [Ok
+    None] when there is nothing durable there — no segment whose header
     completed (exactly when {!exists} is [false]). Fails on corruption,
-    including any damage inside a sealed segment. *)
+    including any damage inside a sealed segment, and on any regular file
+    at [path] itself: a retired single-file journal is refused with
+    {!retired}, never read, skipped or wiped. *)
 
 val source_read : source -> read
 
 val read_file : ?io:Io.t -> string -> (read, string) result
-(** {!load}, failing with {!absent} when neither form is present. *)
+(** {!load}, failing with {!absent} when no segment is present. *)
 
 val absent : string -> string
 (** The error {!read_file} reports for a path holding no journal. *)
 
 val exists : ?io:Io.t -> string -> bool
-(** Whether [path] holds durable journal state a resume must consult: a
-    legacy file or at least one readable segment. Unreadable segments
-    count as existing — corruption must surface as a resume error, not be
+(** Whether [path] holds durable journal state a resume must consult: at
+    least one readable segment. Unreadable segments and a file at [path]
+    itself count as existing — corruption must surface as a resume error, not be
     shadowed by a fresh start. A {!load} that keeps only its outcome; the
     resume path calls {!load} directly. *)
 
@@ -147,7 +145,7 @@ val create :
   header ->
   writer
 (** Starts a fresh journal at [path]: removes any previous journal files
-    (legacy and segments) and opens active segment [000000]. [fsync_every]
+    (segments, and a file at [path] itself) and opens active segment [000000]. [fsync_every]
     (default [64]) batches fsyncs; [1] syncs every record. [segment_bytes]
     (default 1 MiB) is the roll threshold: an append that carries the
     active segment past it triggers a seal. [metrics] (default
@@ -176,9 +174,8 @@ val append_to :
     files are read here. Performs
     all resume-time maintenance: heals the active segment's torn tail
     (never a sealed segment's — that is corruption), completes seal renames
-    a crash rolled back, deletes stale below-chain files, and migrates a
-    legacy single-file journal into segments. A missing or empty journal is
-    created fresh. *)
+    a crash rolled back and deletes stale below-chain files. A missing
+    journal is created fresh; a file at [path] is refused as by {!load}. *)
 
 val append : writer -> event -> unit
 (** Streaming append: one record, flushed to the OS; fsyncs per the

@@ -107,12 +107,12 @@ module Scratch = struct
     !acc land 0xffff
 end
 
-(* v2 times are hex floats (e.g. [0x1.8p+1] for 3.0): they round-trip
-   exactly like ["%.17g"] but cost a fraction to format, and
-   [float_of_string] reads both spellings, so v1 journals (decimal
-   times) replay unchanged. Written digit-by-digit from the IEEE bits
-   rather than via ["%h"] because [Printf]'s dispatch alone costs more
-   than the record's other fields combined. The 52-bit mantissa and the
+(* Times are hex floats (e.g. [0x1.8p+1] for 3.0): they round-trip
+   exactly like ["%.17g"] but cost a fraction to format, and the reader
+   falls back to [float_of_string], which takes decimal times too.
+   Written digit-by-digit from the IEEE bits rather than via ["%h"]
+   because [Printf]'s dispatch alone costs more than the record's other
+   fields combined. The 52-bit mantissa and the
    exponent fit a native int, so the nibble arithmetic boxes nothing. *)
 let add_time s v =
   let bits = Int64.bits_of_float v in
@@ -383,11 +383,8 @@ let tenant_field d text lo hi =
     end
     else bad "bad tenant %S" t
 
-(* v1 records carry no tenant field (they all belong to [Tenant.default]);
-   v2 records put the tenant right after the kind. The version comes from
-   the file's magic line — the two grammars are not self-distinguishing
-   (a v1 arrive's timestamp sits where a v2 tenant would). *)
-let decode_body ~version d text lo hi =
+(* [kind,tenant,time,item] and, for arrivals, [bin,flag,s1,...,sd] *)
+let decode_body d text lo hi =
   let k = comma text lo hi in
   let arrive = field_is text lo k "arrive" in
   if not (arrive || field_is text lo k "depart") then
@@ -396,14 +393,10 @@ let decode_body ~version d text lo hi =
   for j = k to hi - 1 do
     if String.unsafe_get text j = ',' then incr fields
   done;
-  (* kind, [tenant,] time, item, and for arrivals bin and flag *)
-  let fixed = (if arrive then 5 else 3) + if version = 2 then 1 else 0 in
-  if (version <> 1 && version <> 2) || if arrive then !fields < fixed else !fields <> fixed
-  then bad "malformed record";
-  let tenant_end = if version = 2 then comma text (k + 1) hi else k in
-  let tenant =
-    if version = 2 then tenant_field d text (k + 1) tenant_end else Tenant.default
-  in
+  let fixed = if arrive then 6 else 4 in
+  if if arrive then !fields < fixed else !fields <> fixed then bad "malformed record";
+  let tenant_end = comma text (k + 1) hi in
+  let tenant = tenant_field d text (k + 1) tenant_end in
   let te = comma text (tenant_end + 1) hi in
   let time =
     time_field (if arrive then "arrival time" else "departure time") text
@@ -433,9 +426,9 @@ let decode_body ~version d text lo hi =
   end
 
 (* The record [text.[pos .. pos+len-1]] (no newline), checksum verified.
-   [version] (default 2) selects the grammar; [decoder] carries the
-   previous record's tenant across the records of one file. *)
-let decode ?(version = 2) ?(decoder = decoder ()) text pos len =
+   [decoder] carries the previous record's tenant across the records of
+   one file. *)
+let decode ?(decoder = decoder ()) text pos len =
   let stop = pos + len in
   let c = ref (stop - 1) in
   while !c >= pos && String.unsafe_get text !c <> ',' do
@@ -449,13 +442,13 @@ let decode ?(version = 2) ?(decoder = decoder ()) text pos len =
     if sum < 0 then Error (Printf.sprintf "bad checksum field %S" (String.sub text (c + 2) 4))
     else if sum <> checksum text pos c then Error "checksum mismatch"
     else
-      match decode_body ~version decoder text pos c with
+      match decode_body decoder text pos c with
       | e -> Ok e
       | exception Bad_record msg -> Error msg
 
-let decode_event ?version line = decode ?version line 0 (String.length line)
+let decode_event line = decode line 0 (String.length line)
 
-(* ---------- header rows (shared by the legacy file and segment formats) ---------- *)
+(* ---------- segment header rows ---------- *)
 
 let header_rows h =
   let buf = Buffer.create 96 in

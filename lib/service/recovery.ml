@@ -98,81 +98,7 @@ let replay ~policy ~seed ~capacity events =
   let* () = replay_into s ~policy_name:policy ~first_index:0 events in
   Ok (to_list s)
 
-(* The cost a v1/v2 snapshot recorded: the Kahan sum over every bin ever
-   opened, newest first, open bins billed to the clock — the v2 writer's
-   order, so its digest is checked bit for bit. *)
-let v2_cost session =
-  let horizon = Session.now session in
-  Dvbp_prelude.Listx.sum_by
-    (fun (b : Bin.t) -> Option.value ~default:horizon b.Bin.closed_at -. b.Bin.opened_at)
-    (Session.all_bins session)
-
-(* compare one rebuilt tenant session against its v1/v2 snapshot digest *)
-let check_one_digest session (d : Snapshot.digest) =
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Error (Printf.sprintf "snapshot digest mismatch (tenant %s): %s" d.Snapshot.tenant m))
-      fmt
-  in
-  if Session.now session <> d.Snapshot.clock then
-    fail "clock %.17g, snapshot says %.17g" (Session.now session) d.Snapshot.clock
-  else if v2_cost session <> d.Snapshot.cost then
-    fail "cost %.17g, snapshot says %.17g" (v2_cost session) d.Snapshot.cost
-  else if Session.bins_opened session <> d.Snapshot.bins_opened then
-    fail "bins_opened %d, snapshot says %d" (Session.bins_opened session)
-      d.Snapshot.bins_opened
-  else
-    let live =
-      List.map
-        (fun (b : Bin.t) ->
-          ( b.Bin.id,
-            List.map (fun (r : Item.t) -> r.Item.id) b.Bin.active_items
-            |> List.sort Int.compare ))
-        (Session.open_bins session)
-    in
-    if live <> d.Snapshot.open_bins then
-      let render bins =
-        String.concat "; "
-          (List.map
-             (fun (b, occ) ->
-               Printf.sprintf "bin %d{%s}" b
-                 (String.concat "," (List.map string_of_int occ)))
-             bins)
-      in
-      fail "open bins [%s], snapshot says [%s]" (render live)
-        (render d.Snapshot.open_bins)
-    else Ok ()
-
-(* Every digest must match its rebuilt session (a digest for a tenant the
-   history never touched is checked against a fresh zero-state session —
-   the server snapshots sessions that exist but have applied nothing, e.g.
-   a tenant whose only request was rejected), and every tenant the history
-   touched must carry a digest. *)
-let check_digests s (digests : Snapshot.digest list) =
-  let rec each = function
-    | [] -> Ok ()
-    | (d : Snapshot.digest) :: rest ->
-        let* session = session_for s d.Snapshot.tenant in
-        let* () = check_one_digest session d in
-        each rest
-  in
-  let* () = each digests in
-  let missing =
-    List.filter
-      (fun (tenant, _) ->
-        not (List.exists (fun (d : Snapshot.digest) -> d.Snapshot.tenant = tenant) digests))
-      (to_list s)
-  in
-  match missing with
-  | [] -> Ok ()
-  | (tenant, _) :: _ ->
-      Error
-        (Printf.sprintf
-           "snapshot has no digest for tenant %s though its history touches it"
-           tenant)
-
-(* v3: each tenant's session restored from its section (fresh policy,
+(* each tenant's session restored from its section (fresh policy,
    saved state imported) and checked against the recorded fingerprint *)
 let restore_sessions ~policy ~seed ~capacity sections =
   let s = no_sessions ~policy ~seed ~capacity in
@@ -296,16 +222,7 @@ let recover_source ~io ?snapshot ~journal source =
         let* suffix =
           suffix_after ~base:header.Journal.base ~n ~last:s.Snapshot.last j.Journal.events
         in
-        let* sessions =
-          match s.Snapshot.body with
-          | Snapshot.State sections -> restore_sessions ~policy ~seed ~capacity sections
-          | Snapshot.History { digests; history } ->
-              (* the v1/v2 upgrade path: replay the history, check digests *)
-              let* sessions = make_sessions ~policy ~seed ~capacity in
-              let* () = replay_into sessions ~policy_name:policy ~first_index:0 history in
-              let* () = check_digests sessions digests in
-              Ok sessions
-        in
+        let* sessions = restore_sessions ~policy ~seed ~capacity s.Snapshot.sections in
         state ~sessions ~n ~last:s.Snapshot.last suffix
 
 let load ?(io = Real_io.v) ?snapshot ~journal () =

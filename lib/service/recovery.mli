@@ -17,13 +17,9 @@
     + skip the journal records below the snapshot's frontier [N]; the
       journal's record [N - 1], if it holds one, must equal the snapshot's
       last covered event;
-    + a v3 snapshot: restore each tenant's session from its saved state
+    + restore each tenant's session from the snapshot's saved state
       ({!Dvbp_engine.Session.restore}) and check it against the recorded
-      fingerprint. A v1/v2 snapshot (the upgrade path): replay its history
-      through fresh sessions, verifying each recorded placement, then check
-      every session against the snapshot's digests — both directions: a
-      digest without a matching session is checked against a fresh
-      zero-state one, a touched tenant without a digest is an error;
+      fingerprint;
     + replay the journal suffix through the same {!replay}-style
       verification of each recorded placement.
 
@@ -74,8 +70,10 @@ val load :
     to recover, and the snapshot is not read. [snapshot] names where
     snapshots are written; a missing snapshot file is not an error
     (recovery then replays the whole journal), a corrupt one is. A corrupt
-    journal is an error. [io] (default {!Real_io.v}) is the backend both
-    files are read through. *)
+    journal is an error, and so is a file in a retired format (a v1/v2
+    snapshot, a single-file journal at [journal]): it is refused with
+    {!Journal.retired} and nothing is written. [io] (default
+    {!Real_io.v}) is the backend both files are read through. *)
 
 val recover :
   ?io:Io.t -> ?snapshot:string -> journal:string -> unit -> (state, string) result

@@ -1,7 +1,7 @@
 (* One fixed-size log segment of the segmented journal (see {!Log} for the
    directory view and {!Journal} for the writer facade).
 
-   File format (text, like the legacy journal):
+   File format (text):
 
    {v
    # dvbp-segment v1
@@ -21,8 +21,7 @@
    means a sealed segment is complete by construction, so {e any} short
    read, torn tail or footer mismatch inside one is a hard error, never
    healed. Only the {e active} segment ([.seg.open]) may end mid-record
-   after a crash; its unterminated final line is dropped exactly like the
-   legacy journal's torn tail. *)
+   after a crash; its unterminated final line (a torn write) is dropped. *)
 
 let magic = "# dvbp-segment v1"
 
@@ -37,7 +36,7 @@ let name prefix ~idx = function
 
 (* classify a directory entry against the journal path's basename;
    anything that is not exactly [<base>.<digits>.seg[.open]] is ignored
-   (tmp files, the legacy journal itself, unrelated files) *)
+   (tmp files, a file at the journal path itself, unrelated files) *)
 let classify ~basename entry =
   let prefix = basename ^ "." in
   let pn = String.length prefix in
@@ -184,7 +183,7 @@ let parse ~expect_sealed text =
               tear_or ~torn_candidate ~events (fun () ->
                   Error (Printf.sprintf "line %d: record before a complete header" lineno))
           | Ok _ -> (
-              match Record.decode ~version:2 ~decoder text lo (hi - lo) with
+              match Record.decode ~decoder text lo (hi - lo) with
               | Ok e ->
                   if !region_lo < 0 then region_lo := off;
                   region_hi := line_end;

@@ -1,27 +1,11 @@
 module Vec = Dvbp_vec.Vec
-module Bin = Dvbp_core.Bin
-module Item = Dvbp_core.Item
 module Session = Dvbp_engine.Session
 module Saved = Session.Saved
 module Crc32 = Dvbp_tracestore.Crc32
 
 let magic = "# dvbp-snapshot v3"
-let magic_v2 = "# dvbp-snapshot v2"
-let magic_v1 = "# dvbp-snapshot v1"
 
 type section = { tenant : string; state : Saved.t; fingerprint : string }
-
-type digest = {
-  tenant : string;
-  clock : float;
-  cost : float;
-  bins_opened : int;
-  open_bins : (int * int list) list;
-}
-
-type body =
-  | State of section list
-  | History of { digests : digest list; history : Journal.event list }
 
 type t = {
   policy : string;
@@ -29,14 +13,14 @@ type t = {
   capacity : Vec.t;
   events : int;
   last : Journal.event option;
-  body : body;
+  sections : section list;
 }
 
 let of_sessions ~policy ~seed ~capacity ~events ~last sessions =
   let section (tenant, session) =
     { tenant; state = Session.export session; fingerprint = Session.fingerprint session }
   in
-  { policy; seed; capacity; events; last; body = State (List.map section sessions) }
+  { policy; seed; capacity; events; last; sections = List.map section sessions }
 
 (* The ids a tenant ever accepted, as the shorter of two spellings: the
    ranges ([ids,0-6249]: one range when ids arrive in order), or a bitmap
@@ -71,266 +55,43 @@ let ids_row buf accepted =
   Buffer.add_char buf '\n'
 
 let to_string s =
-  match s.body with
-  | History _ -> invalid_arg "Snapshot.to_string: v1/v2 snapshots are read, never written"
-  | State sections ->
-      let buf = Buffer.create 4096 in
-      let row fmt = Printf.bprintf buf fmt in
-      let ints name xs =
-        Buffer.add_string buf name;
-        List.iter (row ",%d") xs;
-        Buffer.add_char buf '\n'
-      in
-      row "%s\n" magic;
-      row "policy,%s\nseed,%d\n" s.policy s.seed;
-      ints "capacity" (Array.to_list (Vec.to_array s.capacity));
-      row "events,%d\n" s.events;
-      Option.iter (fun e -> row "last,%s\n" (Journal.encode_event e)) s.last;
+  let buf = Buffer.create 4096 in
+  let row fmt = Printf.bprintf buf fmt in
+  let ints name xs =
+    Buffer.add_string buf name;
+    List.iter (row ",%d") xs;
+    Buffer.add_char buf '\n'
+  in
+  row "%s\n" magic;
+  row "policy,%s\nseed,%d\n" s.policy s.seed;
+  ints "capacity" (Array.to_list (Vec.to_array s.capacity));
+  row "events,%d\n" s.events;
+  Option.iter (fun e -> row "last,%s\n" (Journal.encode_event e)) s.last;
+  List.iter
+    (fun { tenant; state = st; fingerprint } ->
+      row "tenant,%s\n" tenant;
+      row "clock,%h,%d\n" st.Saved.clock (if st.Saved.started then 1 else 0);
+      row "next,%d,%d,%d,%d\n" st.Saved.next_item st.Saved.next_bin st.Saved.touch
+        st.Saved.max_open;
+      row "stats,%d,%d,%d\n" st.Saved.placements st.Saved.departures st.Saved.rejects;
+      row "cost,%h,%h\n" st.Saved.cost_sum st.Saved.cost_comp;
+      ids_row buf st.Saved.accepted;
+      ints "policy_state" st.Saved.policy_state;
       List.iter
-        (fun { tenant; state = st; fingerprint } ->
-          row "tenant,%s\n" tenant;
-          row "clock,%h,%d\n" st.Saved.clock (if st.Saved.started then 1 else 0);
-          row "next,%d,%d,%d,%d\n" st.Saved.next_item st.Saved.next_bin st.Saved.touch
-            st.Saved.max_open;
-          row "stats,%d,%d,%d\n" st.Saved.placements st.Saved.departures st.Saved.rejects;
-          row "cost,%h,%h\n" st.Saved.cost_sum st.Saved.cost_comp;
-          ids_row buf st.Saved.accepted;
-          ints "policy_state" st.Saved.policy_state;
+        (fun (b : Saved.bin) ->
+          row "bin,%d,%h,%d\n" b.Saved.bin_id b.Saved.opened_at b.Saved.last_used;
           List.iter
-            (fun (b : Saved.bin) ->
-              row "bin,%d,%h,%d\n" b.Saved.bin_id b.Saved.opened_at b.Saved.last_used;
-              List.iter
-                (fun (r : Saved.item) ->
-                  row "item,%d,%h,%h" r.Saved.item_id r.Saved.arrival r.Saved.departure;
-                  ints "" (Array.to_list (Vec.to_array r.Saved.size)))
-                b.Saved.items)
-            st.Saved.bins;
-          row "fingerprint,%s\n" fingerprint)
-        sections;
-      row "crc,%08x\n" (Crc32.string (Buffer.contents buf));
-      Buffer.contents buf
+            (fun (r : Saved.item) ->
+              row "item,%d,%h,%h" r.Saved.item_id r.Saved.arrival r.Saved.departure;
+              ints "" (Array.to_list (Vec.to_array r.Saved.size)))
+            b.Saved.items)
+        st.Saved.bins;
+      row "fingerprint,%s\n" fingerprint)
+    s.sections;
+  row "crc,%08x\n" (Crc32.string (Buffer.contents buf));
+  Buffer.contents buf
 
-let ( let* ) = Result.bind
-
-let parse_int ~line what s =
-  match int_of_string_opt (String.trim s) with
-  | Some x -> Ok x
-  | None -> Error (Printf.sprintf "line %d: bad %s %S" line what s)
-
-let parse_float ~line what s =
-  match float_of_string_opt (String.trim s) with
-  | Some x when Float.is_finite x -> Ok x
-  | Some _ | None -> Error (Printf.sprintf "line %d: bad %s %S" line what s)
-
-let rec collect_ints ~line what = function
-  | [] -> Ok []
-  | s :: rest ->
-      let* x = parse_int ~line what s in
-      let* xs = collect_ints ~line what rest in
-      Ok (x :: xs)
-
-(* Mutable accumulator for one tenant's digest section. *)
-type dacc = {
-  d_tenant : string;
-  mutable d_clock : float option;
-  mutable d_cost : float option;
-  mutable d_bins_opened : int option;
-  mutable d_open_rev : (int * int list) list;
-}
-
-type acc = {
-  mutable policy : string option;
-  mutable seed : int option;
-  mutable capacity : Vec.t option;
-  mutable events : int option;
-  mutable digests_rev : dacc list;  (* current section at the head *)
-  mutable rev_history : Journal.event list;
-  mutable saw_history : bool;
-}
-
-let require what = function
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing %s row" what)
-
-let finish_digest (d : dacc) =
-  let* clock = require (d.d_tenant ^ " clock") d.d_clock in
-  let* cost = require (d.d_tenant ^ " cost") d.d_cost in
-  let* bins_opened = require (d.d_tenant ^ " bins_opened") d.d_bins_opened in
-  Ok
-    {
-      tenant = d.d_tenant;
-      clock;
-      cost;
-      bins_opened;
-      open_bins = List.rev d.d_open_rev;
-    }
-
-(* {2 The v1/v2 reader}
-
-   Read only to upgrade: their history is replayed by {!Recovery}, and
-   the next snapshot is written v3. *)
-
-let of_string_legacy text =
-  let n = String.length text in
-  let version = ref 2 in
-  let decoder = Record.decoder () in
-  let a =
-    {
-      policy = None;
-      seed = None;
-      capacity = None;
-      events = None;
-      digests_rev = [];
-      rev_history = [];
-      saw_history = false;
-    }
-  in
-  let scalar ~line what current store v =
-    if current <> None then Error (Printf.sprintf "line %d: duplicate %s row" line what)
-    else begin
-      store v;
-      Ok ()
-    end
-  in
-  (* The v1 format has no tenant rows: its single digest section belongs
-     to the default tenant and starts implicitly. *)
-  let current_digest ~line =
-    match a.digests_rev with
-    | d :: _ -> Ok d
-    | [] ->
-        if !version = 1 then begin
-          let d =
-            { d_tenant = Tenant.default; d_clock = None; d_cost = None;
-              d_bins_opened = None; d_open_rev = [] }
-          in
-          a.digests_rev <- [ d ];
-          Ok d
-        end
-        else Error (Printf.sprintf "line %d: digest row before any tenant row" line)
-  in
-  let dscalar ~line what current store v =
-    if current <> None then Error (Printf.sprintf "line %d: duplicate %s row" line what)
-    else begin
-      store v;
-      Ok ()
-    end
-  in
-  let state_row ~line trimmed =
-    match String.split_on_char ',' trimmed with
-    | "policy" :: [ name ] when String.trim name <> "" ->
-        scalar ~line "policy" a.policy (fun v -> a.policy <- Some v) (String.trim name)
-    | "policy" :: _ -> Error (Printf.sprintf "line %d: empty policy" line)
-    | "seed" :: [ s ] ->
-        let* v = parse_int ~line "seed" s in
-        scalar ~line "seed" a.seed (fun v -> a.seed <- Some v) v
-    | "capacity" :: fields -> (
-        let* cs = collect_ints ~line "capacity entry" fields in
-        match cs with
-        | [] -> Error (Printf.sprintf "line %d: empty capacity" line)
-        | _ when List.exists (fun c -> c <= 0) cs ->
-            Error (Printf.sprintf "line %d: non-positive capacity" line)
-        | _ ->
-            scalar ~line "capacity" a.capacity
-              (fun v -> a.capacity <- Some v)
-              (Vec.of_list cs))
-    | "events" :: [ s ] ->
-        let* v = parse_int ~line "events" s in
-        scalar ~line "events" a.events (fun v -> a.events <- Some v) v
-    | "tenant" :: [ name ] ->
-        let name = String.trim name in
-        let* name = Tenant.validate name in
-        if List.exists (fun d -> d.d_tenant = name) a.digests_rev then
-          Error (Printf.sprintf "line %d: duplicate tenant section %S" line name)
-        else begin
-          a.digests_rev <-
-            { d_tenant = name; d_clock = None; d_cost = None;
-              d_bins_opened = None; d_open_rev = [] }
-            :: a.digests_rev;
-          Ok ()
-        end
-    | "clock" :: [ s ] ->
-        let* v = parse_float ~line "clock" s in
-        let* d = current_digest ~line in
-        dscalar ~line "clock" d.d_clock (fun v -> d.d_clock <- Some v) v
-    | "cost" :: [ s ] ->
-        let* v = parse_float ~line "cost" s in
-        let* d = current_digest ~line in
-        dscalar ~line "cost" d.d_cost (fun v -> d.d_cost <- Some v) v
-    | "bins_opened" :: [ s ] ->
-        let* v = parse_int ~line "bins_opened" s in
-        let* d = current_digest ~line in
-        dscalar ~line "bins_opened" d.d_bins_opened (fun v -> d.d_bins_opened <- Some v) v
-    | "open" :: bin :: occupants ->
-        let* bin_id = parse_int ~line "bin id" bin in
-        let* occupants = collect_ints ~line "occupant id" occupants in
-        let* d = current_digest ~line in
-        d.d_open_rev <- (bin_id, occupants) :: d.d_open_rev;
-        Ok ()
-    | _ -> Error (Printf.sprintf "line %d: unrecognised row %S" line trimmed)
-  in
-  (* the trimmed row [text.[lo .. hi-1]]: a history record is decoded
-     where it lies, a state row is cut out and split *)
-  let row ~line lo hi =
-    if a.saw_history && not (Record.is_record text lo hi) then
-      Error (Printf.sprintf "line %d: state row after history records" line)
-    else
-      let k = Record.comma text lo hi in
-      if Record.field_is text lo k "arrive" || Record.field_is text lo k "depart" then
-        match Record.decode ~version:!version ~decoder text lo (hi - lo) with
-        | Ok e ->
-            a.saw_history <- true;
-            a.rev_history <- e :: a.rev_history;
-            Ok ()
-        | Error msg -> Error (Printf.sprintf "line %d: %s" line msg)
-      else state_row ~line (String.sub text lo (hi - lo))
-  in
-  (* lines are walked by offsets; [off] is the line's first byte *)
-  let rec go line off =
-    if off >= n then Ok ()
-    else
-      let stop = Record.line_stop text off n in
-      let lo = Record.trim_start text off stop in
-      let hi = Record.trim_stop text lo stop in
-      if line = 1 then
-        if Record.field_is text lo hi magic_v2 then go 2 (stop + 1)
-        else if Record.field_is text lo hi magic_v1 then begin
-          version := 1;
-          go 2 (stop + 1)
-        end
-        else
-          Error
-            (Printf.sprintf "line 1: expected %S, got %S" magic
-               (String.sub text lo (hi - lo)))
-      else if lo = hi || String.unsafe_get text lo = '#' then go (line + 1) (stop + 1)
-      else
-        match row ~line lo hi with
-        | Ok () -> go (line + 1) (stop + 1)
-        | Error _ as e -> e
-  in
-  let* () = go 1 0 in
-  let* policy = require "policy" a.policy in
-  let* seed = require "seed" a.seed in
-  let* capacity = require "capacity" a.capacity in
-  let* events = require "events" a.events in
-  let rec finish_all acc = function
-    | [] -> Ok acc
-    | d :: rest ->
-        let* digest = finish_digest d in
-        finish_all (digest :: acc) rest
-  in
-  (* digests_rev is newest-first, so folding restores section order *)
-  let* digests = finish_all [] a.digests_rev in
-  let history = List.rev a.rev_history in
-  if List.length history <> events then
-    Error
-      (Printf.sprintf
-         "snapshot records %d events but its history holds %d — truncated or corrupt"
-         events (List.length history))
-  else
-    let last = match List.rev history with e :: _ -> Some e | [] -> None in
-    Ok { policy; seed; capacity; events; last; body = History { digests; history } }
-
-(* {2 The v3 reader}
+(* {2 Reading}
 
    The file is small (live state only), so it is checked whole and then
    split into rows: the final [crc] row must match the CRC-32 of every
@@ -363,7 +124,7 @@ let check_crc text =
       | Some _ | None -> bad "bad crc row %S" last)
   | _ -> bad "the final row is not a crc row — truncated or damaged"
 
-let of_string_v3 text =
+let parse text =
   let body = check_crc text in
   let lines = Array.of_list (String.split_on_char '\n' body) in
   (* [lines.(0)] is the magic; the body ends with a newline, so the last
@@ -409,7 +170,7 @@ let of_string_v3 text =
     match peek () with
     | Some l when String.length l > 5 && String.sub l 0 5 = "last," -> (
         incr pos;
-        match Record.decode ~version:2 l 5 (String.length l - 5) with
+        match Record.decode l 5 (String.length l - 5) with
         | Ok e -> Some e
         | Error msg -> bad "line %d: %s" (line ()) msg)
     | Some _ | None -> None
@@ -547,14 +308,20 @@ let of_string_v3 text =
         sections (section tenant :: acc)
   in
   let sections = sections [] in
-  { policy; seed; capacity; events; last; body = State sections }
+  { policy; seed; capacity; events; last; sections }
 
 let of_string text =
   let n = String.length text in
   if Record.trim_start text 0 n = n then Error "empty snapshot"
   else if String.starts_with ~prefix:(magic ^ "\n") text then
-    match of_string_v3 text with s -> Ok s | exception Bad msg -> Error msg
-  else of_string_legacy text
+    match parse text with s -> Ok s | exception Bad msg -> Error msg
+  else
+    (* v1 and v2 held a digest per tenant and the whole history since
+       genesis; they are no longer read *)
+    let first = String.trim (List.hd (String.split_on_char '\n' text)) in
+    if first = "# dvbp-snapshot v1" || first = "# dvbp-snapshot v2" then
+      Error (Journal.retired (Printf.sprintf "a whole-history snapshot (%s)" first))
+    else Error (Printf.sprintf "line 1: expected %S, got %S" magic first)
 
 let write ?(io = Real_io.v) ~path s = Io.atomic_replace io ~path (to_string s)
 

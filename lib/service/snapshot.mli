@@ -39,10 +39,9 @@
     crc,<8 hex digits>
     v}
 
-    v1 and v2 files (a state digest per tenant plus the whole event
-    history since genesis) are still read, as the upgrade path only:
-    recovery replays their history and checks the digests. Nothing writes
-    them any more.
+    The v1 and v2 formats (a state digest per tenant plus the whole event
+    history since genesis) are retired: {!of_string} refuses them with an
+    error naming the format and the upgrade step ({!Journal.retired}).
 
     Snapshots are written atomically (temp file, fsync, rename), so unlike
     the journal a torn snapshot cannot exist; any parse failure on load is
@@ -54,29 +53,13 @@ type section = {
   fingerprint : string;  (** {!Dvbp_engine.Session.fingerprint} at the write *)
 }
 
-type digest = {
-  tenant : string;
-  clock : float;  (** timestamp of the tenant's last applied event *)
-  cost : float;  (** usage-time cost accumulated up to [clock], v2 summation order *)
-  bins_opened : int;
-  open_bins : (int * int list) list;
-      (** open bins in opening order; occupant item ids ascending *)
-}
-(** A v1/v2 tenant digest. *)
-
-type body =
-  | State of section list  (** v3: sections in the server's registration order *)
-  | History of { digests : digest list; history : Journal.event list }
-      (** v1/v2: digests in section order, every applied event since
-          genesis in arrival order *)
-
 type t = {
   policy : string;
   seed : int;
   capacity : Dvbp_vec.Vec.t;
   events : int;  (** the frontier: events since genesis the snapshot covers *)
   last : Journal.event option;  (** event [events - 1]; [None] iff [events = 0] *)
-  body : body;
+  sections : section list;  (** in the server's registration order *)
 }
 
 val of_sessions :
@@ -90,12 +73,12 @@ val of_sessions :
 (** A v3 snapshot of the given tenant sessions, in the given order. *)
 
 val to_string : t -> string
-(** The v3 text. @raise Invalid_argument on a [History] body. *)
+(** The v3 text. *)
 
 val of_string : string -> (t, string) result
-(** Reads v3, v2 and v1. Fully validated; reports the offending line. A
-    v3 text whose CRC row does not match is refused whole; a v1/v2 text
-    must hold as many history records as its [events] row says. *)
+(** Reads v3. Fully validated; reports the offending line. A text whose
+    CRC row does not match is refused whole. A v1 or v2 text is refused
+    with {!Journal.retired}. *)
 
 val write : ?io:Io.t -> path:string -> t -> unit
 (** Atomic: temp file, fsync, rename, directory fsync (see

@@ -43,8 +43,7 @@ let hash name =
 let shard ~jobs name = if jobs <= 1 then 0 else hash name mod jobs
 
 (* The default tenant keeps the exact rng stream single-tenant servers
-   always had (so v1 journals with seeded policies still replay
-   bit-identically); every other tenant gets an independent split keyed
+   always had (so its seeded placements match theirs bit for bit); every other tenant gets an independent split keyed
    by its name hash. *)
 let rng ~seed name =
   let root = Rng.create ~seed in

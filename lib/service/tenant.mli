@@ -13,7 +13,7 @@
     contact. *)
 
 val default : string
-(** ["default"] — the tenant the un-prefixed v1 grammar maps to. *)
+(** ["default"] — the tenant a request without a tenant field maps to. *)
 
 val max_length : int
 
@@ -35,5 +35,4 @@ val shard : jobs:int -> string -> int
 
 val rng : seed:int -> string -> Dvbp_prelude.Rng.t
 (** The tenant's policy rng. The {!default} tenant is exactly
-    [Rng.create ~seed] (bit-compatible with pre-tenant servers and v1
-    journals); other tenants are independent splits keyed by {!hash}. *)
+    [Rng.create ~seed] (bit-compatible with pre-tenant servers); other tenants are independent splits keyed by {!hash}. *)

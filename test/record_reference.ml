@@ -1,5 +1,5 @@
 (* The split-based record decoder the in-place [Record.decode] replaced,
-   kept verbatim as the reference of the decoder differential in
+   kept as the reference of the decoder differential in
    test_service.ml: it splits the body on commas and trims, concatenates
    and parses each field as a fresh string, which makes its grammar easy
    to read and its behaviour easy to trust. Only the tests link it. *)
@@ -43,7 +43,7 @@ let split_checksum line =
       | None -> Error (Printf.sprintf "bad checksum field %S" hex))
   | _ -> Error "missing checksum field"
 
-let decode_event ?(version = 2) line =
+let decode_event line =
   let* body = split_checksum line in
   let parse_tenant tenant =
     Result.map_error (fun _ -> Printf.sprintf "bad tenant %S" tenant)
@@ -77,13 +77,10 @@ let decode_event ?(version = 2) line =
     let* item_id = parse_int "item id" item in
     Ok (Record.Depart { tenant; time; item_id })
   in
-  match (version, String.split_on_char ',' body) with
-  | 2, "arrive" :: tenant :: time :: item :: bin :: fresh :: sizes ->
+  match String.split_on_char ',' body with
+  | "arrive" :: tenant :: time :: item :: bin :: fresh :: sizes ->
       arrive ~tenant ~time ~item ~bin ~fresh ~sizes
-  | 2, [ "depart"; tenant; time; item ] -> depart ~tenant ~time ~item
-  | 1, "arrive" :: time :: item :: bin :: fresh :: sizes ->
-      arrive ~tenant:Tenant.default ~time ~item ~bin ~fresh ~sizes
-  | 1, [ "depart"; time; item ] -> depart ~tenant:Tenant.default ~time ~item
-  | _, ("arrive" | "depart") :: _ -> Error "malformed record"
-  | _, kind :: _ -> Error (Printf.sprintf "unrecognised record kind %S" kind)
-  | _, [] -> Error "empty record"
+  | [ "depart"; tenant; time; item ] -> depart ~tenant ~time ~item
+  | ("arrive" | "depart") :: _ -> Error "malformed record"
+  | kind :: _ -> Error (Printf.sprintf "unrecognised record kind %S" kind)
+  | [] -> Error "empty record"

@@ -320,9 +320,13 @@ let journal_tests =
                 Out_channel.output_string oc (Bytes.to_string b));
             check_bool "error" true (Result.is_error (Journal.read_file path))));
     Alcotest.test_case "missing magic line rejected" `Quick (fun () ->
-        check_bool "error" true
-          (Result.is_error
-             (Journal.of_string "policy,mtf\nseed,1\ncapacity,10\nbase,0\n")));
+        with_tmp_dir (fun dir ->
+            let path = Filename.concat dir "j.log" in
+            Out_channel.with_open_bin (active_seg path) (fun oc ->
+                Out_channel.output_string oc "policy,mtf\nseed,1\ncapacity,10\nbase,0\n");
+            match Journal.read_file path with
+            | Ok _ -> Alcotest.fail "a segment without its magic line was read"
+            | Error msg -> check_bool msg true (contains_sub msg "expected")));
     Alcotest.test_case "append_to validates the existing header" `Quick (fun () ->
         with_tmp_dir (fun dir ->
             let path = Filename.concat dir "j.log" in
@@ -379,13 +383,10 @@ let journal_tests =
   ]
 
 (* -------------------------------------------------------------------- *)
-(* The segmented on-disk layout: rolling, sealing, the chain read,
-   retirement, and migration from the legacy single-file formats. At
+(* The segmented on-disk layout: rolling, sealing, the chain read and
+   retirement. At
    [segment_bytes = 64] the ~60-byte header alone nearly fills a segment,
    so every append seals — the densest possible chain. *)
-
-let legacy_header_text =
-  "policy,mtf\nseed,7\ncapacity,100,100\nbase,0\n"
 
 let segment_tests =
   [
@@ -457,57 +458,6 @@ let segment_tests =
             let r = ok_or_fail (Journal.read_file path) in
             check_int "base" 6 r.Journal.header.Journal.base;
             check_int "events" 0 (List.length r.Journal.events)));
-    Alcotest.test_case "a v2 single-file journal migrates into segments" `Quick
-      (fun () ->
-        with_tmp_dir (fun dir ->
-            let path = Filename.concat dir "j.log" in
-            let oc = open_out path in
-            output_string oc ("# dvbp-journal v2\n" ^ legacy_header_text);
-            List.iter
-              (fun e ->
-                output_string oc (Journal.encode_event e);
-                output_char oc '\n')
-              sample_events;
-            close_out oc;
-            check_bool "legacy file exists" true (Journal.exists path);
-            let w, r = ok_or_fail (Journal.append_to ~path (header ())) in
-            check_int "read as v2" 2 r.Journal.version;
-            check_bool "events preserved" true
-              (List.equal Journal.equal_event sample_events r.Journal.events);
-            check_bool "legacy file replaced" false (Sys.file_exists path);
-            check_bool "active segment holds the history" true
-              (Sys.file_exists (active_seg path));
-            Journal.close w;
-            (* the migrated chain replays bit-identically *)
-            let st = ok_or_fail (Recovery.recover ~journal:path ()) in
-            check_int "replayed" (List.length sample_events)
-              st.Recovery.from_journal));
-    Alcotest.test_case "a torn v1 file heals, then migrates" `Quick (fun () ->
-        (* the legacy formats keep their torn-tail healing through the
-           migration: chop the v1 file mid-record, append_to must drop the
-           fragment and carry the intact prefix into the segment *)
-        with_tmp_dir (fun dir ->
-            let path = Filename.concat dir "j.log" in
-            let seal body =
-              let sum =
-                String.fold_left
-                  (fun acc c -> ((acc * 31) + Char.code c) land 0xffff)
-                  0 body
-              in
-              Printf.sprintf "%s,~%04x" body sum
-            in
-            let oc = open_out path in
-            output_string oc ("# dvbp-journal v1\n" ^ legacy_header_text);
-            output_string oc (seal "arrive,0.5,0,0,1,60,10" ^ "\n");
-            output_string oc "depart,2,0,~12";  (* torn: no newline *)
-            close_out oc;
-            let w, r = ok_or_fail (Journal.append_to ~path (header ())) in
-            check_bool "torn reported" true r.Journal.dropped_torn;
-            check_int "intact prefix" 1 (List.length r.Journal.events);
-            Journal.close w;
-            let r' = ok_or_fail (Journal.read_file path) in
-            check_bool "clean after migration" false r'.Journal.dropped_torn;
-            check_int "one event" 1 (List.length r'.Journal.events)));
     Alcotest.test_case "exists: absent / segmented / unreadable" `Quick (fun () ->
         with_tmp_dir (fun dir ->
             let path = Filename.concat dir "j.log" in
@@ -539,43 +489,10 @@ let snap_of ?(history = sample_events) session =
   Snapshot.of_sessions ~policy:"mtf" ~seed:7 ~capacity:cap ~events:(List.length history)
     ~last:(last_event history) [ (dflt, session) ]
 
-(* The parent format's writer, kept as the reference the v1/v2 upgrade
-   path reads: one digest section per tenant in tenant-name order (cost
-   summed newest bin first), then the history since genesis. *)
-let v2_snapshot_text ?(policy = "mtf") ?(seed = 7) ~history sessions =
-  let buf = Buffer.create 1024 in
-  let row fmt = Printf.bprintf buf fmt in
-  row "# dvbp-snapshot v2\npolicy,%s\nseed,%d\ncapacity,100,100\nevents,%d\n" policy
-    seed (List.length history);
-  List.iter
-    (fun (tenant, session) ->
-      let horizon = Session.now session in
-      let cost =
-        Dvbp_prelude.Listx.sum_by
-          (fun (b : Dvbp_core.Bin.t) ->
-            Option.value ~default:horizon b.Dvbp_core.Bin.closed_at
-            -. b.Dvbp_core.Bin.opened_at)
-          (Session.all_bins session)
-      in
-      row "tenant,%s\nclock,%.17g\ncost,%.17g\nbins_opened,%d\n" tenant horizon cost
-        (Session.bins_opened session);
-      List.iter
-        (fun (b : Dvbp_core.Bin.t) ->
-          row "open,%d" b.Dvbp_core.Bin.id;
-          List.map (fun (r : Dvbp_core.Item.t) -> r.Dvbp_core.Item.id)
-            b.Dvbp_core.Bin.active_items
-          |> List.sort Int.compare
-          |> List.iter (row ",%d");
-          row "\n")
-        (Session.open_bins session))
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) sessions);
-  List.iter (fun e -> row "%s\n" (Journal.encode_event e)) history;
-  Buffer.contents buf
-
 let section_of (snap : Snapshot.t) =
-  match snap.Snapshot.body with
-  | Snapshot.State [ sec ] -> sec
-  | Snapshot.State _ | Snapshot.History _ -> Alcotest.fail "expected one v3 section"
+  match snap.Snapshot.sections with
+  | [ sec ] -> sec
+  | _ -> Alcotest.fail "expected one section"
 
 let snapshot_tests =
   [
@@ -623,28 +540,10 @@ let snapshot_tests =
             let snap' = ok_or_fail (Snapshot.load ~path ()) in
             check_int "events" (List.length sample_events) snap'.Snapshot.events));
     Alcotest.test_case "event count mismatch rejected" `Quick (fun () ->
-        (* v2: the events row must count the history section *)
-        let text =
-          v2_snapshot_text ~history:sample_events [ (dflt, replay_exn sample_events) ]
-        in
-        ignore (ok_or_fail (Snapshot.of_string text));
-        let doctored = replace_sub text ~sub:"events,6" ~by:"events,7" in
-        check_bool "v2 error" true (Result.is_error (Snapshot.of_string doctored));
-        (* v3: the crc row covers the events row *)
+        (* the crc row covers the events row *)
         let text = Snapshot.to_string (snap_of (replay_exn sample_events)) in
         let doctored = replace_sub text ~sub:"events,6" ~by:"events,7" in
         check_bool "v3 error" true (Result.is_error (Snapshot.of_string doctored)));
-    Alcotest.test_case "corrupt history record rejected by its checksum" `Quick
-      (fun () ->
-        let text =
-          v2_snapshot_text ~history:sample_events [ (dflt, replay_exn sample_events) ]
-        in
-        (* v2 times are hex floats: 3.0 = 0x1.8p+1, 4.0 = 0x1p+2 *)
-        let doctored =
-          replace_sub text ~sub:"depart,default,0x1.8p+1,0"
-            ~by:"depart,default,0x1p+2,0"
-        in
-        check_bool "error" true (Result.is_error (Snapshot.of_string doctored)));
     Alcotest.test_case "v3: spread ids are written as a bitmap and read back" `Quick
       (fun () ->
         (* every third id, as a tenant sees ids dealt over three clients *)
@@ -1653,8 +1552,8 @@ let compaction_tests =
 
 (* -------------------------------------------------------------------- *)
 (* Group commit and the multi-client front end: handle_batch isolation,
-   the fsync-per-batch ceiling, shard-count determinism, the event loop's
-   ordering guarantees, and v1 journal compatibility. *)
+   the fsync-per-batch ceiling, shard-count determinism and the event
+   loop's ordering guarantees. *)
 
 let fresh_server_jobs ?io ?journal ?metrics ~jobs () =
   ok_or_fail
@@ -2058,53 +1957,6 @@ let batch_tests =
         check_string "stdin and event loop answer alike" via_loop via_stdin;
         check_int "two replies, then the ERR" 3
           (List.length (String.split_on_char '\n' via_stdin) - 1));
-    Alcotest.test_case "append_to upgrades a v1 journal in place" `Quick
-      (fun () ->
-        with_tmp_dir (fun dir ->
-            let path = Filename.concat dir "j.log" in
-            let seal body =
-              let sum =
-                String.fold_left
-                  (fun acc c -> ((acc * 31) + Char.code c) land 0xffff)
-                  0 body
-              in
-              Printf.sprintf "%s,~%04x" body sum
-            in
-            (* v1: decimal times, no tenant field *)
-            let oc = open_out path in
-            output_string oc
-              (String.concat "\n"
-                 [
-                   "# dvbp-journal v1";
-                   "policy,mtf";
-                   "seed,7";
-                   "capacity,100,100";
-                   "base,0";
-                   seal "arrive,0.5,0,0,1,60,10";
-                   seal "depart,2,0";
-                   "";
-                 ]);
-            close_out oc;
-            let w, r = ok_or_fail (Journal.append_to ~path (header ())) in
-            check_int "read as v1" 1 r.Journal.version;
-            check_bool "v1 events own the default tenant" true
-              (List.for_all
-                 (function
-                   | Journal.Arrive { tenant; _ } | Journal.Depart { tenant; _ }
-                     -> tenant = dflt)
-                 r.Journal.events);
-            Journal.append w
-              (Journal.Depart { tenant = "t9"; time = 3.0; item_id = 99 });
-            Journal.close w;
-            (* the file is now v2 end to end and replays both grammars'
-               worth of history *)
-            let r' = ok_or_fail (Journal.read_file path) in
-            check_int "upgraded" 2 r'.Journal.version;
-            check_int "all events" 3 (List.length r'.Journal.events);
-            match List.hd r'.Journal.events with
-            | Journal.Arrive { time; _ } ->
-                check_bool "decimal time survives re-encode" true (time = 0.5)
-            | _ -> Alcotest.fail "first event should be the v1 arrival"));
   ]
 
 (* The two entry points share one parser and one request path: any line
@@ -2196,17 +2048,17 @@ let time_bits e = Int64.bits_of_float (Journal.event_time e)
    (times bit for bit) or the same error message. The line is decoded
    both alone and inside a larger text, so a read outside its extent
    shows. *)
-let decoders_agree ?version line =
+let decoders_agree line =
   let padded = "arrive,x,~0000\n" ^ line ^ ",9,~" in
-  let inner = Record.decode ?version padded 15 (String.length line) in
-  let expected = Record_reference.decode_event ?version line in
+  let inner = Record.decode padded 15 (String.length line) in
+  let expected = Record_reference.decode_event line in
   let same got =
     match (expected, got) with
     | Ok a, Ok b -> Journal.equal_event a b && Int64.equal (time_bits a) (time_bits b)
     | Error a, Error b -> String.equal a b
     | Ok _, Error _ | Error _, Ok _ -> false
   in
-  same (Journal.decode_event ?version line) && same inner
+  same (Journal.decode_event line) && same inner
 
 let seal body = Printf.sprintf "%s,~%04x" body (Record_reference.checksum body)
 
@@ -2280,10 +2132,8 @@ let field_gen =
    reach the field parsers instead of failing the checksum *)
 let mutated_record_gen =
   QCheck2.Gen.(
-    let* e = differential_event_gen and* version = oneofl [ 2; 2; 2; 1; 3 ] in
+    let* e = differential_event_gen in
     let fields = String.split_on_char ',' (body_of (Journal.encode_event e)) in
-    (* v1 has no tenant field *)
-    let fields = if version = 1 then List.filteri (fun j _ -> j <> 1) fields else fields in
     let* edit = int_bound 5 and* i = int_bound (List.length fields - 1) and* f = field_gen in
     let body =
       match edit with
@@ -2292,14 +2142,12 @@ let mutated_record_gen =
       | 2 -> fields @ [ f ]
       | _ -> List.mapi (fun j x -> if j = i then f else x) fields
     in
-    return (version, seal (String.concat "," body)))
+    return (seal (String.concat "," body)))
 
 let prop_decoder_differential =
   QCheck2.Test.make ~name:"in-place decoder agrees with the split-based reference"
     ~count:5000
-    ~print:QCheck2.Print.(pair int string)
-    mutated_record_gen
-    (fun (version, line) -> decoders_agree ~version line)
+    ~print:QCheck2.Print.string mutated_record_gen decoders_agree
 
 (* records every byte-level mutation below starts from *)
 let differential_seeds () =
@@ -2322,10 +2170,8 @@ let upper_checksum line =
   let n = String.length line in
   String.sub line 0 (n - 4) ^ String.uppercase_ascii (String.sub line (n - 4) 4)
 
-let check_agree ?version line =
-  if not (decoders_agree ?version line) then
-    Alcotest.failf "decoders disagree on %S (version %s)" line
-      (match version with Some v -> string_of_int v | None -> "default")
+let check_agree line =
+  if not (decoders_agree line) then Alcotest.failf "decoders disagree on %S" line
 
 (* an [Io] over the real filesystem that counts [read_file] per path *)
 let counting_io () =
@@ -2403,16 +2249,8 @@ let resume_tests =
               check_agree (String.sub line 0 k)
             done;
             List.iter check_agree
-              [ " " ^ line; line ^ " "; "\t" ^ line ^ "\r"; line ^ "\r"; upper_checksum line ];
-            check_agree ~version:1 line)
+              [ " " ^ line; line ^ " "; "\t" ^ line ^ "\r"; line ^ "\r"; upper_checksum line ])
           (differential_seeds ()));
-    Alcotest.test_case "decoders agree on v1 records" `Quick (fun () ->
-        List.iter
-          (fun body ->
-            check_agree ~version:1 (seal body);
-            check_agree ~version:2 (seal body))
-          [ "arrive,3.5,4,0,1,30,20"; "depart,1e3,4"; "arrive,0x1.8p+1,-4,2,0,5";
-            "depart,0.30000000000000004,9"; "arrive,3,4,0,1"; "depart,3"; "frob,3,4" ]);
     Alcotest.test_case "a run of one tenant's records shares its name" `Quick (fun () ->
         let decoder = Record.decoder () in
         let line =
@@ -2543,7 +2381,7 @@ let resume_tests =
             check_int "split" 10 st.Recovery.from_snapshot));
   ]
 
-(* {1 State snapshots: size follows the live state; v2 files upgrade} *)
+(* {1 State snapshots: size follows the live state; retired formats are refused} *)
 
 (* [n] events of one tenant ending with the same live shape whatever [n]:
    item [i] arrives at time [i] and item [i - 3] departs just before it,
@@ -2597,37 +2435,26 @@ let compacting_snapshot_bytes ~dir n =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   bytes
 
+(* One file per retired format: the v2 snapshot is one a server wrote
+   before format v3 (with the segment that continues it), the others are
+   written by hand. *)
 let fixture = Filename.concat "fixtures" "v2-upgrade"
+let read_fixture name =
+  In_channel.with_open_bin (Filename.concat fixture name) In_channel.input_all
 
-let copy_fixture dir =
-  List.iter
-    (fun name ->
-      let text = In_channel.with_open_bin (Filename.concat fixture name) In_channel.input_all in
-      Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
-          Out_channel.output_string oc text))
-    [ "s.snap"; "j.log.000001.seg.open" ]
-
-(* the fixture's per-tenant fingerprints and STATS engine fields *)
-let fixture_expectations () =
-  match
-    In_channel.with_open_bin (Filename.concat fixture "fingerprints") In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (( <> ) "")
-  with
-  | [ d; b; stats ] ->
-      let split l =
-        let i = String.index l ' ' in
-        (String.sub l 0 i, String.sub l (i + 1) (String.length l - i - 1))
-      in
-      ([ split d; split b ], stats)
-  | _ -> Alcotest.fail "malformed fixture fingerprints"
-
-let engine_fields stats =
-  String.split_on_char ' ' stats
-  |> List.filter (fun f ->
-         List.exists
-           (fun k -> String.starts_with ~prefix:(k ^ "=") f)
-           [ "events"; "open_bins"; "bins_opened"; "active_items"; "clock"; "cost" ])
+let retired_inputs () =
+  let journal magic = magic ^ "\npolicy,mtf\nseed,7\ncapacity,100,100\nbase,0\n" in
+  [
+    (`Snapshot, "# dvbp-snapshot v1",
+     "# dvbp-snapshot v1\npolicy,mtf\nseed,7\ncapacity,100,100\nevents,0\nclock,0\n\
+      cost,0\nbins_opened,0\n");
+    (`Snapshot, "# dvbp-snapshot v2", read_fixture "s.snap");
+    (`Journal, "# dvbp-journal v1",
+     journal "# dvbp-journal v1" ^ seal "arrive,0.5,0,0,1,60,10" ^ "\n");
+    (`Journal, "# dvbp-journal v2",
+     journal "# dvbp-journal v2"
+     ^ String.concat "" (List.map (fun e -> Journal.encode_event e ^ "\n") sample_events));
+  ]
 
 let state_snapshot_tests =
   [
@@ -2642,62 +2469,51 @@ let state_snapshot_tests =
               (Printf.sprintf "%d and %d bytes differ by at most 64" small large)
               true
               (abs (large - small) <= 64)));
-    Alcotest.test_case "a v2 snapshot and journal resume and are rewritten as v3" `Quick
-      (fun () ->
-        with_tmp_dir (fun dir ->
-            copy_fixture dir;
-            let journal = Filename.concat dir "j.log" and snapshot = Filename.concat dir "s.snap" in
-            let fps, stats = fixture_expectations () in
-            let check_state what (st : Recovery.state) =
-              check_int (what ^ ": events") 90 st.Recovery.events;
-              check_bool (what ^ ": tenant order") true
-                (List.map fst st.Recovery.sessions = List.map fst fps);
-              List.iter
-                (fun (tenant, fp) ->
-                  check_string (what ^ ": tenant " ^ tenant) fp
-                    (Session.fingerprint (List.assoc tenant st.Recovery.sessions)))
-                fps
-            in
-            let st = ok_or_fail (Recovery.recover ~snapshot ~journal ()) in
-            check_state "from v2" st;
-            check_int "v2 history replayed" 60 st.Recovery.from_snapshot;
-            let config =
-              {
-                Server.policy = "rf";
-                seed = 7;
-                capacity = cap;
-                journal = Some journal;
-                snapshot = Some snapshot;
-                snapshot_every = None;
-                fsync_every = 64;
-                jobs = 1;
-                segment_bytes = None;
-                retain_segments = None;
-              }
-            in
-            let t = ok_or_fail (Server.resume config st) in
-            check_bool "STATS engine fields" true
-              (engine_fields (Server.stats_line t) = engine_fields stats);
-            ignore (ok_or_fail (Server.compact t));
-            Server.close t;
-            let text = In_channel.with_open_bin snapshot In_channel.input_all in
-            check_bool "rewritten as v3" true
-              (String.starts_with ~prefix:"# dvbp-snapshot v3\n" text);
-            let st = ok_or_fail (Recovery.recover ~snapshot ~journal ()) in
-            check_state "from v3" st;
-            check_int "v3 covers every event" 90 st.Recovery.from_snapshot;
-            (* both resume paths place the next events alike *)
-            let t = ok_or_fail (Server.resume config st) in
-            let again = ok_or_fail (Recovery.recover ~journal:(Filename.concat fixture "j.log") ~snapshot:(Filename.concat fixture "s.snap") ()) in
-            let u = ok_or_fail (Server.resume { config with journal = None; snapshot = None } again) in
-            List.iter
-              (fun line ->
-                check_string line (fst (Server.handle_line u line))
-                  (fst (Server.handle_line t line)))
-              [ "ARRIVE 26 100 30,30"; "ARRIVE b 26 100 30,30"; "ARRIVE 27 101 60,60";
-                "DEPART b 27 100"; "ARRIVE b 28 101 60,60"; "ARRIVE 29 102 90,5" ];
-            Server.close t;
-            Server.close u));
+    Alcotest.test_case "retired formats are refused, naming the format and dvbp compact"
+      `Quick (fun () ->
+        let refused ~what ~format = function
+          | Ok _ -> Alcotest.failf "%s read a %s file" what format
+          | Error msg ->
+              check_bool (what ^ " names the format: " ^ msg) true (contains_sub msg format);
+              check_bool (what ^ " gives the upgrade step: " ^ msg) true
+                (contains_sub msg "dvbp compact");
+              msg
+        in
+        List.iter
+          (fun (kind, format, text) ->
+            with_tmp_dir (fun dir ->
+                let journal = Filename.concat dir "j.log"
+                and snapshot = Filename.concat dir "s.snap" in
+                let write path text =
+                  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+                in
+                (match kind with
+                | `Snapshot ->
+                    ignore
+                      (refused ~what:"Snapshot.of_string" ~format (Snapshot.of_string text));
+                    write snapshot text;
+                    write (active_seg ~idx:1 journal) (read_fixture "j.log.000001.seg.open")
+                | `Journal ->
+                    write journal text;
+                    ignore (refused ~what:"Journal.load" ~format (Journal.load journal));
+                    (* so a resume cannot start fresh over it *)
+                    check_bool "the file counts as a journal" true (Journal.exists journal));
+                (* every file's name and bytes *)
+                let contents () =
+                  Sys.readdir dir |> Array.to_list |> List.sort compare
+                  |> List.map (fun f ->
+                         let path = Filename.concat dir f in
+                         (f, In_channel.with_open_bin path In_channel.input_all))
+                in
+                let before = contents () in
+                let msg =
+                  refused ~what:"Recovery.load" ~format (Recovery.load ~snapshot ~journal ())
+                in
+                let named = match kind with `Snapshot -> snapshot | `Journal -> journal in
+                check_bool ("Recovery.load names the path: " ^ msg) true
+                  (contains_sub msg named);
+                check_bool "no file written or removed" true (before = contents ())))
+          (retired_inputs ()));
   ]
 
 let suites =

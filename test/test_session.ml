@@ -368,8 +368,8 @@ let through_v3 ~name session =
       [ (Tenant.default, session) ]
   in
   match Snapshot.of_string (Snapshot.to_string snap) with
-  | Ok { Snapshot.body = Snapshot.State [ sec ]; _ } -> sec.Snapshot.state
-  | Ok _ -> failwith "unexpected snapshot body"
+  | Ok { Snapshot.sections = [ sec ]; _ } -> sec.Snapshot.state
+  | Ok _ -> failwith "expected one snapshot section"
   | Error e -> failwith e
 
 let restore_differential =
@@ -393,11 +393,22 @@ let restore_differential =
                   (match fit_kernel with `Auto -> "auto" | `Scalar -> "scalar")
                   what i
               in
+              (* the live-item counter against a recount of the open bins *)
+              let check_active s i =
+                let held =
+                  List.fold_left
+                    (fun n (bin : Dvbp_core.Bin.t) ->
+                      n + List.length bin.Dvbp_core.Bin.active_items)
+                    0 (Session.open_bins s)
+                in
+                if Session.active_items s <> held then fail "active_items" i
+              in
               List.iteri
                 (fun i e ->
                   if i < k then begin
                     ignore (step a e);
-                    ignore (step b e)
+                    ignore (step b e);
+                    check_active a i
                   end)
                 events;
               let c =
@@ -410,12 +421,17 @@ let restore_differential =
                 | Error e -> fail ("restore failed: " ^ e) k
               in
               if Session.fingerprint c <> Session.fingerprint a then fail "fingerprint" k;
+              if Session.active_items c <> Session.active_items a then fail "active_items" k;
+              check_active c k;
               List.iteri
                 (fun i e ->
                   if i >= k then begin
                     if step a e <> step c e then fail "outcome" i;
                     if Session.fingerprint a <> Session.fingerprint c then
-                      fail "fingerprint" i
+                      fail "fingerprint" i;
+                    if Session.active_items a <> Session.active_items c then
+                      fail "active_items" i;
+                    check_active c i
                   end)
                 events;
               let departed =
@@ -433,9 +449,12 @@ let restore_differential =
               List.iter
                 (fun e ->
                   let ra = step a e and rc = step c e in
-                  if ra <> rc then
-                    let show = function Ok _ -> "ok" | Error m -> m in
-                    fail ("injected event: " ^ show ra ^ " vs " ^ show rc) (List.length events))
+                  (if ra <> rc then
+                     let show = function Ok _ -> "ok" | Error m -> m in
+                     fail ("injected event: " ^ show ra ^ " vs " ^ show rc)
+                       (List.length events));
+                  if Session.active_items a <> Session.active_items c then
+                    fail "active_items" (List.length events))
                 injected;
               if Session.fingerprint a <> Session.fingerprint c then
                 fail "fingerprint after refusals" (List.length events))
