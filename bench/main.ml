@@ -499,8 +499,15 @@ let run_json path =
           try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
       (try Sys.readdir dir with Sys_error _ -> [||])
   in
+  (* a unique journal path with nothing at it: a fresh journal refuses a
+     regular file at its path, so the name [temp_file] reserves is freed *)
+  let journal_path prefix =
+    let tmp = Filename.temp_file prefix ".journal" in
+    Sys.remove tmp;
+    tmp
+  in
   let lg_run ?journal () =
-    let tmp = Option.map (fun _ -> Filename.temp_file "dvbp_bench" ".journal") journal in
+    let tmp = Option.map (fun _ -> journal_path "dvbp_bench") journal in
     Fun.protect
       ~finally:(fun () -> Option.iter remove_journal_files tmp)
       (fun () ->
@@ -538,7 +545,7 @@ let run_json path =
        of three runs to shed scheduler noise (each run is ~0.5 s) *)
     Gc.compact ();
     let one () =
-      let tmp = Filename.temp_file "dvbp_bench_mc" ".journal" in
+      let tmp = journal_path "dvbp_bench_mc" in
       Fun.protect
         ~finally:(fun () -> remove_journal_files tmp)
         (fun () ->

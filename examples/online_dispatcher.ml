@@ -30,7 +30,9 @@ end
 let () =
   let rng = Rng.create ~seed:77 in
   let capacity = Vec.of_list [ 100; 100 ] in
-  let session = Session.create ~capacity ~policy:(Core.Policy.move_to_front ()) () in
+  let session =
+    Session.create ~history:true ~capacity ~policy:(Core.Policy.move_to_front ()) ()
+  in
   let departures = Schedule.create () in
   let clock = ref 0.0 in
   let horizon = 480.0 (* an 8-hour shift, in minutes *) in

@@ -93,7 +93,7 @@ let replay ~policy ~seed path =
   let h = T.Trace_reader.header r in
   let* p = Policy.of_name ~rng:(Rng.create ~seed) policy in
   let session =
-    Session.create ~record_trace:false ~capacity:h.T.Binfmt.capacity ~policy:p ()
+    Session.create ~record_trace:false ~history:true ~capacity:h.T.Binfmt.capacity ~policy:p ()
   in
   let registry = Registry.create () in
   let probe = T.Replay.probe ~registry () in

@@ -7,7 +7,6 @@ type t = {
   opened_at : float;
   mutable load : Vec.t;
   mutable active_items : Item.t list;
-  mutable placed : Item.t list;
   mutable closed_at : float option;
   mutable last_used : int;
   (* one-entry load-measure cache, invalidated whenever [load] changes:
@@ -28,7 +27,6 @@ let create ~id ~capacity ~now ~touch =
     opened_at = now;
     load = Vec.zero ~dim:(Vec.dim capacity);
     active_items = [];
-    placed = [];
     closed_at = None;
     last_used = touch;
     measure_key = None;
@@ -49,7 +47,6 @@ let place t (r : Item.t) ~touch =
   Vec.add_into ~into:t.load r.Item.size;
   t.measure_key <- None;
   t.active_items <- r :: t.active_items;
-  t.placed <- r :: t.placed;
   t.last_used <- touch
 
 (* top-level so each [remove] does not allocate a closure for the scan *)

@@ -15,7 +15,6 @@ type t = private {
   opened_at : float;
   mutable load : Dvbp_vec.Vec.t;  (** total size of currently active items *)
   mutable active_items : Item.t list;  (** most recently placed first *)
-  mutable placed : Item.t list;  (** every item ever placed, placement order *)
   mutable closed_at : float option;
   mutable last_used : int;
   mutable measure_key : Load_measure.t option;

@@ -117,7 +117,7 @@ let run ?(clairvoyant = false) ?departure_oracle ?(record_trace = true) ~policy
   let departures = Array.copy arrivals in
   qsort_departure departures 0 (n - 1);
   let session =
-    Session.create ~record_trace ~expected_items:n
+    Session.create ~record_trace ~history:true ~expected_items:n
       ~capacity:instance.Core.Instance.capacity ~policy ()
   in
   (try

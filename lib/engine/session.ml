@@ -1,5 +1,6 @@
 module Vec = Dvbp_vec.Vec
 module Int_table = Dvbp_prelude.Int_table
+module Dynarray = Dvbp_prelude.Dynarray
 module Core = Dvbp_core
 module Bin = Core.Bin
 module Bin_registry = Core.Bin_registry
@@ -10,10 +11,25 @@ exception Session_error of string
 
 let error fmt = Printf.ksprintf (fun s -> raise (Session_error s)) fmt
 
+(* a live item: removed from the item table when it departs *)
 type item_state = {
-  item : Item.t;  (* departure is provisional unless the arrival was clairvoyant *)
+  (* departure is provisional unless the arrival was clairvoyant; a
+     session with history replaces the item on departure by one with the
+     actual departure, which is what {!finish} reports *)
+  mutable item : Item.t;
   bin : Bin.t;
-  mutable departed_at : float option;
+}
+
+(* A bin's past, as {!finish} reports it: its usage interval and every
+   item it held. *)
+type past_bin = { bin : Bin.t; mutable placed_rev : item_state list }
+
+(* What [finish] and [trace] read and nothing the session's future
+   depends on: only a session created with [~history:true] keeps it. *)
+type history = {
+  record_trace : bool;
+  mutable trace_rev : Trace.event list;
+  past_bins : past_bin Dynarray.t;  (* every bin opened, indexed by id *)
 }
 
 type placement = { item_id : int; bin_id : int; opened_new_bin : bool }
@@ -24,16 +40,15 @@ type clock = { mutable time : float }
 type t = {
   capacity : Vec.t;
   policy : Policy.t;
-  record_trace : bool;
+  history : history option;
   clock : clock;
   mutable started : bool;
   mutable next_item : int;
   mutable next_bin : int;
   mutable touch : int;
   open_bins : Bin_registry.t;  (* ascending open order, incremental count *)
-  mutable all_bins_desc : Bin.t list;
-  items : item_state Int_table.t;
-  mutable trace_rev : Trace.event list;
+  items : item_state Int_table.t;  (* the live items *)
+  ids : Id_set.t;  (* every id ever accepted, live or departed *)
   mutable max_open : int;
   mutable finished : bool;
   mutable live : int;  (* items placed and not yet departed *)
@@ -48,36 +63,28 @@ type t = {
      bins *)
   cost : clock;
   cost_comp : clock;
-  (* ids accepted before a restore, as sorted disjoint inclusive ranges
-     [lo0; hi0; lo1; hi1; ...]: the item table only holds the items
-     restored live, yet a departed id must stay refused. Empty unless the
-     session was restored. *)
-  accepted : int array;
-  restored : bool;
 }
 
-let make ~record_trace ~expected_items ~fit_kernel ~capacity ~policy ~accepted ~restored =
+let make ~history ~expected_items ~fit_kernel ~capacity ~policy ~ids =
   (* the dummy state fills the item table's empty slots; it is never read *)
   let dummy_state =
     {
       item = Item.make ~id:0 ~arrival:0.0 ~departure:1.0 ~size:capacity;
       bin = Bin.create ~id:(-1) ~capacity ~now:0.0 ~touch:0;
-      departed_at = None;
     }
   in
   {
     capacity;
     policy;
-    record_trace;
+    history;
     clock = { time = 0.0 };
     started = false;
     next_item = 0;
     next_bin = 0;
     touch = 0;
     open_bins = Bin_registry.create ~kernel:fit_kernel ~capacity ();
-    all_bins_desc = [];
     items = Int_table.create ~expected:expected_items ~dummy:dummy_state ();
-    trace_rev = [];
+    ids;
     max_open = 0;
     finished = false;
     live = 0;
@@ -86,14 +93,23 @@ let make ~record_trace ~expected_items ~fit_kernel ~capacity ~policy ~accepted ~
     stat_rejects = 0;
     cost = { time = 0.0 };
     cost_comp = { time = 0.0 };
-    accepted;
-    restored;
   }
 
-let create ?(record_trace = true) ?(expected_items = 64) ?(fit_kernel = `Auto)
-    ~capacity ~policy () =
-  make ~record_trace ~expected_items ~fit_kernel ~capacity ~policy ~accepted:[||]
-    ~restored:false
+let create ?(record_trace = true) ?(history = false) ?(expected_items = 64)
+    ?(fit_kernel = `Auto) ~capacity ~policy () =
+  let history =
+    if not history then None
+    else
+      let dummy_bin = Bin.create ~id:(-1) ~capacity ~now:0.0 ~touch:0 in
+      Some
+        {
+          record_trace;
+          trace_rev = [];
+          past_bins = Dynarray.create ~dummy:{ bin = dummy_bin; placed_rev = [] } ();
+        }
+  in
+  make ~history ~expected_items ~fit_kernel ~capacity ~policy
+    ~ids:(Id_set.create ~expected_ids:expected_items ())
 
 let now t = t.clock.time
 let capacity t = t.capacity
@@ -127,36 +143,39 @@ let advance t at ~kind ~item =
   check_advance t at ~kind ~item;
   commit_advance t at
 
-(* whether [id] lies in one of the ranges of [accepted] (binary search) *)
-let in_ranges (accepted : int array) id =
-  let rec go lo hi =
-    (* ranges [lo, hi) of the range index *)
-    if lo >= hi then false
-    else
-      let mid = (lo + hi) / 2 in
-      if id < accepted.(2 * mid) then go lo mid
-      else if id > accepted.((2 * mid) + 1) then go (mid + 1) hi
-      else true
-  in
-  go 0 (Array.length accepted / 2)
-
 (* an id this session has accepted, live or departed *)
-let[@inline] known t id =
-  Int_table.mem t.items id
-  || (Array.length t.accepted > 0 && in_ranges t.accepted id)
+let[@inline] known t id = Id_set.mem t.ids id
 
 let next_touch t =
   t.touch <- t.touch + 1;
   t.touch
 
-let emit t e = if t.record_trace then t.trace_rev <- e :: t.trace_rev
+(* {2 History} — each hook runs only on a session that keeps history, so
+   the live-state path builds no trace event *)
+
+let emit h e = if h.record_trace then h.trace_rev <- e :: h.trace_rev
+
+let note_opened h ~at b =
+  Dynarray.push h.past_bins { bin = b; placed_rev = [] };
+  emit h (Trace.Opened { time = at; bin_id = b.Bin.id })
+
+let note_placed h ~at (s : item_state) =
+  let p = Dynarray.get h.past_bins s.bin.Bin.id in
+  p.placed_rev <- s :: p.placed_rev;
+  emit h (Trace.Placed { time = at; item_id = s.item.Item.id; bin_id = s.bin.Bin.id })
+
+let note_departed h ~at (s : item_state) =
+  let r = s.item in
+  s.item <- Item.make ~id:r.Item.id ~arrival:r.Item.arrival ~departure:at ~size:r.Item.size;
+  emit h (Trace.Departed { time = at; item_id = r.Item.id; bin_id = s.bin.Bin.id })
+
+let note_closed h ~at (b : Bin.t) = emit h (Trace.Closed { time = at; bin_id = b.Bin.id })
 
 let open_fresh t ~at =
   let b = Bin.create ~id:t.next_bin ~capacity:t.capacity ~now:at ~touch:(next_touch t) in
   t.next_bin <- t.next_bin + 1;
   Bin_registry.add t.open_bins b;
-  t.all_bins_desc <- b :: t.all_bins_desc;
-  emit t (Trace.Opened { time = at; bin_id = b.Bin.id });
+  (match t.history with Some h -> note_opened h ~at b | None -> ());
   t.max_open <- Int.max t.max_open (Bin_registry.count t.open_bins);
   b
 
@@ -233,15 +252,17 @@ let arrive_core t ~at ?id ?departure ~size () =
         t.next_item
   in
   if item_id = t.next_item then t.next_item <- t.next_item + 1;
-  (* The provisional departure keeps Item.make's invariants; the real value
-     is recorded at depart time and substituted when the packing is built. *)
+  (* The provisional departure keeps Item.make's invariants; with history,
+     the real value replaces it at depart time. *)
   let provisional = match departure with Some d -> d | None -> at +. 1.0 in
   let item = Item.make ~id:item_id ~arrival:at ~departure:provisional ~size in
   Bin.place target item ~touch:(next_touch t);
   Bin_registry.refresh t.open_bins target;
-  Int_table.replace t.items item_id { item; bin = target; departed_at = None };
+  let state = { item; bin = target } in
+  Int_table.replace t.items item_id state;
+  Id_set.add t.ids item_id;
   t.live <- t.live + 1;
-  emit t (Trace.Placed { time = at; item_id; bin_id = target.Bin.id });
+  (match t.history with Some h -> note_placed h ~at state | None -> ());
   t.policy.Policy.on_place ~bin:target ~now:at;
   { item_id; bin_id = target.Bin.id; opened_new_bin }
 
@@ -266,22 +287,19 @@ let depart_core t ~at ~item_id =
         if known t item_id then error "departure at %g: item %d already departed" at item_id
         else error "departure at %g: unknown item id %d" at item_id
   in
-  (match state.departed_at with
-  | Some _ -> error "departure at %g: item %d already departed" at item_id
-  | None -> ());
   if at <= state.item.Item.arrival then
     error "departure at %g: item %d cannot depart, it arrived at %g" at item_id
       state.item.Item.arrival;
   commit_advance t at;
-  state.departed_at <- Some at;
+  Int_table.remove t.items item_id;
   t.live <- t.live - 1;
   Bin.remove state.bin state.item;
-  emit t (Trace.Departed { time = at; item_id; bin_id = state.bin.Bin.id });
+  (match t.history with Some h -> note_departed h ~at state | None -> ());
   if Bin.is_empty state.bin then begin
     Bin.close state.bin ~now:at;
     add_cost t (at -. state.bin.Bin.opened_at);
     Bin_registry.note_closed t.open_bins state.bin;
-    emit t (Trace.Closed { time = at; bin_id = state.bin.Bin.id });
+    (match t.history with Some h -> note_closed h ~at state.bin | None -> ());
     t.policy.Policy.on_close ~bin:state.bin ~now:at
   end
   else Bin_registry.refresh t.open_bins state.bin
@@ -345,44 +363,33 @@ let fingerprint t =
   Buffer.add_char buf ']';
   Buffer.contents buf
 
-let refuse_restored t what =
-  if t.restored then
-    error "%s: the session was restored from saved state, and the history before it is not held" what
+let history t what =
+  match t.history with
+  | Some h -> h
+  | None -> error "%s: the session keeps no history (it was not created with ~history:true)" what
 
-let trace t =
-  refuse_restored t "trace";
-  Trace.of_events (List.rev t.trace_rev)
+let trace t = Trace.of_events (List.rev (history t "trace").trace_rev)
 
 let finish t ~at =
-  refuse_restored t "finish";
+  let h = history t "finish" in
   let still_active =
-    Int_table.fold t.items
-      (fun id s acc ->
-        match s.departed_at with None -> (id, s) :: acc | Some _ -> acc)
-      []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    List.sort Int.compare (Int_table.fold t.items (fun id _ acc -> id :: acc) [])
   in
-  List.iter (fun (id, _) -> depart t ~at ~item_id:id) still_active;
+  List.iter (fun id -> depart t ~at ~item_id:id) still_active;
   advance t at ~kind:'f' ~item:(-1);
   t.finished <- true;
-  let final_item id =
-    let s = Int_table.find t.items id in
-    let departure =
-      match s.departed_at with Some d -> d | None -> assert false
-    in
-    Item.make ~id ~arrival:s.item.Item.arrival ~departure ~size:s.item.Item.size
-  in
   let records =
-    List.rev_map
-      (fun (b : Bin.t) ->
+    Dynarray.fold h.past_bins
+      (fun acc p ->
         {
-          Core.Packing.bin_id = b.Bin.id;
-          interval = Bin.usage_interval b;
-          items = List.rev_map (fun (r : Item.t) -> final_item r.Item.id) b.Bin.placed;
-        })
-      t.all_bins_desc
+          Core.Packing.bin_id = p.bin.Bin.id;
+          interval = Bin.usage_interval p.bin;
+          items = List.rev_map (fun s -> s.item) p.placed_rev;
+        }
+        :: acc)
+      []
   in
-  Core.Packing.make ~capacity:t.capacity records
+  Core.Packing.make ~capacity:t.capacity (List.rev records)
 
 (* {2 Saved state} *)
 
@@ -407,39 +414,6 @@ module Saved = struct
     bins : bin list;
   }
 end
-
-(* every id ever accepted: the item table's keys and the restored ranges *)
-let accepted_ranges t =
-  (* the table's ids sorted (an int array: the table holds every item
-     since the session began or was restored) *)
-  let ids = Array.make (Int_table.length t.items) 0 in
-  let k = ref 0 in
-  Int_table.iter t.items (fun id _ ->
-      ids.(!k) <- id;
-      incr k);
-  Array.sort Int.compare ids;
-  (* merged with the restored ranges, both ascending, into disjoint
-     inclusive ranges with gaps between them *)
-  let restored = t.accepted in
-  let nr = Array.length restored / 2 in
-  let out = ref [] in
-  let add lo hi =
-    match !out with
-    | (plo, phi) :: rest when lo <= phi + 1 -> out := (plo, Int.max phi hi) :: rest
-    | _ -> out := (lo, hi) :: !out
-  in
-  let i = ref 0 and r = ref 0 in
-  while !i < Array.length ids || !r < nr do
-    if !r >= nr || (!i < Array.length ids && ids.(!i) < restored.(2 * !r)) then begin
-      add ids.(!i) ids.(!i);
-      incr i
-    end
-    else begin
-      add restored.(2 * !r) restored.((2 * !r) + 1);
-      incr r
-    end
-  done;
-  List.rev !out
 
 let export t =
   if t.finished then error "export: session already finished";
@@ -475,7 +449,7 @@ let export t =
     rejects = t.stat_rejects;
     cost_sum = t.cost.time;
     cost_comp = t.cost_comp.time;
-    accepted = accepted_ranges t;
+    accepted = Id_set.ranges t.ids;
     policy_state = t.policy.Policy.export ();
     bins;
   }
@@ -484,7 +458,7 @@ let restore ?(fit_kernel = `Auto) ~capacity ~policy (st : Saved.t) =
   let fail fmt = Printf.ksprintf (fun m -> Error ("restore: " ^ m)) fmt in
   let rec sorted_ranges prev = function
     | [] -> true
-    | (lo, hi) :: rest -> lo > prev + 1 && lo <= hi && sorted_ranges hi rest
+    | (lo, hi) :: rest -> prev < max_int && lo > prev + 1 && lo <= hi && sorted_ranges hi rest
   in
   if not (Float.is_finite st.Saved.clock && Float.is_finite st.Saved.cost_sum
           && Float.is_finite st.Saved.cost_comp)
@@ -496,13 +470,10 @@ let restore ?(fit_kernel = `Auto) ~capacity ~policy (st : Saved.t) =
   then
     fail "negative counter"
   else
-    let accepted =
-      Array.of_list (List.concat_map (fun (lo, hi) -> [ lo; hi ]) st.Saved.accepted)
-    in
     let live = List.fold_left (fun n b -> n + List.length b.Saved.items) 0 st.Saved.bins in
     let t =
-      make ~record_trace:false ~expected_items:(Int.max 64 (2 * live)) ~fit_kernel
-        ~capacity ~policy ~accepted ~restored:true
+      make ~history:None ~expected_items:(Int.max 64 (2 * live)) ~fit_kernel ~capacity
+        ~policy ~ids:(Id_set.of_ranges st.Saved.accepted)
     in
     t.clock.time <- st.Saved.clock;
     t.started <- st.Saved.started;
@@ -534,7 +505,7 @@ let restore ?(fit_kernel = `Auto) ~capacity ~policy (st : Saved.t) =
               | [] -> Ok ()
               | (r : Saved.item) :: items ->
                   let id = r.Saved.item_id in
-                  if Int_table.mem t.items id || not (in_ranges accepted id) then
+                  if Int_table.mem t.items id || not (Id_set.mem t.ids id) then
                     fail "item %d is repeated or not among the accepted ids" id
                   else if Vec.dim r.Saved.size <> Vec.dim capacity then
                     fail "item %d has dimension %d, the capacity %d" id (Vec.dim r.Saved.size)
@@ -547,14 +518,13 @@ let restore ?(fit_kernel = `Auto) ~capacity ~policy (st : Saved.t) =
                         ~size:r.Saved.size
                     in
                     Bin.place b item ~touch:sb.Saved.last_used;
-                    Int_table.replace t.items id { item; bin = b; departed_at = None };
+                    Int_table.replace t.items id { item; bin = b };
                     place items
             in
             (match place sb.Saved.items with
             | Error _ as e -> e
             | Ok () ->
                 Bin_registry.add t.open_bins b;
-                t.all_bins_desc <- b :: t.all_bins_desc;
                 add_bins sb.Saved.bin_id rest)
     in
     match add_bins (-1) st.Saved.bins with

@@ -9,7 +9,15 @@
 
     Time must be fed monotonically: events at equal timestamps are legal
     (departures must be fed before arrivals at the same instant, matching
-    the half-open interval semantics); going backwards raises. *)
+    the half-open interval semantics); going backwards raises.
+
+    A session holds only live state: the open bins with their live items,
+    the policy's own state, counters, and the set of ids ever accepted
+    (compact while ids roughly ascend, see {!Id_set}). A departed item
+    and a closed bin leave nothing behind, so memory follows what is open
+    now, not the history. The finished {!Dvbp_core.Packing.t} and the
+    {!Trace.t} are history: only a session created with [~history:true]
+    keeps what {!finish} and {!trace} need. *)
 
 type t
 
@@ -23,6 +31,7 @@ exception Session_error of string
 
 val create :
   ?record_trace:bool ->
+  ?history:bool ->
   ?expected_items:int ->
   ?fit_kernel:[ `Auto | `Scalar ] ->
   capacity:Dvbp_vec.Vec.t ->
@@ -30,12 +39,18 @@ val create :
   unit ->
   t
 (** A fresh session with no bins. The policy must be freshly created (its
-    mutable state belongs to this session). [record_trace] (default [true])
-    controls whether events are accumulated for {!trace}; disable it on hot
-    paths (e.g. ratio sweeps) that never read the trace — {!trace} then
-    returns an empty trace. [expected_items] pre-sizes the item table when
-    the caller knows the workload size (the batch engine does), avoiding
-    rehashes mid-run. [fit_kernel] (default [`Auto]) is forwarded to
+    mutable state belongs to this session). [history] (default [false])
+    keeps every bin and item the session ever held, for {!finish} and
+    {!trace}; offline drivers that need the final packing ({!Engine.run},
+    trace replay) set it, a long-running service must not. [record_trace]
+    (default [true]) matters only with [history]: it controls whether
+    events are accumulated for {!trace}; disable it on hot paths (e.g.
+    ratio sweeps) that never read the trace — {!trace} then returns an
+    empty trace. [expected_items] pre-sizes the item table when the caller
+    knows how many items will be live at once (the batch engine passes
+    the workload size), avoiding rehashes mid-run, and lets the set of
+    accepted ids keep that many ids in its bitmap, in any order
+    ({!Id_set.create}'s [expected_ids]). [fit_kernel] (default [`Auto]) is forwarded to
     {!Dvbp_core.Bin_registry.create}: [`Scalar] forces the per-dimension
     fit-scan loop even when the capacity qualifies for the SWAR kernel
     (differential tests, benchmarks). Kernel choice never changes
@@ -78,7 +93,8 @@ val finish : t -> at:float -> Dvbp_core.Packing.t
 (** Departs every still-active item at [at] and returns the final packing.
     The session cannot be used afterwards.
     @raise Session_error on non-monotonic time, if already finished, or on
-    a {!restore}d session. *)
+    a session without history (created without [~history:true], or
+    {!restore}d). *)
 
 (** {1 Observability} *)
 
@@ -140,7 +156,7 @@ val fingerprint : t -> string
 val trace : t -> Trace.t
 (** Everything that happened so far, oldest first. Empty when the session
     was created with [~record_trace:false].
-    @raise Session_error on a {!restore}d session. *)
+    @raise Session_error on a session without history. *)
 
 (** {1 Saved state}
 
@@ -186,7 +202,10 @@ module Saved : sig
 end
 
 val export : t -> Saved.t
-(** The session's saved state. O(open bins + ids in the item table).
+(** The session's saved state. O(live items + accepted ranges + the
+    {!Id_set} window), whatever the number of events so far; the window
+    is read only up to its highest id, so a session whose ids ascend pays
+    for a few bytes of it.
     @raise Session_error once finished. *)
 
 val restore :
@@ -199,9 +218,11 @@ val restore :
     created with the exporter's parameters (for Random Fit, a fresh copy
     of its rng); its state is then {!Dvbp_core.Policy.t.import}ed. The
     bins re-enter the registry in id order, so every tie-break comes out
-    as it would have. The restored session refuses an id accepted before
-    the restore (arrival: duplicate id; departure: already departed),
-    does not record a trace, and refuses {!trace} and {!finish}.
+    as it would have. The restored session has the same shape as a fresh
+    one: it refuses an id accepted before the restore (arrival: duplicate
+    id; departure: already departed) exactly as the exporter would, and,
+    keeping no history, refuses {!trace} and {!finish}. O(live items +
+    accepted ranges + the {!Id_set} window).
     Errors on an inconsistent state (unordered bins or ranges, an item
     that does not fit, an id outside the accepted ranges, a policy state
     the policy rejects). *)

@@ -1,6 +1,6 @@
-(* Open-addressing hash table for non-negative int keys, no deletion.
-   See the .mli for why stdlib Hashtbl is too slow for the session's
-   per-item bookkeeping. *)
+(* Open-addressing hash table for non-negative int keys, linear probing
+   with backward-shift deletion. See the .mli for why stdlib Hashtbl is
+   too slow for the session's per-item bookkeeping. *)
 
 type 'a t = {
   mutable keys : int array;  (* -1 marks an empty slot *)
@@ -79,6 +79,34 @@ let replace t k v =
     if 2 * t.size > t.mask then grow t
   end
 
+(* Backward-shift deletion: after emptying slot [hole], walk the run of
+   occupied slots that follows it and pull back every key whose home slot
+   does not lie cyclically in (hole, j] — such a key was pushed past the
+   hole, and leaving the hole empty would cut it off from its home. The
+   table never holds a tombstone, so probing stays as before. *)
+let remove t k =
+  if k < 0 then invalid_arg "Int_table.remove: negative key";
+  let keys = t.keys and mask = t.mask in
+  let hole = probe t k in
+  if Array.unsafe_get keys hole = k then begin
+    t.size <- t.size - 1;
+    let hole = ref hole and j = ref ((hole + 1) land mask) in
+    while Array.unsafe_get keys !j >= 0 do
+      let kj = Array.unsafe_get keys !j in
+      let home = start_slot t kj in
+      (* distance from home to j exceeds distance from hole to j: the hole
+         sits on kj's probe path, so kj moves into it *)
+      if (!j - home) land mask >= (!j - !hole) land mask then begin
+        Array.unsafe_set keys !hole kj;
+        Array.unsafe_set t.vals !hole (Array.unsafe_get t.vals !j);
+        hole := !j
+      end;
+      j := (!j + 1) land mask
+    done;
+    Array.unsafe_set keys !hole (-1);
+    Array.unsafe_set t.vals !hole t.dummy
+  end
+
 let fold t f init =
   let acc = ref init in
   for i = 0 to Array.length t.keys - 1 do
@@ -86,5 +114,3 @@ let fold t f init =
     if k >= 0 then acc := f k (Array.unsafe_get t.vals i) !acc
   done;
   !acc
-
-let iter t f = fold t (fun k v () -> f k v) ()

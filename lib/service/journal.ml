@@ -45,21 +45,20 @@ let retired format =
 
 (* The single-file formats that preceded segments ([# dvbp-journal v1]
    and [v2] at the journal's own path) are no longer read. A file there
-   is refused rather than skipped, so a resume never starts fresh over
-   it; [create] still wipes it on an explicit fresh start. *)
-let refuse_file ~io path =
+   is refused rather than skipped or wiped, by a resume and by a fresh
+   start alike: either would otherwise lose the durable state in it. *)
+let refusal ~io path =
   let first =
     match io.Io.read_file path with
     | Ok text -> String.trim (List.hd (String.split_on_char '\n' text))
     | Error _ -> ""
   in
   if first = "# dvbp-journal v1" || first = "# dvbp-journal v2" then
-    Error (retired (Printf.sprintf "a single-file journal (%s)" first))
+    retired (Printf.sprintf "a single-file journal (%s)" first)
   else
-    Error
-      (Printf.sprintf
-         "a regular file, not a journal (a journal is the segment files %s.NNNNNN.seg)"
-         (Filename.basename path))
+    Printf.sprintf
+      "a regular file, not a journal (a journal is the segment files %s.NNNNNN.seg)"
+      (Filename.basename path)
 
 (* every segment file of the journal at [path] with its size *)
 let stamp ~io path = List.map (fun p -> (p, io.Io.file_size p)) (Log.all_paths ~io path)
@@ -69,7 +68,7 @@ let stamp ~io path = List.map (fun p -> (p, io.Io.file_size p)) (Log.all_paths ~
 type source = { src_path : string; stamp : (string * int option) list; view : Log.view }
 
 let load ?(io = Real_io.v) path =
-  if io.Io.file_exists path then refuse_file ~io path
+  if io.Io.file_exists path then Error (refusal ~io path)
   else
     let stamp = stamp ~io path in
     let* v = Log.read ~io path in
@@ -214,11 +213,10 @@ let create ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
   validate_fsync_every fsync_every;
   validate_segment_bytes segment_bytes;
   if header.base < 0 then invalid_arg "journal base must be non-negative";
-  (* wipe whatever previous journal lived at this path: any segment files
-     (including crashed-genesis leftovers) and a file at the path itself *)
-  let leftovers =
-    (if io.Io.file_exists path then [ path ] else []) @ Log.all_paths ~io path
-  in
+  if io.Io.file_exists path then raise (Sys_error (path ^ ": " ^ refusal ~io path));
+  (* wipe whatever previous segment chain lived at this path, including
+     crashed-genesis leftovers *)
+  let leftovers = Log.all_paths ~io path in
   List.iter (fun p -> io.Io.remove p) leftovers;
   if leftovers <> [] then io.Io.fsync_dir (Filename.dirname path);
   let out, hbytes = open_active ~io ~path ~idx:0 ~base:header.base header in

@@ -42,7 +42,8 @@
     {b Retired formats.} The single-file journal that preceded segments
     ([# dvbp-journal v1]/[v2] magic, stored at [path] itself) is not
     read: any regular file at [path] makes {!load} fail ({!retired}), so
-    a resume stops instead of starting fresh over it. To upgrade such a
+    a resume stops instead of starting fresh over it, and {!create}
+    refuses it rather than wiping it. To upgrade such a
     journal, run [dvbp compact] with a build from commit [3660be8] or
     earlier, which rewrites it as segments.
 
@@ -144,14 +145,18 @@ val create :
   path:string ->
   header ->
   writer
-(** Starts a fresh journal at [path]: removes any previous journal files
-    (segments, and a file at [path] itself) and opens active segment [000000]. [fsync_every]
+(** Starts a fresh journal at [path]: removes any previous segment files
+    and opens active segment [000000]. A regular file at [path] itself is
+    refused, not removed: it is a retired single-file journal (the error
+    is {!retired}, as {!load} gives) or something that is not a journal
+    at all. [fsync_every]
     (default [64]) batches fsyncs; [1] syncs every record. [segment_bytes]
     (default 1 MiB) is the roll threshold: an append that carries the
     active segment past it triggers a seal. [metrics] (default
     {!Metrics.noop}) receives append/fsync/seal/retire/truncate/heal
     tallies.
-    @raise Sys_error on IO failure (with the default backend).
+    @raise Sys_error on IO failure (with the default backend) and on a
+    file at [path].
     @raise Invalid_argument if [fsync_every < 1], [segment_bytes < 64] or
     [header.base < 0]. *)
 

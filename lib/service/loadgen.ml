@@ -45,7 +45,7 @@ let expected_replies ?tenant ~policy ~seed (instance : Instance.t) =
   let tenant_name = Option.value tenant ~default:Tenant.default in
   let* p = Policy.of_name ~rng:(Tenant.rng ~seed tenant_name) policy in
   let session =
-    Session.create ~record_trace:false ~capacity:instance.Instance.capacity ~policy:p ()
+    Session.create ~capacity:instance.Instance.capacity ~policy:p ()
   in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
@@ -588,7 +588,7 @@ let run_stream ~policy ~seed ?journal ?snapshot ?snapshot_every
   (match probe with None -> () | Some p -> Replay.touch p reader);
   let* shadow_policy = Policy.of_name ~rng:(Tenant.rng ~seed Tenant.default) policy in
   let shadow =
-    Session.create ~record_trace:false ~capacity ~policy:shadow_policy ()
+    Session.create ~capacity ~policy:shadow_policy ()
   in
   (* transport: an in-process server on pipes (as in {!run}) or an
      external [serve --listen] unix socket *)

@@ -22,7 +22,7 @@ let ( let* ) = Result.bind
 let fresh_session ~policy ~seed ~capacity ~tenant =
   match Policy.of_name ~rng:(Tenant.rng ~seed tenant) policy with
   | Error e -> Error e
-  | Ok p -> Ok (Session.create ~record_trace:false ~capacity ~policy:p ())
+  | Ok p -> Ok (Session.create ~capacity ~policy:p ())
 
 (* Tenant sessions in first-appearance order. The default tenant is created
    eagerly so a recovered empty service matches what a fresh server holds. *)

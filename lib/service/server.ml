@@ -152,7 +152,7 @@ let make_t config ~io ~obs ~tenant_sessions journal ~events ~last ~since_snapsho
 
 let fresh_tenant_session ~policy ~seed ~capacity tenant =
   let* p = Policy.of_name ~rng:(Tenant.rng ~seed tenant) policy in
-  Ok (Session.create ~record_trace:false ~capacity ~policy:p ())
+  Ok (Session.create ~capacity ~policy:p ())
 
 let create ?(io = Real_io.v) ?metrics config =
   let obs = match metrics with Some m -> m | None -> Metrics.create () in

@@ -41,8 +41,9 @@ val into_session :
   Dvbp_engine.Session.t ->
   (stats, string) result
 (** Streams every event into the session via {!Dvbp_engine.Session.apply}.
-    The caller opens the reader (positioned at the start) and is
-    responsible for {!Dvbp_engine.Session.finish} afterwards. [clock]
+    The caller opens the reader (positioned at the start) and, for the
+    final packing, creates the session with [~history:true] and calls
+    {!Dvbp_engine.Session.finish} afterwards. [clock]
     (default [Sys.time]) times the replay for the throughput figure —
     pass a wall clock for end-to-end numbers. Fails on a corrupt block,
     a dimension mismatch, or a session error (non-monotone events,

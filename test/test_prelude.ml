@@ -288,6 +288,48 @@ let int_table_tests =
         let sum = T.fold t (fun k v acc -> Alcotest.(check int) "v" (k * k) v; acc + k) 0 in
         Alcotest.(check int) "count" 100 count;
         Alcotest.(check int) "sum of keys" 4950 sum);
+    Alcotest.test_case "remove keeps the keys probed past the freed slot" `Quick (fun () ->
+        let t = T.create ~dummy:(-1) () in
+        for k = 0 to 999 do T.replace t k k done;
+        for k = 0 to 999 do if k mod 3 <> 0 then T.remove t k done;
+        T.remove t 5000;
+        Alcotest.(check int) "length" 334 (T.length t);
+        for k = 0 to 999 do
+          Alcotest.(check (option int)) (string_of_int k)
+            (if k mod 3 = 0 then Some k else None)
+            (T.find_opt t k)
+        done);
+    QCheck_alcotest.to_alcotest
+      (* A table created for 8 keys has 32 slots; the pool mixes small keys
+         with keys whose home slot (the multiplicative hash the table uses)
+         is one of the last three, so runs cluster and wrap past the end —
+         where backward-shift deletion has to pull keys across the wrap. *)
+      (let wrap_keys =
+         List.filter (fun k -> (k * 0x9E3779B1) land 31 >= 29) (List.init 2000 Fun.id)
+         |> List.filteri (fun i _ -> i < 12)
+       in
+       QCheck2.Test.make ~name:"interleaved replace/remove/find agrees with Hashtbl" ~count:500
+         QCheck2.Gen.(
+           list_size (int_range 1 200)
+             (pair (int_bound 4)
+                (frequency [ (2, oneofl wrap_keys); (1, int_bound 12); (1, int_bound 100) ])))
+         (fun ops ->
+           let t = T.create ~expected:8 ~dummy:(-1) () and model = Hashtbl.create 16 in
+           let probe = wrap_keys @ List.init 101 Fun.id in
+           List.for_all
+             (fun (op, k) ->
+               (match op with
+               | 0 | 1 ->
+                   T.replace t k (k + op);
+                   Hashtbl.replace model k (k + op)
+               | 2 | 3 ->
+                   T.remove t k;
+                   Hashtbl.remove model k
+               | _ -> ());
+               T.length t = Hashtbl.length model
+               && T.mem t k = Hashtbl.mem model k
+               && List.for_all (fun p -> T.find_opt t p = Hashtbl.find_opt model p) probe)
+             ops));
   ]
 
 let suites =

@@ -147,7 +147,7 @@ let prop_session_equals_engine =
       let inst = build d specs in
       let batch = run_policy policy inst in
       let session =
-        Session.create ~capacity:inst.Instance.capacity
+        Session.create ~history:true ~capacity:inst.Instance.capacity
           ~policy:(Policy.of_name_exn policy) ()
       in
       let events =

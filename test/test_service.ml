@@ -2487,6 +2487,13 @@ let state_snapshot_tests =
                 let write path text =
                   Out_channel.with_open_bin path (fun oc -> output_string oc text)
                 in
+                (* every file's name and bytes *)
+                let contents () =
+                  Sys.readdir dir |> Array.to_list |> List.sort compare
+                  |> List.map (fun f ->
+                         let path = Filename.concat dir f in
+                         (f, In_channel.with_open_bin path In_channel.input_all))
+                in
                 (match kind with
                 | `Snapshot ->
                     ignore
@@ -2497,14 +2504,18 @@ let state_snapshot_tests =
                     write journal text;
                     ignore (refused ~what:"Journal.load" ~format (Journal.load journal));
                     (* so a resume cannot start fresh over it *)
-                    check_bool "the file counts as a journal" true (Journal.exists journal));
-                (* every file's name and bytes *)
-                let contents () =
-                  Sys.readdir dir |> Array.to_list |> List.sort compare
-                  |> List.map (fun f ->
-                         let path = Filename.concat dir f in
-                         (f, In_channel.with_open_bin path In_channel.input_all))
-                in
+                    check_bool "the file counts as a journal" true (Journal.exists journal);
+                    (* and a fresh start neither wipes it nor writes beside it *)
+                    let before = contents () in
+                    ignore
+                      (refused ~what:"Journal.create" ~format
+                         (match Journal.create ~path:journal (header ()) with
+                         | w ->
+                             Journal.close w;
+                             Ok ()
+                         | exception Sys_error msg -> Error msg));
+                    check_bool "Journal.create wrote or removed no file" true
+                      (before = contents ()));
                 let before = contents () in
                 let msg =
                   refused ~what:"Recovery.load" ~format (Recovery.load ~snapshot ~journal ())

@@ -13,7 +13,8 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
 
-let fresh ?(policy = Policy.first_fit ()) () = Session.create ~capacity:cap ~policy ()
+let fresh ?(history = false) ?(policy = Policy.first_fit ()) () =
+  Session.create ~history ~capacity:cap ~policy ()
 
 let raises_session f =
   try ignore (f ()); false with Session.Session_error _ -> true
@@ -57,7 +58,7 @@ let lifecycle_tests =
       (fun () ->
         let run record_trace =
           let s =
-            Session.create ~record_trace ~capacity:cap
+            Session.create ~record_trace ~history:true ~capacity:cap
               ~policy:(Policy.first_fit ()) ()
           in
           let a = Session.arrive s ~at:0.0 ~size:(v [ 60 ]) () in
@@ -81,7 +82,7 @@ let lifecycle_tests =
         check_float "cost" 2.0 (Session.cost_so_far s));
     Alcotest.test_case "finish departs leftovers and returns a valid packing"
       `Quick (fun () ->
-        let s = fresh () in
+        let s = fresh ~history:true () in
         let _ = Session.arrive s ~at:0.0 ~size:(v [ 60 ]) () in
         let p1 = Session.arrive s ~at:1.0 ~size:(v [ 60 ]) () in
         Session.depart s ~at:2.0 ~item_id:p1.Session.item_id;
@@ -97,7 +98,7 @@ let lifecycle_tests =
         let batch = Engine.run ~policy:(Policy.move_to_front ()) instance in
         (* replay the same instance through the session by hand *)
         let session =
-          Session.create ~capacity:instance.Instance.capacity
+          Session.create ~history:true ~capacity:instance.Instance.capacity
             ~policy:(Policy.move_to_front ()) ()
         in
         let events =
@@ -178,7 +179,7 @@ let error_tests =
         check_bool "raises" true
           (raises_session (fun () -> Session.arrive s ~at:0.0 ~id:3 ~size:(v [ 1 ]) ())));
     Alcotest.test_case "use after finish rejected" `Quick (fun () ->
-        let s = fresh () in
+        let s = fresh ~history:true () in
         let _ = Session.arrive s ~at:0.0 ~size:(v [ 1 ]) () in
         let _ = Session.finish s ~at:2.0 in
         check_bool "raises" true
@@ -462,9 +463,164 @@ let restore_differential =
         restore_policies;
       true)
 
+(* {1 Live state against history}
+
+   A session that forgets departed items and closed bins must answer
+   exactly as one that keeps its whole history: the same placement or
+   the same refusal text on every event, and equal fingerprints after
+   each. Ids come out of order, reused, unknown, negative and huge
+   ([2^40], [max_int]); a twin restored from the live session's snapshot
+   at a random step joins the comparison from there on. A model of the
+   ids ever accepted and of the live ones checks every outcome's reason,
+   and at the end the exported ranges. *)
+
+type live_op =
+  | L_arrive of float * int option * int * int  (* dt, id (None: assigned), sizes *)
+  | L_depart of float * [ `Live of int | `Id of int ]
+
+let live_id_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (8, int_range 0 40);
+        (1, oneofl [ -1; -7; min_int ]);
+        ( 2,
+          oneofl
+            [ 1 lsl 40; (1 lsl 40) + 1; max_int; max_int - 1; 600; Id_set.max_window_ids;
+              Id_set.max_window_ids + 3; (2 * Id_set.max_window_ids) + 5 ] );
+      ])
+
+let live_op_gen =
+  QCheck2.Gen.(
+    let dt = frequency [ (4, pure 0.0); (4, pure 0.5); (2, pure 1.0); (1, pure (-0.5)) ] in
+    frequency
+      [
+        ( 3,
+          map
+            (fun (dt, id, a, b) -> L_arrive (dt, id, a, b))
+            (quad dt (frequency [ (1, pure None); (3, map Option.some live_id_gen) ])
+               (int_range 1 10) (int_range 1 11)) );
+        ( 2,
+          map2
+            (fun dt d -> L_depart (dt, d))
+            dt
+            (frequency
+               [ (3, map (fun i -> `Live i) (int_range 0 100)); (1, map (fun i -> `Id i) live_id_gen) ]) );
+      ])
+
+let contains msg sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1)) in
+  go 0
+
+let canonical_ranges ids =
+  List.fold_left
+    (fun acc id ->
+      match acc with (lo, hi) :: rest when id = hi + 1 -> (lo, id) :: rest | _ -> (id, id) :: acc)
+    [] (List.sort_uniq Int.compare ids)
+  |> List.rev
+
+let live_vs_history =
+  QCheck2.Test.make ~name:"a live-state session answers like a history-keeping one" ~count:60
+    QCheck2.Gen.(pair (list_size (int_range 1 80) live_op_gen) (float_range 0.0 1.0))
+    (fun (ops, cut) ->
+      let k = int_of_float (cut *. float_of_int (List.length ops)) in
+      List.iter
+        (fun name ->
+          let policy () = Policy.of_name_exn ~rng:(Rng.create ~seed:9) name in
+          let reference = Session.create ~history:true ~capacity:restore_cap ~policy:(policy ()) () in
+          let live = Session.create ~capacity:restore_cap ~policy:(policy ()) () in
+          let twin = ref None in
+          let accepted = Hashtbl.create 64 and live_ids = ref [] in
+          let clock = ref 0.0 in
+          let fail what i = QCheck2.Test.fail_reportf "%s: %s at step %d" name what i in
+          let show = function
+            | Ok (Some (id, bin, fresh)) -> Printf.sprintf "item %d in bin %d%s" id bin (if fresh then " (new)" else "")
+            | Ok None -> "departed"
+            | Error m -> m
+          in
+          let run s = function
+            | `Arrive (at, id, size) -> (
+                match Session.arrive s ~at ?id ~size () with
+                | p -> Ok (Some (p.Session.item_id, p.Session.bin_id, p.Session.opened_new_bin))
+                | exception Session.Session_error m -> Error m)
+            | `Depart (at, item_id) -> (
+                match Session.depart s ~at ~item_id with
+                | () -> Ok None
+                | exception Session.Session_error m -> Error m)
+          in
+          (* the outcome's reason, against the model of ids *)
+          let check_model i e outcome =
+            let known id = Hashtbl.mem accepted id in
+            match (e, outcome) with
+            | `Arrive (_, id, _), Ok (Some (got, _, _)) ->
+                if known got || (match id with Some x -> x <> got | None -> false) then
+                  fail "an arrival took an id accepted before" i;
+                Hashtbl.replace accepted got ();
+                live_ids := !live_ids @ [ got ]
+            | `Arrive (_, Some id, _), Error m when contains m "duplicate item id" ->
+                if not (known id) then fail ("refused as duplicate: " ^ m) i
+            | `Depart (_, id), Ok None ->
+                if not (List.mem id !live_ids) then fail "a departure of an item not live" i;
+                live_ids := List.filter (fun x -> x <> id) !live_ids
+            | `Depart (_, id), Error m when contains m "already departed" ->
+                if not (known id) || List.mem id !live_ids then fail ("refused as departed: " ^ m) i
+            | `Depart (_, id), Error m when contains m "unknown item id" ->
+                if id >= 0 && known id then fail ("refused as unknown: " ^ m) i
+            | _ -> ()
+          in
+          List.iteri
+            (fun i op ->
+              if i = k then begin
+                match
+                  Session.restore ~capacity:restore_cap ~policy:(policy ()) (through_v3 ~name live)
+                with
+                | Ok c ->
+                    if Session.fingerprint c <> Session.fingerprint reference then
+                      fail "restored fingerprint" i;
+                    twin := Some c
+                | Error e -> fail ("restore failed: " ^ e) i
+              end;
+              let e =
+                match op with
+                | L_arrive (dt, id, a, b) ->
+                    clock := !clock +. dt;
+                    `Arrive (!clock, id, v [ a; b ])
+                | L_depart (dt, d) ->
+                    clock := !clock +. dt;
+                    let id =
+                      match (d, !live_ids) with
+                      | `Live j, (_ :: _ as l) -> List.nth l (j mod List.length l)
+                      | `Live j, [] -> j
+                      | `Id id, _ -> id
+                    in
+                    `Depart (!clock, id)
+              in
+              let expected = run reference e in
+              let compare_with label s =
+                let got = run s e in
+                if got <> expected then
+                  fail (Printf.sprintf "%s: %s, reference: %s" label (show got) (show expected)) i;
+                if Session.fingerprint s <> Session.fingerprint reference then
+                  fail (label ^ " fingerprint") i
+              in
+              compare_with "live" live;
+              Option.iter (compare_with "restored") !twin;
+              check_model i e expected)
+            ops;
+          let ids = Hashtbl.fold (fun id () acc -> id :: acc) accepted [] in
+          List.iter
+            (fun (label, s) ->
+              if (Session.export s).Session.Saved.accepted <> canonical_ranges ids then
+                fail (label ^ ": exported ranges differ from the ids accepted") (List.length ops))
+            (("live", live) :: Option.to_list (Option.map (fun c -> ("restored", c)) !twin)))
+        restore_policies;
+      true)
+
 let restore_tests =
   [
     QCheck_alcotest.to_alcotest restore_differential;
+    QCheck_alcotest.to_alcotest live_vs_history;
     Alcotest.test_case "a restored session refuses finish and trace" `Quick (fun () ->
         let s = fresh () in
         ignore (Session.arrive s ~at:0.0 ~id:0 ~size:(v [ 5 ]) ());
@@ -492,6 +648,11 @@ let restore_tests =
           (Result.is_error (restore { st with Session.Saved.bins = List.rev bins }));
         check_bool "item outside the accepted ids" true
           (Result.is_error (restore { st with Session.Saved.accepted = [ (0, 0) ] }));
+        List.iter
+          (fun accepted ->
+            check_bool "accepted ids not sorted disjoint ranges of non-negative ids" true
+              (Result.is_error (restore { st with Session.Saved.accepted })))
+          [ [ (min_int, 5) ]; [ (0, max_int); (3, 4) ]; [ (0, 1); (2, 3) ]; [ (3, 2) ] ];
         check_bool "bin id beyond next_bin" true
           (Result.is_error (restore { st with Session.Saved.next_bin = 1 }));
         (match bins with
@@ -530,10 +691,159 @@ let restore_tests =
           (Result.is_error (restore { st with Session.Saved.policy_state = [ max_int ] })));
   ]
 
+(* {1 The set of ids ever accepted} *)
+
+(* canonical ranges with [lo, hi] merged in *)
+let ranges_add rs (lo, hi) =
+  List.fold_left
+    (fun acc (l, h) ->
+      match acc with
+      | (pl, ph) :: rest when l - 1 <= ph -> (pl, Int.max ph h) :: rest
+      | _ -> (l, h) :: acc)
+    []
+    (List.sort compare ((lo, hi) :: rs))
+  |> List.rev
+
+let id_set_model =
+  let w = Id_set.max_window_ids in
+  (* around the first window's top (512), the widest window's, beyond it *)
+  let start =
+    QCheck2.Gen.(
+      frequency
+        [
+          (4, int_bound 300);
+          (2, map (fun d -> 512 - 150 + d) (int_bound 300));
+          (2, map (fun d -> w - 150 + d) (int_bound 300));
+          (1, map (fun d -> (2 * w) + d) (int_bound 300));
+          (1, oneofl [ 1 lsl 40; (1 lsl 40) + 1; max_int - 5; max_int ]);
+          (1, int_bound 2_000_000);
+        ])
+  in
+  let len = QCheck2.Gen.(frequency [ (6, int_range 1 40); (3, int_range 1 400); (1, pure 1100) ]) in
+  QCheck2.Test.make ~name:"the id set agrees with a model of ranges" ~count:150
+    QCheck2.Gen.(list_size (int_range 1 30) (pair start len))
+    (fun fills ->
+      let t = Id_set.create () and model = ref [] in
+      List.for_all
+        (fun (lo, n) ->
+          let hi = if lo > max_int - n then max_int else lo + n - 1 in
+          (* descending fills put ids ahead of the mark before the ones below them *)
+          if n mod 2 = 0 then
+            for id = hi downto lo do if not (Id_set.mem t id) then Id_set.add t id done
+          else for id = lo to hi do if not (Id_set.mem t id) then Id_set.add t id done;
+          model := ranges_add !model (lo, hi);
+          let copy = Id_set.of_ranges (Id_set.ranges t) in
+          let probes =
+            List.concat_map (fun (l, h) -> [ l - 1; l; h; (if h = max_int then h else h + 1) ]) !model
+            @ [ 0; w - 1; w; 2 * w; 1 lsl 40; max_int ]
+          in
+          let in_model id = List.exists (fun (l, h) -> l <= id && id <= h) !model in
+          Id_set.ranges t = !model
+          && Id_set.ranges copy = !model
+          && List.for_all
+               (fun id -> Id_set.mem t id = in_model id && Id_set.mem copy id = in_model id)
+               probes)
+        fills)
+
+let id_set_tests =
+  [
+    QCheck_alcotest.to_alcotest id_set_model;
+    Alcotest.test_case "ascending ids leave one range" `Quick (fun () ->
+        let t = Id_set.create () in
+        for id = 0 to 299_999 do
+          Id_set.add t id
+        done;
+        Alcotest.(check (list (pair int int))) "ranges" [ (0, 299_999) ] (Id_set.ranges t);
+        check_bool "last" true (Id_set.mem t 299_999);
+        check_bool "next" false (Id_set.mem t 300_000);
+        check_bool "negative" false (Id_set.mem t (-1)));
+    Alcotest.test_case "a hole filled joins a huge range at once" `Quick (fun () ->
+        (* stepping the mark across [12, 2^50] one byte at a time would take
+           2^47 steps; the full window jumps to the range's end instead *)
+        let t = Id_set.of_ranges [ (0, 10); (12, 1 lsl 50) ] in
+        check_bool "hole" false (Id_set.mem t 11);
+        Id_set.add t 11;
+        Alcotest.(check (list (pair int int))) "ranges" [ (0, 1 lsl 50) ] (Id_set.ranges t);
+        Id_set.add t ((1 lsl 50) + 1);
+        check_bool "beyond" true (Id_set.mem t ((1 lsl 50) + 1));
+        (* the jump lands the window over the next range, which moves in *)
+        let t = Id_set.of_ranges [ (0, 600); (700, 800) ] in
+        check_bool "in the next range" true (Id_set.mem t 750);
+        check_bool "between" false (Id_set.mem t 650);
+        Alcotest.(check (list (pair int int))) "ranges" [ (0, 600); (700, 800) ] (Id_set.ranges t));
+    Alcotest.test_case "one far id costs a range, never a wider window" `Quick (fun () ->
+        let words t = Obj.reachable_words (Obj.repr t) in
+        let fresh = words (Id_set.create ()) in
+        let t = Id_set.create () in
+        Id_set.add t max_int;
+        Id_set.add t (1 lsl 40);
+        check_bool "two far ids: a handful of words" true (words t <= fresh + 16);
+        let t = Id_set.create () in
+        Id_set.add t (Id_set.max_window_ids - 1);
+        (* ids within the widest window go into the bitmap, grown to cover
+           them; the ids beyond it into ranges *)
+        check_bool "an id at the window's limit: the widest window" true
+          (words t >= Id_set.max_window_ids / 64
+          && words t <= fresh + (Id_set.max_window_ids / 64) + 16);
+        Id_set.add t Id_set.max_window_ids;
+        check_bool "one past it: a range" true
+          (words t <= fresh + (Id_set.max_window_ids / 64) + 32));
+    Alcotest.test_case "max_int is an id like any other" `Quick (fun () ->
+        let t = Id_set.create () in
+        Id_set.add t max_int;
+        Alcotest.(check (list (pair int int))) "one id" [ (max_int, max_int) ] (Id_set.ranges t);
+        let all = Id_set.of_ranges [ (0, max_int) ] in
+        check_bool "max_int" true (Id_set.mem all max_int);
+        check_bool "min_int" false (Id_set.mem all min_int);
+        Alcotest.(check (list (pair int int))) "all" [ (0, max_int) ] (Id_set.ranges all);
+        Alcotest.check_raises "member" (Invalid_argument "Id_set.add: already a member")
+          (fun () -> Id_set.add all 7);
+        Alcotest.check_raises "negative" (Invalid_argument "Id_set.add: negative id")
+          (fun () -> Id_set.add t (-1)));
+    Alcotest.test_case "a shuffled permutation beyond the widest window" `Quick (fun () ->
+        (* the order the batch engine sees a uniform-model instance's ids in *)
+        let n = Id_set.max_window_ids + (Id_set.max_window_ids / 4) in
+        let perm = Array.init n Fun.id in
+        let rng = Random.State.make [| 23 |] in
+        for i = n - 1 downto 1 do
+          let j = Random.State.int rng (i + 1) in
+          let x = perm.(i) in
+          perm.(i) <- perm.(j);
+          perm.(j) <- x
+        done;
+        let fill t =
+          Array.iteri
+            (fun k id ->
+              Id_set.add t id;
+              if k = n / 2 then begin
+                check_bool "a member" true (Id_set.mem t id);
+                check_bool "not yet added" false (Id_set.mem t perm.(k + 1))
+              end)
+            perm;
+          Alcotest.(check (list (pair int int))) "one range" [ (0, n - 1) ] (Id_set.ranges t);
+          check_bool "past the end" false (Id_set.mem t n)
+        in
+        (* the default window leaves a quarter of the ids in ranges beyond it *)
+        fill (Id_set.create ());
+        (* a window sized for the ids keeps every one in the bitmap (under
+           two bits per id, the window a power of two), no range ever *)
+        let t = Id_set.create ~expected_ids:n () in
+        let words () = Obj.reachable_words (Obj.repr t) in
+        let peak = ref 0 in
+        Array.iteri
+          (fun k id ->
+            Id_set.add t id;
+            if k land 0xffff = 0 then peak := Int.max !peak (words ()))
+          perm;
+        check_bool "a bitmap of the ids, no ranges" true (!peak <= (2 * n / 64) + 32);
+        Alcotest.(check (list (pair int int))) "sized: one range" [ (0, n - 1) ] (Id_set.ranges t));
+  ]
+
 let suites =
   [
     ("session.lifecycle", lifecycle_tests);
     ("session.errors", error_tests);
     ("session.error_messages", message_tests);
     ("session.restore", restore_tests);
+    ("session.id_set", id_set_tests);
   ]
