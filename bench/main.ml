@@ -534,6 +534,7 @@ let run_json path =
   let mc_n = 16000 in
   let mc_fsync_every = 8192 in
   let mc_window = 2048 in
+  let mc_jobs = 1 in
   let lg_mc =
     let inst =
       W.Uniform_model.generate
@@ -550,9 +551,17 @@ let run_json path =
         ~finally:(fun () -> remove_journal_files tmp)
         (fun () ->
           match
-            Dvbp_service.Loadgen.run_multi ~policy:"mtf" ~seed:3 ~journal:tmp
-              ~fsync_every:mc_fsync_every ~jobs:1 ~window:mc_window
-              (List.init mc_clients (fun _ -> inst))
+            Dvbp_service.Loadgen.drive ~policy:"mtf" ~seed:3
+              ~transport:
+                (Dvbp_service.Loadgen.In_process
+                   {
+                     Dvbp_service.Loadgen.server_defaults with
+                     journal = Some tmp;
+                     fsync_every = mc_fsync_every;
+                     jobs = mc_jobs;
+                   })
+              ~window:mc_window
+              (Dvbp_service.Loadgen.Instances (List.init mc_clients (fun _ -> inst)))
           with
           | Ok report -> report
           | Error e ->
@@ -563,14 +572,14 @@ let run_json path =
       (fun best _ ->
         let r = one () in
         if
-          r.Dvbp_service.Loadgen.mr_events_per_sec
-          > best.Dvbp_service.Loadgen.mr_events_per_sec
+          r.Dvbp_service.Loadgen.events_per_sec
+          > best.Dvbp_service.Loadgen.events_per_sec
         then r
         else best)
       (one ()) [ (); () ]
   in
   Printf.eprintf "bench loadgen multi x%d  %12.0f events/sec (journaled)\n%!"
-    mc_clients lg_mc.Dvbp_service.Loadgen.mr_events_per_sec;
+    mc_clients lg_mc.Dvbp_service.Loadgen.events_per_sec;
   (* trace store: compile a sharded binary trace, then stream it straight
      into an engine session — the raw replay path, no server in the way *)
   let tr_shards = 4 in
@@ -697,15 +706,15 @@ let run_json path =
        "    \"workload\": \"uniform table2 d=2 mu=100 (n=%d per client)\", \
         \"policy\": \"mtf\", \"clients\": %d, \"jobs\": %d, \
         \"fsync_every\": %d, \"window\": %d,\n"
-       mc_n mc_clients lg_mc.Dvbp_service.Loadgen.jobs mc_fsync_every mc_window);
+       mc_n mc_clients mc_jobs mc_fsync_every mc_window);
   Buffer.add_string buf
     (Printf.sprintf
        "    \"journaled_events\": %d, \"journaled_events_per_sec\": %.1f, %s,\n"
-       lg_mc.Dvbp_service.Loadgen.total_events
-       lg_mc.Dvbp_service.Loadgen.mr_events_per_sec
-       (hist_json lg_mc.Dvbp_service.Loadgen.mr_latency_us));
+       lg_mc.Dvbp_service.Loadgen.events
+       lg_mc.Dvbp_service.Loadgen.events_per_sec
+       (hist_json lg_mc.Dvbp_service.Loadgen.latency_us));
   Buffer.add_string buf "    \"per_client\": {\n";
-  let n_clients = List.length lg_mc.Dvbp_service.Loadgen.per_client in
+  let n_clients = List.length lg_mc.Dvbp_service.Loadgen.clients in
   List.iteri
     (fun i (c : Dvbp_service.Loadgen.client_report) ->
       Buffer.add_string buf
@@ -713,7 +722,7 @@ let run_json path =
            c.Dvbp_service.Loadgen.tenant c.Dvbp_service.Loadgen.client_events
            (hist_json c.Dvbp_service.Loadgen.client_latency_us)
            (if i = n_clients - 1 then "" else ",")))
-    lg_mc.Dvbp_service.Loadgen.per_client;
+    lg_mc.Dvbp_service.Loadgen.clients;
   Buffer.add_string buf "    }\n";
   Buffer.add_string buf "  },\n";
   Buffer.add_string buf

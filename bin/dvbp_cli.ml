@@ -509,23 +509,27 @@ let loadgen_cmd =
     Arg.(value & opt int 0
          & info [ "clients" ] ~docv:"N"
              ~doc:"Drive N concurrent clients (tenants t0..t{N-1}) against one \
-                   event-loop server; 0 = classic single-client pipe driver.")
+                   event-loop server from one select(2) loop; 0 = the \
+                   single-client pipe driver.")
   in
   let lg_jobs_arg =
     Arg.(value & opt int 1
          & info [ "jobs"; "j" ] ~docv:"INT"
-             ~doc:"Server-side tenant shards in multi-client mode.")
+             ~doc:"Server-side tenant shards of the in-process event-loop \
+                   server.")
   in
   let window_arg =
     Arg.(value & opt int 256
          & info [ "window" ] ~docv:"N"
-             ~doc:"Per-client pipelining depth in multi-client mode.")
+             ~doc:"Requests each connection keeps in flight (one pipelined \
+                   window); a binary trace sends one block per window.")
   in
   let lg_fsync_arg =
     Arg.(value & opt (some int) None
          & info [ "fsync-every" ] ~docv:"N"
              ~doc:"Journal fsync batch size / group-commit ceiling \
-                   (default: 64 single-client, 1024 multi-client).")
+                   (default: 64 for the single-client pipe driver, 1024 \
+                   otherwise).")
   in
   let connect_arg =
     Arg.(value & opt (some string) None

@@ -159,66 +159,55 @@ type loadgen_opts = {
   lg_snapshot : string option;
   lg_snapshot_every : int option;
   lg_fsync_every : int option;
-  lg_clients : int;  (* 0 = classic single-client pipe driver *)
+  lg_clients : int;  (* 0 = the single-client pipe driver, {!Service.Loadgen.run} *)
   lg_jobs : int;
   lg_window : int;
   lg_connect : string option;  (* drive an external --listen server *)
   emit : bool;
 }
 
-(* A binary --trace streams through {!Service.Loadgen.run_stream} (bounded
-   memory, any length); everything else materialises an instance first.
-   [--emit] still materialises even a binary trace — it has to print the
-   whole script anyway. *)
-let loadgen_stream (o : loadgen_opts) path =
-  if o.lg_clients > 1 then
-    Error "--clients > 1 is not supported when streaming a binary trace"
-  else
-    let* report =
-      Service.Loadgen.run_stream ~policy:o.lg_policy ~seed:o.lg_seed
-        ?journal:o.lg_journal ?snapshot:o.lg_snapshot
-        ?snapshot_every:o.lg_snapshot_every ?fsync_every:o.lg_fsync_every
-        ?connect:o.lg_connect path
-    in
-    Ok (Service.Loadgen.render_stream report)
-
-let loadgen_materialised (o : loadgen_opts) =
-  let* instance = Workload_select.build o.source in
-  if o.emit then Ok (String.concat "\n" (Service.Loadgen.script instance) ^ "\n")
-  else if o.lg_clients < 0 then Error "--clients must be >= 0"
-  else
-    match o.lg_connect with
-    | Some path ->
-        let clients = max 1 o.lg_clients in
-        let instances = List.init clients (fun _ -> instance) in
-        let* report =
-          Service.Loadgen.run_connect ~policy:o.lg_policy ~seed:o.lg_seed ~path
-            ~window:o.lg_window instances
-        in
-        Ok (Service.Loadgen.render_multi report)
-    | None ->
-        if o.lg_clients = 0 then
-          let* report =
-            Service.Loadgen.run ~policy:o.lg_policy ~seed:o.lg_seed
-              ?journal:o.lg_journal ?snapshot:o.lg_snapshot
-              ?snapshot_every:o.lg_snapshot_every
-              ?fsync_every:o.lg_fsync_every instance
-          in
-          Ok (Service.Loadgen.render report)
-        else
-          let instances = List.init o.lg_clients (fun _ -> instance) in
-          let* report =
-            Service.Loadgen.run_multi ~policy:o.lg_policy ~seed:o.lg_seed
-              ?journal:o.lg_journal ?snapshot:o.lg_snapshot
-              ?snapshot_every:o.lg_snapshot_every
-              ?fsync_every:o.lg_fsync_every ~jobs:o.lg_jobs ~window:o.lg_window
-              instances
-          in
-          Ok (Service.Loadgen.render_multi report)
-
+(* A binary --trace streams block by block (bounded memory, any length);
+   everything else materialises an instance first. [--emit] still
+   materialises even a binary trace — it has to print the whole script
+   anyway. *)
 let loadgen (o : loadgen_opts) =
+  let module L = Service.Loadgen in
+  let drive source =
+    let transport =
+      match o.lg_connect with
+      | Some path -> L.Connect path
+      | None ->
+          L.In_process
+            {
+              L.journal = o.lg_journal;
+              snapshot = o.lg_snapshot;
+              snapshot_every = o.lg_snapshot_every;
+              fsync_every =
+                Option.value o.lg_fsync_every ~default:L.server_defaults.L.fsync_every;
+              jobs = o.lg_jobs;
+              segment_bytes = None;
+              retain_segments = None;
+            }
+    in
+    let* report =
+      L.drive ~policy:o.lg_policy ~seed:o.lg_seed ~transport ~window:o.lg_window source
+    in
+    Ok (L.render report)
+  in
   match o.source.Workload_select.trace with
-  | Some path when (not o.emit) && Dvbp_tracestore.Trace_reader.sniff_magic path
-    ->
-      loadgen_stream o path
-  | _ -> loadgen_materialised o
+  | Some path when (not o.emit) && Dvbp_tracestore.Trace_reader.sniff_magic path ->
+      if o.lg_clients > 1 then
+        Error "--clients > 1 is not supported when streaming a binary trace"
+      else drive (L.Trace path)
+  | _ ->
+      let* instance = Workload_select.build o.source in
+      if o.emit then Ok (String.concat "\n" (L.script instance) ^ "\n")
+      else if o.lg_clients < 0 then Error "--clients must be >= 0"
+      else if o.lg_clients = 0 && o.lg_connect = None then
+        let* report =
+          L.run ~policy:o.lg_policy ~seed:o.lg_seed ?journal:o.lg_journal
+            ?snapshot:o.lg_snapshot ?snapshot_every:o.lg_snapshot_every
+            ?fsync_every:o.lg_fsync_every instance
+        in
+        Ok (L.render report)
+      else drive (L.Instances (List.init (max 1 o.lg_clients) (fun _ -> instance)))

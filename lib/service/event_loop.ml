@@ -110,8 +110,8 @@ let read_chunk c =
   end;
   match Unix.read c.fd c.inb c.in_len (Bytes.length c.inb - c.in_len) with
   | 0 ->
-      (* EOF: a trailing unterminated line still counts as a request, like
-         the blocking loop's [input_line] *)
+      (* EOF: a trailing unterminated line still counts as a request, as
+         in the blocking loop's [read_request_line] *)
       if c.in_len > c.in_start && not c.overlong then begin
         Queue.add (Bytes.sub_string c.inb c.in_start (c.in_len - c.in_start)) c.pending;
         c.in_start <- 0;
@@ -207,8 +207,7 @@ let serve ?(max_batch = 16384) ?listen ?(conns = []) ?(stop_when_drained = true)
   in
   let rec loop () =
     live := List.filter (fun c -> not c.closed) !live;
-    let drained = !live = [] && listen = None in
-    if not (stop_when_drained && !ever_connected && drained) then begin
+    if not (stop_when_drained && !ever_connected && !live = []) then begin
       let read_fds =
         (match listen with Some fd -> [ fd ] | None -> [])
         @ List.filter_map

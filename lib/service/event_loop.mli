@@ -38,9 +38,11 @@ val serve :
       loadgen, accepted sockets otherwise). All fds are set nonblocking.
     - [stop_when_drained] (default [true]): return once at least one
       connection has existed and all are gone — the in-process loadgen's
-      termination condition. With a [listen] socket the loop serves until
-      the process dies. SIGPIPE is ignored (peer death must surface as an
-      [EPIPE] on that one connection, not kill the server). *)
+      termination condition, with or without a [listen] socket. With
+      [false] the loop serves until the process dies, as
+      [dvbp serve --listen] does. SIGPIPE is ignored (peer death must
+      surface as an [EPIPE] on that one connection, not kill the
+      server). *)
 
 (** {2 Request framing}
 

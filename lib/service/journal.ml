@@ -76,6 +76,12 @@ let load ?(io = Real_io.v) path =
 
 let source_read s = view_read s.view
 
+let live_chain path =
+  Printf.sprintf
+    "%s: a journal is already here (%s.NNNNNN.seg); continue it with --resume, or \
+     remove its segment files to start afresh"
+    path (Filename.basename path)
+
 let absent path = Printf.sprintf "%s: no journal (no file, no segments)" path
 
 let read_file ?io path =
@@ -214,9 +220,14 @@ let create ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
   validate_segment_bytes segment_bytes;
   if header.base < 0 then invalid_arg "journal base must be non-negative";
   if io.Io.file_exists path then raise (Sys_error (path ^ ": " ^ refusal ~io path));
-  (* wipe whatever previous segment chain lived at this path, including
-     crashed-genesis leftovers *)
-  let leftovers = Log.all_paths ~io path in
+  (* one directory scan: a chain holding durable state (what {!exists}
+     reports) is refused and left as it is; only crashed-genesis leftovers,
+     segments whose header never completed, are cleared *)
+  let scanned = Log.scan ~io path in
+  (match Log.read_scanned ~io scanned with
+  | Ok None -> ()
+  | Ok (Some _) | Error _ -> raise (Sys_error (live_chain path)));
+  let leftovers = Log.scanned_paths scanned in
   List.iter (fun p -> io.Io.remove p) leftovers;
   if leftovers <> [] then io.Io.fsync_dir (Filename.dirname path);
   let out, hbytes = open_active ~io ~path ~idx:0 ~base:header.base header in

@@ -145,18 +145,21 @@ val create :
   path:string ->
   header ->
   writer
-(** Starts a fresh journal at [path]: removes any previous segment files
-    and opens active segment [000000]. A regular file at [path] itself is
-    refused, not removed: it is a retired single-file journal (the error
-    is {!retired}, as {!load} gives) or something that is not a journal
-    at all. [fsync_every]
+(** Starts a fresh journal at [path] and opens active segment [000000].
+    A segment chain there that holds durable state — whenever {!exists}
+    is [true], corrupt chains included — is refused, not removed: the
+    error names [path] and [--resume], and nothing is written. Segment
+    files whose header never completed (a crashed genesis) are removed. A
+    regular file at [path] itself is refused too: it is a retired
+    single-file journal (the error is {!retired}, as {!load} gives) or
+    something that is not a journal at all. [fsync_every]
     (default [64]) batches fsyncs; [1] syncs every record. [segment_bytes]
     (default 1 MiB) is the roll threshold: an append that carries the
     active segment past it triggers a seal. [metrics] (default
     {!Metrics.noop}) receives append/fsync/seal/retire/truncate/heal
     tallies.
-    @raise Sys_error on IO failure (with the default backend) and on a
-    file at [path].
+    @raise Sys_error on IO failure (with the default backend), on a
+    durable chain and on a file at [path].
     @raise Invalid_argument if [fsync_every < 1], [segment_bytes < 64] or
     [header.base < 0]. *)
 

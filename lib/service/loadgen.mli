@@ -1,38 +1,65 @@
-(** Replay a workload instance against a live {!Server} and measure it.
+(** Replay a workload against a live {!Server}, verify every reply and
+    measure it.
 
     The instance's arrivals and departures are turned into a time-ordered
     protocol script (departures before arrivals at equal timestamps — the
-    half-open interval semantics the engine uses), every request's reply is
-    checked against a deterministic shadow session, and throughput plus a
-    client-side latency summary are reported.
+    half-open interval semantics the engine uses), and every reply is
+    checked against a deterministic shadow session.
 
-    {!run} drives a real server over an in-process channel pair (two OS
-    pipes, the server loop in its own domain), so the measured path is the
-    full serialise → pipe → parse → place → journal → reply round trip.
+    Two drivers:
+    - {!run}: one closed-loop client over two OS pipes into the blocking
+      {!Server.serve} loop, in its own domain. It is the measured path of
+      the [service_loadgen] bench line that CI gates, so it stays as it is
+      until that gate moves to perfbench; the blocking loop goes with it.
+    - {!drive}: one thread, [select(2)] over [N] nonblocking connections,
+      each with one window of requests in flight, against an in-process
+      {!Event_loop} server or an external [dvbp serve --listen]. Windows
+      pipeline, the server batches across clients, and one fsync covers
+      many events. *)
 
-    {!run_multi} drives [N] concurrent clients (one domain each, one
-    socketpair each, one tenant each — [t0], [t1], ...) against a single
-    {!Event_loop} server, measuring the group-commit path: requests
-    pipeline in windows, the server batches across clients, and one fsync
-    covers many events. Every reply is still verified against that
-    tenant's own shadow session, so concurrency never relaxes
-    correctness. *)
+type client_report = {
+  tenant : string;
+  client_events : int;  (** replies verified *)
+  client_attempted : int;  (** requests in the client's script *)
+  client_latency_us : Dvbp_obs.Histogram.snapshot;
+}
+
+type trace_stats = {
+  blocks : int;
+  resident_bytes_max : int;
+      (** the trace reader's resident window (block buffer + index) *)
+}
 
 type report = {
-  events : int;  (** protocol requests sent (arrivals + departures) *)
+  events : int;  (** replies verified, all clients *)
   wall_seconds : float;
   events_per_sec : float;
   latency_us : Dvbp_obs.Histogram.snapshot;
-      (** client-observed round-trip, µs (mean and p50/p90/p99/max) *)
-  server_stats : string;  (** the server's final [STATS] reply *)
+      (** client-observed round trip, µs; a pipelined window's replies all
+          share the window's time *)
+  clients : client_report list;  (** one per connection, in client order *)
+  trace : trace_stats option;  (** for the {!Trace} source *)
+  server_stats : string;
+      (** the server's final [STATS] reply; ["(external server)"] under
+          {!Connect} *)
   server_metrics : string;
       (** the server's final [METRICS] reply (Prometheus-style text,
-          without the [# EOF] terminator) *)
+          without the [# EOF] terminator); empty under {!Connect} *)
 }
 
 val script : Dvbp_core.Instance.t -> string list
 (** The protocol request lines, in event-time order, without a trailing
     [QUIT]. *)
+
+val expected_replies :
+  ?tenant:string ->
+  policy:string ->
+  seed:int ->
+  Dvbp_core.Instance.t ->
+  ((string * string) list, string) result
+(** The (request, expected reply) pairs a correct server must produce for
+    this instance — [tenant] (default {!Tenant.default}) selects the
+    request grammar and the shadow session's rng ({!Tenant.rng}). *)
 
 val run :
   policy:string ->
@@ -46,112 +73,54 @@ val run :
   Dvbp_core.Instance.t ->
   (report, string) result
 (** Starts a fresh server (journaling to [journal] if given), replays the
-    instance, verifies every reply against the shadow session, then [STATS],
-    [METRICS] and [QUIT]. Any unexpected reply is an error naming the
-    request. [segment_bytes]/[retain_segments] are passed through to the
-    server config — the disk-bound regression test drives tiny segments
-    with aggressive compaction through these. *)
+    instance one request at a time, verifies every reply against the
+    shadow session, then [STATS], [METRICS] and [QUIT]. Any unexpected
+    reply is an error naming the request. *)
+
+type source =
+  | Instances of Dvbp_core.Instance.t list
+      (** client [i] is tenant [t<i>]; all instances share a capacity.
+          Every window is built before the clock starts. *)
+  | Trace of string
+      (** a compiled binary trace: one default-tenant client, one window
+          per trace block. The shadow session advances block by block, so
+          memory stays O(block) however long the trace is. *)
+
+type server_opts = {
+  journal : string option;
+  snapshot : string option;
+  snapshot_every : int option;
+  fsync_every : int;  (** the per-batch commit ceiling *)
+  jobs : int;  (** tenant shards *)
+  segment_bytes : int option;
+  retain_segments : int option;
+}
+
+val server_defaults : server_opts
+(** No journal, [fsync_every = 1024], [jobs = 1]. *)
+
+type transport =
+  | In_process of server_opts
+      (** a fresh server under {!Event_loop.serve} in its own domain, on
+          socketpairs, plus a control connection for the epilogue. A server
+          that hangs up is an error. *)
+  | Connect of string
+      (** an external server listening on this unix socket. A server dying
+          mid-run ends the run normally, each client reporting what it
+          completed. *)
+
+val drive :
+  policy:string ->
+  seed:int ->
+  transport:transport ->
+  ?window:int ->
+  source ->
+  (report, string) result
+(** Replays [source] with one window of at most [window] (default [256])
+    requests in flight per connection, verifying every reply. A wrong
+    reply is an error naming the client and the request. Ignores
+    [SIGPIPE], as {!Event_loop.serve} does. *)
 
 val render : report -> string
-(** Operator-facing summary. *)
-
-(** {1 Multi-client group-commit driver} *)
-
-type client_report = {
-  tenant : string;
-  client_events : int;
-  client_latency_us : Dvbp_obs.Histogram.snapshot;
-}
-
-type multi_report = {
-  clients : int;
-  jobs : int;  (** server-side tenant shards *)
-  total_events : int;
-  mr_wall_seconds : float;
-  mr_events_per_sec : float;
-  mr_latency_us : Dvbp_obs.Histogram.snapshot;
-      (** all clients merged; includes the group-commit wait *)
-  per_client : client_report list;
-  mr_server_stats : string;
-  mr_server_metrics : string;
-}
-
-val expected_replies :
-  ?tenant:string ->
-  policy:string ->
-  seed:int ->
-  Dvbp_core.Instance.t ->
-  ((string * string) list, string) result
-(** The (request, expected reply) pairs a correct server must produce for
-    this instance — [tenant] (default {!Tenant.default}) selects the
-    request grammar and the shadow session's rng ({!Tenant.rng}). *)
-
-val run_multi :
-  policy:string ->
-  seed:int ->
-  ?journal:string ->
-  ?snapshot:string ->
-  ?snapshot_every:int ->
-  ?fsync_every:int ->
-  ?segment_bytes:int ->
-  ?retain_segments:int ->
-  ?jobs:int ->
-  ?window:int ->
-  Dvbp_core.Instance.t list ->
-  (multi_report, string) result
-(** One client per instance (all instances must share a capacity); client
-    [i] is tenant [t<i>]. [fsync_every] (default [1024]) is the per-batch
-    commit ceiling, [jobs] (default [1]) the server's shard count,
-    [window] (default [256]) the per-client pipelining depth. Fails on any
-    reply divergence, naming the client. *)
-
-val run_connect :
-  policy:string ->
-  seed:int ->
-  path:string ->
-  ?window:int ->
-  Dvbp_core.Instance.t list ->
-  (multi_report, string) result
-(** Like {!run_multi}, but against an {e external} server already listening
-    on the unix socket [path] ([dvbp serve --listen]). Built for the kill
-    smoke: a server dying mid-traffic is a normal outcome (each client
-    reports the events it completed), while a {e wrong} reply is still an
-    error. [mr_server_stats]/[mr_server_metrics] are placeholders — the
-    server may be gone by the epilogue. [jobs] is reported as [0]
-    (unknown: it lives in the server's own configuration). *)
-
-val render_multi : multi_report -> string
-(** Operator-facing summary: aggregate and per-client percentiles. *)
-
-(** {1 Streaming binary-trace driver} *)
-
-type stream_report = {
-  st_report : report;
-  st_blocks : int;
-  st_resident_bytes_max : int;
-      (** the trace reader's resident window (block buffer + index) *)
-}
-
-val run_stream :
-  policy:string ->
-  seed:int ->
-  ?journal:string ->
-  ?snapshot:string ->
-  ?snapshot_every:int ->
-  ?fsync_every:int ->
-  ?connect:string ->
-  ?probe:Dvbp_tracestore.Replay.probe ->
-  string ->
-  (stream_report, string) result
-(** [run_stream ... path] drives a server straight from the compiled
-    binary trace at [path] — block by block, never materialising the
-    instance, so arbitrarily long traces replay in bounded memory. Each
-    block's requests are pipelined as one write and the replies verified
-    in bulk against an incrementally-advanced shadow session (divergence
-    errors name the request, as in {!run}). By default the server runs
-    in-process as in {!run}; [connect] drives an external
-    [dvbp serve --listen] unix socket instead (stats/metrics are then
-    placeholders, as in {!run_connect}). [probe] feeds the replay
-    progress gauges ({!Dvbp_tracestore.Replay.probe}). *)
-
-val render_stream : stream_report -> string
+(** Operator-facing summary: throughput and latency, one line per client
+    when there are several, the trace's block count for {!Trace}. *)

@@ -80,9 +80,9 @@ let scan ?(io = Real_io.v) prefix =
   in
   (listed, List.rev !stale)
 
-let all_paths ?(io = Real_io.v) prefix =
-  let listed, stale = scan ~io prefix in
-  List.map (fun (_, _, path) -> path) listed @ stale
+let scanned_paths (listed, stale) = List.map (fun (_, _, path) -> path) listed @ stale
+
+let all_paths ?(io = Real_io.v) prefix = scanned_paths (scan ~io prefix)
 
 let parse_one ~io (idx, kind, path) =
   let* text = io.Io.read_file path in
@@ -121,9 +121,9 @@ let same_shape (a : Record.header) (b : Record.header) =
 (* [Ok None]: no usable segments (no files at all, or only ones whose
    header never completed — a crashed genesis holds no records, because
    records follow the header and tearing only removes suffixes).
-   [Ok (Some view)] otherwise; hard [Error] on any corrupt segment. *)
-let read ?(io = Real_io.v) prefix =
-  let listed, name_stale = scan ~io prefix in
+   [Ok (Some view)] otherwise; hard [Error] on any corrupt segment.
+   [read_scanned] reads the files of an earlier {!scan}. *)
+let read_scanned ~io (listed, name_stale) =
   match listed with
   | [] -> Ok None
   | _ -> (
@@ -196,6 +196,8 @@ let read ?(io = Real_io.v) prefix =
                  v_dropped_torn =
                    (match active with Some a -> a.s_dropped_torn | None -> false);
                }))
+
+let read ?(io = Real_io.v) prefix = read_scanned ~io (scan ~io prefix)
 
 let frontier v =
   match List.rev v.v_chain with

@@ -380,6 +380,44 @@ let journal_tests =
                  ignore (Journal.create ~fsync_every:0 ~path (header ()));
                  false
                with Invalid_argument _ -> true)));
+    Alcotest.test_case "create refuses a durable chain, clears a crashed genesis" `Quick
+      (fun () ->
+        with_tmp_dir (fun dir ->
+            let path = Filename.concat dir "j.log" in
+            let files () =
+              Sys.readdir dir |> Array.to_list |> List.sort compare
+              |> List.map (fun f ->
+                     (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+            in
+            let refused label =
+              let before = files () in
+              (match Journal.create ~path (header ()) with
+              | w ->
+                  Journal.close w;
+                  Alcotest.failf "%s: a fresh journal replaced it" label
+              | exception Sys_error msg ->
+                  check_bool (label ^ ": names the path") true (contains_sub msg path);
+                  check_bool (label ^ ": names --resume") true (contains_sub msg "--resume"));
+              check_bool (label ^ ": no file changed") true (files () = before)
+            in
+            (* a crashed genesis: the header never completed, nothing acked *)
+            let leftover = active_seg ~idx:99 path in
+            Out_channel.with_open_bin leftover (fun oc ->
+                Out_channel.output_string oc "# dvbp-segment v1\npolicy,mtf\nseed,7\n");
+            let w = Journal.create ~segment_bytes:64 ~path (header ()) in
+            check_bool "the leftover was cleared" false (Sys.file_exists leftover);
+            List.iter (Journal.append w) sample_events;
+            Journal.close w;
+            check_int "every event readable" (List.length sample_events)
+              (List.length (ok_or_fail (Journal.read_file path)).Journal.events);
+            refused "live chain";
+            (* damage inside a sealed segment: still durable state *)
+            let sealed = sealed_seg ~idx:0 path in
+            let text = In_channel.with_open_bin sealed In_channel.input_all in
+            Out_channel.with_open_bin sealed (fun oc ->
+                Out_channel.output_string oc (String.sub text 0 (String.length text - 3)));
+            check_bool "the chain is corrupt" true (Result.is_error (Journal.load path));
+            refused "corrupt chain"));
   ]
 
 (* -------------------------------------------------------------------- *)
@@ -1160,6 +1198,47 @@ let server_tests =
         close_in_noerr ic);
   ]
 
+(* 40 items, so 80 events, per driver client *)
+let drive_inst ~seed =
+  Uniform_model.generate
+    { Uniform_model.d = 2; n = 40; mu = 8; span = 50; bin_size = 40 }
+    ~rng:(Rng.create ~seed)
+
+(* An rf server under [Event_loop.serve ~listen] in its own domain on a
+   temporary socket. A control connection, accepted first, stays open
+   while [f] runs, so the loop stops only once it closes. *)
+let with_listener ~seed f =
+  with_tmp_dir (fun dir ->
+      let path = Filename.concat dir "s.sock" in
+      let server =
+        ok_or_fail
+          (Server.create
+             {
+               Server.policy = "rf";
+               seed;
+               capacity = v [ 40; 40 ] (* [drive_inst]'s bin size *);
+               journal = None;
+               snapshot = None;
+               snapshot_every = None;
+               fsync_every = 64;
+               jobs = 1;
+               segment_bytes = None;
+               retain_segments = None;
+             })
+      in
+      let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.bind lfd (Unix.ADDR_UNIX path);
+      Unix.listen lfd 8;
+      let ctl = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect ctl (Unix.ADDR_UNIX path);
+      let loop = Domain.spawn (fun () -> Event_loop.serve ~listen:lfd server) in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close ctl;
+          Domain.join loop;
+          Unix.close lfd)
+        (fun () -> f path))
+
 let loadgen_tests =
   [
     Alcotest.test_case "script orders events and formats requests" `Quick
@@ -1258,6 +1337,118 @@ let loadgen_tests =
         in
         check_bool "error" true
           (Result.is_error (Loadgen.run ~policy:"zzz" ~seed:7 inst)));
+    Alcotest.test_case "drive: in-process clients are verified at jobs 1 and 2" `Quick
+      (fun () ->
+        List.iter
+          (fun jobs ->
+            with_tmp_dir (fun dir ->
+                let journal = Filename.concat dir "j.log" in
+                let instances = List.init 3 (fun i -> drive_inst ~seed:(20 + i)) in
+                let r =
+                  ok_or_fail
+                    (Loadgen.drive ~policy:"mtf" ~seed:7
+                       ~transport:
+                         (Loadgen.In_process
+                            { Loadgen.server_defaults with journal = Some journal; jobs })
+                       ~window:16 (Loadgen.Instances instances))
+                in
+                let label = Printf.sprintf "jobs=%d " jobs in
+                check_int (label ^ "every reply verified") 240 r.Loadgen.events;
+                check_bool (label ^ "per-tenant counts") true
+                  (List.map
+                     (fun c ->
+                       (c.Loadgen.tenant, c.Loadgen.client_events, c.Loadgen.client_attempted))
+                     r.Loadgen.clients
+                  = [ ("t0", 80, 80); ("t1", 80, 80); ("t2", 80, 80) ]);
+                check_int (label ^ "latency samples") 240
+                  r.Loadgen.latency_us.Dvbp_obs.Histogram.n;
+                check_bool (label ^ "stats") true
+                  (contains_sub r.Loadgen.server_stats "placements=120");
+                check_bool (label ^ "metrics") true
+                  (contains_sub r.Loadgen.server_metrics "dvbp_engine_placements_total");
+                let st = ok_or_fail (Recovery.recover ~journal ()) in
+                check_int (label ^ "journaled") 240 st.Recovery.from_journal;
+                check_int (label ^ "one line per tenant") 3
+                  (List.length
+                     (List.filter
+                        (fun l -> String.starts_with ~prefix:"  t" l)
+                        (String.split_on_char '\n' (Loadgen.render r))))))
+          [ 1; 2 ]);
+    Alcotest.test_case "drive --connect verifies a listening event loop" `Quick (fun () ->
+        with_listener ~seed:7 (fun path ->
+            let r =
+              ok_or_fail
+                (Loadgen.drive ~policy:"rf" ~seed:7 ~transport:(Loadgen.Connect path)
+                   ~window:8
+                   (Loadgen.Instances (List.init 3 (fun i -> drive_inst ~seed:(30 + i)))))
+            in
+            check_int "every reply verified" 240 r.Loadgen.events;
+            check_bool "every client completed" true
+              (List.for_all
+                 (fun c -> c.Loadgen.client_events = 80 && c.Loadgen.client_attempted = 80)
+                 r.Loadgen.clients);
+            check_string "no stats from an external server" "(external server)"
+              r.Loadgen.server_stats));
+    Alcotest.test_case "drive --connect ends normally when the server hangs up" `Quick
+      (fun () ->
+        (* a server that answers each connection's first five requests
+           correctly, then closes every connection *)
+        let instances = List.init 3 (fun i -> drive_inst ~seed:(40 + i)) in
+        let replies = Hashtbl.create 256 in
+        List.iteri
+          (fun i inst ->
+            List.iter
+              (fun (line, reply) -> Hashtbl.replace replies line reply)
+              (ok_or_fail
+                 (Loadgen.expected_replies ~tenant:(Printf.sprintf "t%d" i) ~policy:"mtf"
+                    ~seed:7 inst)))
+          instances;
+        with_tmp_dir (fun dir ->
+            let path = Filename.concat dir "s.sock" in
+            let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Unix.bind lfd (Unix.ADDR_UNIX path);
+            Unix.listen lfd 8;
+            let server =
+              Domain.spawn (fun () ->
+                  let conns = List.init 3 (fun _ -> fst (Unix.accept lfd)) in
+                  List.iter
+                    (fun fd ->
+                      let ic = Unix.in_channel_of_descr fd
+                      and oc = Unix.out_channel_of_descr fd in
+                      for _ = 1 to 5 do
+                        output_string oc (Hashtbl.find replies (input_line ic) ^ "\n")
+                      done;
+                      flush oc)
+                    conns;
+                  List.iter Unix.close conns)
+            in
+            let r =
+              Loadgen.drive ~policy:"mtf" ~seed:7 ~transport:(Loadgen.Connect path)
+                (Loadgen.Instances instances)
+            in
+            Domain.join server;
+            Unix.close lfd;
+            let r = ok_or_fail r in
+            check_int "the answered requests count" 15 r.Loadgen.events;
+            check_bool "each client: 5 of 80" true
+              (List.for_all
+                 (fun c -> c.Loadgen.client_events = 5 && c.Loadgen.client_attempted = 80)
+                 r.Loadgen.clients);
+            check_bool "render says how far it got" true
+              (contains_sub (Loadgen.render r) "15 of 240 events")));
+    Alcotest.test_case "drive names the client and request of a divergence" `Quick
+      (fun () ->
+        (* the server's rf draws from another seed than the shadow's *)
+        with_listener ~seed:8 (fun path ->
+            match
+              Loadgen.drive ~policy:"rf" ~seed:7 ~transport:(Loadgen.Connect path)
+                (Loadgen.Instances (List.init 3 (fun i -> drive_inst ~seed:(30 + i))))
+            with
+            | Ok _ -> Alcotest.fail "a diverging server passed"
+            | Error msg ->
+                check_bool ("names the client: " ^ msg) true (contains_sub msg "client t");
+                check_bool ("names the request: " ^ msg) true
+                  (contains_sub msg "divergence on \"ARRIVE t")));
   ]
 
 (* -------------------------------------------------------------------- *)

@@ -497,31 +497,33 @@ let describe_tests =
   ]
 
 let loadgen_tests =
+  let drive path =
+    Dvbp_service.Loadgen.(
+      drive ~policy:"mtf" ~seed:2 ~transport:(In_process server_defaults) (Trace path))
+  in
   [
-    Alcotest.test_case "run_stream replays a compiled trace end to end" `Quick
-      (fun () ->
+    Alcotest.test_case "drive replays a compiled trace end to end" `Quick (fun () ->
         let inst = gen_inst ~n:80 ~seed:15 () in
         with_tmp (fun path ->
             let summary = or_fail (Compile.of_instance ~path ~block_size:16 inst) in
-            match Dvbp_service.Loadgen.run_stream ~policy:"mtf" ~seed:2 path with
+            match drive path with
             | Error e -> Alcotest.fail e
-            | Ok r ->
-                check_int "events" summary.Trace_writer.events
-                  r.Dvbp_service.Loadgen.st_report.Dvbp_service.Loadgen.events;
-                check_int "blocks" summary.Trace_writer.blocks
-                  r.Dvbp_service.Loadgen.st_blocks;
-                check_bool "resident window bounded" true
-                  (r.Dvbp_service.Loadgen.st_resident_bytes_max > 0
-                  && r.Dvbp_service.Loadgen.st_resident_bytes_max
-                     < summary.Trace_writer.file_bytes)));
-    Alcotest.test_case "run_stream rejects a CSV trace" `Quick (fun () ->
+            | Ok r -> (
+                check_int "events" summary.Trace_writer.events r.Dvbp_service.Loadgen.events;
+                match r.Dvbp_service.Loadgen.trace with
+                | None -> Alcotest.fail "no trace stats"
+                | Some t ->
+                    check_int "blocks" summary.Trace_writer.blocks t.Dvbp_service.Loadgen.blocks;
+                    check_bool "resident window bounded" true
+                      (t.Dvbp_service.Loadgen.resident_bytes_max > 0
+                      && t.Dvbp_service.Loadgen.resident_bytes_max
+                         < summary.Trace_writer.file_bytes))));
+    Alcotest.test_case "drive rejects a CSV trace" `Quick (fun () ->
         with_tmp (fun path ->
             let oc = open_out_bin path in
             output_string oc "capacity,10\nitem,0,0.0,1.0,5\n";
             close_out oc;
-            check_bool "error" true
-              (Result.is_error
-                 (Dvbp_service.Loadgen.run_stream ~policy:"mtf" ~seed:2 path))));
+            check_bool "error" true (Result.is_error (drive path))));
   ]
 
 let replay_tests =
