@@ -11,7 +11,7 @@
      opt       exact optimal cost of a (small) CSV trace
      serve     durable online placement service (line protocol on stdio)
      recover   rebuild + verify service state from journal/snapshot
-     compact   snapshot the journal frontier, retire sealed segments
+     compact   checkpoint: seal the journal, snapshot its frontier, retire segments
      loadgen   replay a workload against a live server, report throughput
      frontier  sweep the migration budget/cost frontier (repacking)
      metrics   pretty-print a METRICS / --metrics-dump snapshot
@@ -383,7 +383,8 @@ let snapshot_arg =
 let snapshot_every_arg =
   Arg.(value & opt (some int) None
        & info [ "snapshot-every" ] ~docv:"N"
-           ~doc:"Auto-snapshot (and truncate the journal) every N applied events.")
+           ~doc:"Checkpoint (seal the journal, snapshot, retire the covered \
+                 segments) every N applied events.")
 
 let fsync_every_arg =
   Arg.(value & opt int 64
@@ -406,9 +407,9 @@ let segment_bytes_arg =
 let retain_segments_arg =
   Arg.(value & opt (some int) None
        & info [ "retain-segments" ] ~docv:"N"
-           ~doc:"Arm online compaction: once more than N sealed segments \
-                 accumulate, snapshot and retire the covered ones between \
-                 batches. Requires --journal and --snapshot.")
+           ~doc:"Checkpoint (snapshot, then retire the covered segments) \
+                 once more than N sealed segments accumulate. Requires \
+                 --journal and --snapshot.")
 
 let serve_cmd =
   let resume_arg =
@@ -490,8 +491,8 @@ let compact_cmd =
   in
   Cmd.v
     (Cmd.info "compact"
-       ~doc:"Offline journal compaction: snapshot the recovered frontier, \
-             then retire every sealed segment it covers")
+       ~doc:"Offline checkpoint: seal the journal, snapshot the recovered \
+             frontier, then retire every sealed segment it covers")
     Term.(const action $ journal_req $ snapshot_req $ segment_bytes_arg)
 
 let loadgen_cmd =

@@ -119,11 +119,11 @@ let recover ~journal ~snapshot =
   let* state = recovered ?snapshot journal in
   Ok (Service.Recovery.render state)
 
-(* [dvbp compact]: offline whole-pass compaction — recover the state the
-   journal (and any prior snapshot) describes, write a fresh snapshot at
-   the recovered frontier, retire every sealed segment it covers. The
-   active segment keeps its tail, so a serve --resume afterwards appends
-   where the journal left off. *)
+(* [dvbp compact]: an offline checkpoint — recover the state the journal
+   (and any prior snapshot) describes, then {!Service.Server.checkpoint}:
+   seal the active segment, write a fresh snapshot at the recovered
+   frontier, retire every sealed segment it covers. A serve --resume
+   afterwards appends to the fresh active segment. *)
 let compact ?io ~journal ~snapshot ?segment_bytes () =
   let* state = recovered ?io ~snapshot journal in
   let config =
@@ -141,7 +141,7 @@ let compact ?io ~journal ~snapshot ?segment_bytes () =
     }
   in
   let* server = Service.Server.resume ?io config state in
-  let outcome = Service.Server.compact server in
+  let outcome = Service.Server.checkpoint server in
   Service.Server.close server;
   let* path, retired = outcome in
   Ok

@@ -228,11 +228,7 @@ let serve ?(max_batch = 16384) ?listen ?(conns = []) ?(stop_when_drained = true)
            would spin, so stop *)
         ()
       else begin
-        let timeout =
-          (* compaction in flight: poll so its bounded steps keep running
-             between batches instead of stalling until the next request *)
-          if have_pending || Server.compaction_pending server then 0.0 else -1.0
-        in
+        let timeout = if have_pending then 0.0 else -1.0 in
         let readable, writable, _ =
           match Unix.select read_fds write_fds [] timeout with
           | r -> r
@@ -264,9 +260,6 @@ let serve ?(max_batch = 16384) ?listen ?(conns = []) ?(stop_when_drained = true)
           (fun c ->
             if List.memq c.fd writable || has_out c || c.closing then try_write c)
           !live;
-        (* one bounded unit of compaction per tick, after replies are
-           staged — group-commit acks never wait on a retire *)
-        Server.compaction_step server;
         loop ()
       end
     end

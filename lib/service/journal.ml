@@ -236,50 +236,56 @@ let create ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
     ~active_idx:0 ~active_base:header.base ~active_count:0 ~active_bytes:hbytes ~crc:0
     ~sealed:[]
 
-(* Seal protocol: footer (count + region CRC), fsync, close, rename [.open]
-   → [.seg], open the successor active with its header, one directory
-   fsync covering both entry changes. The content fsync {e precedes} the
-   rename, so a file named [.seg] is complete by construction — the read
-   side ({!Segment.parse}) leans on that to reject any torn sealed file.
-   With the {!Log.defeat_seal_check} test hook on, footer and fsync are
-   skipped — the sweep uses that to prove the protocol is load-bearing. *)
-let seal_active w =
-  let dir = Filename.dirname w.w_path in
-  if not !Log.defeat_seal_check then begin
-    let footer = Segment.footer_string ~count:w.active_count ~crc:w.crc in
-    w.out.Io.write footer;
-    w.active_bytes <- w.active_bytes + String.length footer;
-    Metrics.time_fsync w.metrics (fun () -> w.out.Io.fsync ())
-  end;
-  w.out.Io.close ();
-  let src = Segment.name w.w_path ~idx:w.active_idx Segment.Active in
-  let dst = Segment.name w.w_path ~idx:w.active_idx Segment.Sealed in
-  w.io.Io.rename ~src ~dst;
-  w.sealed <-
-    w.sealed
-    @ [
-        {
-          si_idx = w.active_idx;
-          si_base = w.active_base;
-          si_count = w.active_count;
-          si_bytes = w.active_bytes;
-          si_path = dst;
-        };
-      ];
-  Metrics.on_seal w.metrics;
-  let idx = w.active_idx + 1 and base = w.active_base + w.active_count in
-  let out, hbytes = open_active ~io:w.io ~path:w.w_path ~idx ~base w.shape in
-  w.io.Io.fsync_dir dir;
-  w.out <- out;
-  w.active_idx <- idx;
-  w.active_base <- base;
-  w.active_count <- 0;
-  w.active_bytes <- hbytes;
-  w.crc <- 0;
-  w.unsynced <- 0;
-  gauges w
-
 let check_open w = if w.closed then invalid_arg "journal writer is closed"
+
+(* Seal protocol: footer (count + region CRC), fsync, close, rename [.open]
+   → [.seg], open the successor active at [base] with its header, one
+   directory fsync covering both entry changes. The content fsync {e
+   precedes} the rename, so a file named [.seg] is complete by construction
+   — the read side ({!Segment.parse}) leans on that to reject any torn
+   sealed file. An empty active segment already based at [base] is left as
+   it is. With the {!Log.defeat_seal_check} test hook on, footer and fsync
+   are skipped — the sweep uses that to prove the protocol is load-bearing. *)
+let roll w ~base =
+  check_open w;
+  if base < frontier w then
+    invalid_arg (Printf.sprintf "journal roll base %d is below the frontier %d" base (frontier w));
+  if w.active_count > 0 || w.active_base <> base then begin
+    let dir = Filename.dirname w.w_path in
+    if not !Log.defeat_seal_check then begin
+      let footer = Segment.footer_string ~count:w.active_count ~crc:w.crc in
+      w.out.Io.write footer;
+      w.active_bytes <- w.active_bytes + String.length footer;
+      Metrics.time_fsync w.metrics (fun () -> w.out.Io.fsync ())
+    end;
+    w.out.Io.close ();
+    let src = Segment.name w.w_path ~idx:w.active_idx Segment.Active in
+    let dst = Segment.name w.w_path ~idx:w.active_idx Segment.Sealed in
+    w.io.Io.rename ~src ~dst;
+    w.sealed <-
+      w.sealed
+      @ [
+          {
+            si_idx = w.active_idx;
+            si_base = w.active_base;
+            si_count = w.active_count;
+            si_bytes = w.active_bytes;
+            si_path = dst;
+          };
+        ];
+    Metrics.on_seal w.metrics;
+    let idx = w.active_idx + 1 in
+    let out, hbytes = open_active ~io:w.io ~path:w.w_path ~idx ~base w.shape in
+    w.io.Io.fsync_dir dir;
+    w.out <- out;
+    w.active_idx <- idx;
+    w.active_base <- base;
+    w.active_count <- 0;
+    w.active_bytes <- hbytes;
+    w.crc <- 0;
+    w.unsynced <- 0;
+    gauges w
+  end
 
 let append w e =
   check_open w;
@@ -294,7 +300,7 @@ let append w e =
   w.active_bytes <- w.active_bytes + String.length line + 1;
   w.crc <- crc_add (crc_add w.crc line) "\n";
   w.unsynced <- w.unsynced + 1;
-  if w.active_bytes >= w.segment_bytes then seal_active w
+  if w.active_bytes >= w.segment_bytes then roll w ~base:(frontier w)
   else if w.unsynced >= w.fsync_every then begin
     Metrics.time_fsync w.metrics (fun () -> w.out.Io.fsync ());
     w.unsynced <- 0
@@ -328,56 +334,24 @@ let append_batch w events =
       w.crc <- crc_add w.crc s;
       Metrics.time_fsync w.metrics (fun () -> w.out.Io.fsync ());
       w.unsynced <- 0;
-      if w.active_bytes >= w.segment_bytes then seal_active w
+      if w.active_bytes >= w.segment_bytes then roll w ~base:(frontier w)
 
 let sync w =
   check_open w;
   Metrics.time_fsync w.metrics (fun () -> w.out.Io.fsync ());
   w.unsynced <- 0
 
-(* Drop everything: a snapshot absorbed the whole prefix. A fresh active
-   segment with [base = new_base] is created and made durable {e before}
-   the old files are unlinked, so a crash anywhere in between leaves a
-   readable chain (the old active's end equals the new base, so both chain
-   together until the removes land; a torn old active simply drops out as
-   stale, its records covered by the snapshot). *)
-let truncate w ~new_base =
-  check_open w;
-  if new_base < 0 then invalid_arg "journal base must be non-negative";
-  Metrics.time_fsync w.metrics (fun () -> w.out.Io.fsync ());
-  w.out.Io.close ();
-  let dir = Filename.dirname w.w_path in
-  let old_active = Segment.name w.w_path ~idx:w.active_idx Segment.Active in
-  let idx = w.active_idx + 1 in
-  let out, hbytes = open_active ~io:w.io ~path:w.w_path ~idx ~base:new_base w.shape in
-  w.io.Io.fsync_dir dir;
-  List.iter (fun s -> w.io.Io.remove s.si_path) w.sealed;
-  w.io.Io.remove old_active;
-  w.io.Io.fsync_dir dir;
-  Metrics.on_truncate w.metrics;
-  w.out <- out;
-  w.active_idx <- idx;
-  w.active_base <- new_base;
-  w.active_count <- 0;
-  w.active_bytes <- hbytes;
-  w.crc <- 0;
-  w.sealed <- [];
-  w.unsynced <- 0;
-  gauges w
-
-(* Online compaction's disk-reclaim half: unlink sealed segments whose
+(* The disk-reclaim half of a checkpoint: unlink sealed segments whose
    records all fall at or below [upto] (an event frontier some durable
-   snapshot covers), oldest first so any crash leaves a contiguous
-   suffix. Bounded by [max_segments] per call to keep event-loop ticks
-   short. Returns the number retired. *)
-let retire_sealed ?(max_segments = max_int) w ~upto =
+   snapshot covers), oldest first so any crash leaves a contiguous suffix,
+   then one directory fsync. Returns the number retired. *)
+let retire_sealed w ~upto =
   check_open w;
-  let rec split acc n = function
-    | s :: rest when n < max_segments && s.si_base + s.si_count <= upto ->
-        split (s :: acc) (n + 1) rest
+  let rec split acc = function
+    | s :: rest when s.si_base + s.si_count <= upto -> split (s :: acc) rest
     | rest -> (List.rev acc, rest)
   in
-  let victims, keep = split [] 0 w.sealed in
+  let victims, keep = split [] w.sealed in
   match victims with
   | [] -> 0
   | _ ->
@@ -453,7 +427,7 @@ let append_to ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
       let* () = check_shape ~path header v.Log.v_header in
       (* directory maintenance before reopening: finish seals whose
          rename a crash rolled back, drop stale files the chain walk
-         excluded (retire/truncate leftovers, crashed births) *)
+         excluded (retire leftovers, crashed births) *)
       let sealed_path (s : Log.seg) =
         Segment.name path ~idx:s.Log.s_idx Segment.Sealed
       in

@@ -22,14 +22,15 @@
     Recovery reads the {e chain}: the longest event-contiguous suffix of
     segments (each segment's base equals its predecessor's base + count).
     Files below a contiguity gap are stale leftovers of a crashed
-    {!truncate}/{!retire_sealed} and are deleted on the next {!append_to};
-    whether the snapshot actually covers the chain's base is {!Recovery}'s
-    existing missing-records check.
+    {!retire_sealed} or of a {!roll} that skipped ahead, and are deleted on
+    the next {!append_to}; whether the snapshot actually covers the chain's
+    base is {!Recovery}'s existing missing-records check.
 
-    Sealing enables {e online compaction} ({!Server.compaction_step}):
-    once a snapshot's durable frontier covers a sealed segment entirely,
-    the segment is unlinked ({!retire_sealed}) without touching the active
-    write path — disk stays bounded while the server keeps serving.
+    Sealing is what a checkpoint ({!Server.checkpoint}) trims by: it
+    {!roll}s the active segment, writes the snapshot, then unlinks every
+    sealed segment the snapshot covers ({!retire_sealed}). Every record at
+    or below the snapshot's frontier is durable in a sealed segment before
+    the snapshot exists, so the snapshot is never ahead of its journal.
 
     Record layout (see {!Record}):
     - [arrive,<tenant>,<t>,<item>,<bin>,<new01>,<s1>,...,<sd>,~<sum>]
@@ -156,8 +157,7 @@ val create :
     (default [64]) batches fsyncs; [1] syncs every record. [segment_bytes]
     (default 1 MiB) is the roll threshold: an append that carries the
     active segment past it triggers a seal. [metrics] (default
-    {!Metrics.noop}) receives append/fsync/seal/retire/truncate/heal
-    tallies.
+    {!Metrics.noop}) receives append/fsync/seal/retire/heal tallies.
     @raise Sys_error on IO failure (with the default backend), on a
     durable chain and on a file at [path].
     @raise Invalid_argument if [fsync_every < 1], [segment_bytes < 64] or
@@ -207,18 +207,22 @@ val append_batch : writer -> event list -> unit
 val sync : writer -> unit
 (** Forces an fsync now. *)
 
-val truncate : writer -> new_base:int -> unit
-(** Drops every segment: a snapshot absorbed the whole prefix. A fresh
-    active segment with [base = new_base] is created and made durable
-    {e before} the old files are unlinked, so a crash at any boundary
-    leaves a readable chain. *)
+val roll : writer -> base:int -> unit
+(** Seals the active segment — footer, fsync, rename [.open] → [.seg] —
+    and opens the next active segment with its first record at [base],
+    one directory fsync covering both. Appends call it with the frontier
+    when a segment fills; a checkpoint calls it with the server's event
+    count, which a resume may find above the journal's frontier (a
+    snapshot ahead of its journal), so the next segment starts above a gap.
+    A no-op when the active segment holds no records and is already based
+    at [base].
+    @raise Invalid_argument if [base] is below {!frontier}. *)
 
-val retire_sealed : ?max_segments:int -> writer -> upto:int -> int
+val retire_sealed : writer -> upto:int -> int
 (** Unlinks sealed segments whose records all fall at or below event
     frontier [upto] (which a durable snapshot must cover), oldest first,
-    at most [max_segments] (default: all eligible) per call — the bounded
-    unit of online compaction. Returns the number retired; [0] when none
-    qualify (never an error). *)
+    then fsyncs the directory once. Returns the number retired; [0] when
+    none qualify (never an error). *)
 
 val close : writer -> unit
 (** {!sync} then close. The writer is unusable afterwards. *)

@@ -27,7 +27,6 @@ type t = {
   j_bytes : R.Counter.t;
   j_fsyncs : R.Counter.t;
   j_fsync_seconds : Histogram.t;
-  j_truncates : R.Counter.t;
   j_heals : R.Counter.t;
   j_batch_size : R.Histo.t;
   j_seals : R.Counter.t;
@@ -67,10 +66,6 @@ let build reg =
   let j_fsync_seconds =
     R.Histo.make reg "dvbp_journal_fsync_seconds" ~help:"Latency of journal fsync calls"
   in
-  let j_truncates =
-    R.Counter.make reg "dvbp_journal_truncates_total"
-      ~help:"Journal truncations (one per snapshot over a journaled server)"
-  in
   let j_heals =
     R.Counter.make reg "dvbp_journal_torn_heals_total"
       ~help:"Torn or unterminated journal tails healed on open"
@@ -85,7 +80,7 @@ let build reg =
   in
   let j_retired =
     R.Counter.make reg "dvbp_journal_segments_retired_total"
-      ~help:"Sealed segments unlinked by compaction"
+      ~help:"Sealed segments unlinked by checkpoints"
   in
   let j_retired_bytes =
     R.Counter.make reg "dvbp_journal_retired_bytes_total"
@@ -101,11 +96,11 @@ let build reg =
   in
   let compactions =
     R.Counter.make reg "dvbp_server_compactions_total"
-      ~help:"Completed compaction passes (snapshot + segment retirement)"
+      ~help:"Checkpoints: active segment sealed, snapshot written, covered segments retired"
   in
   let compaction_seconds =
     R.Histo.make reg "dvbp_server_compaction_seconds"
-      ~help:"Wall time of a compaction pass, snapshot to last retire"
+      ~help:"Wall time of a checkpoint, seal to last retire"
   in
   let compaction_lag =
     R.Gauge.make reg "dvbp_server_compaction_lag_events"
@@ -162,7 +157,6 @@ let build reg =
     j_bytes;
     j_fsyncs;
     j_fsync_seconds;
-    j_truncates;
     j_heals;
     j_batch_size;
     j_seals;
@@ -217,7 +211,6 @@ let set_recovery t ~seconds ~from_snapshot ~from_journal =
   R.Gauge.set t.recovery_snapshot (float_of_int from_snapshot);
   R.Gauge.set t.recovery_journal (float_of_int from_journal)
 
-let on_truncate t = R.Counter.incr t.j_truncates
 let on_heal t = R.Counter.incr t.j_heals
 let on_seal t = R.Counter.incr t.j_seals
 

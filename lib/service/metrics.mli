@@ -57,7 +57,6 @@ val time_fsync : t -> (unit -> unit) -> unit
 (** Runs an fsync, counting it and timing it into the fsync-latency
     histogram. *)
 
-val on_truncate : t -> unit
 val on_heal : t -> unit
 (** A torn or unterminated journal tail was rewritten on open. *)
 
@@ -65,20 +64,21 @@ val on_seal : t -> unit
 (** One active segment sealed (footer + fsync + rename). *)
 
 val on_retire : t -> segments:int -> bytes:int -> unit
-(** Sealed segments unlinked by compaction: bumps
+(** Sealed segments unlinked by a checkpoint: bumps
     [dvbp_journal_segments_retired_total] and
     [dvbp_journal_retired_bytes_total]. *)
 
 val set_journal_live : t -> segments:int -> bytes:int -> unit
 (** Gauges [dvbp_journal_segments] / [dvbp_journal_live_bytes]: live
     segment files (active included) and their total size, refreshed by the
-    writer after every seal/retire/truncate/open. *)
+    writer after every seal/retire/open. *)
 
-(** {1 Compaction hooks} *)
+(** {1 Checkpoint hooks} *)
 
 val on_compaction : t -> seconds:float -> unit
-(** One compaction pass completed (snapshot written, eligible sealed
-    segments retired): counts it and observes the pass's wall time. *)
+(** One checkpoint completed (active segment sealed, snapshot written,
+    covered sealed segments retired): counts it under
+    [dvbp_server_compactions_total] and observes its wall time. *)
 
 val set_compaction_lag : t -> int -> unit
 (** Gauge [dvbp_server_compaction_lag_events]: events applied since the

@@ -13,7 +13,7 @@ type config = {
   fsync_every : int;
   jobs : int;
   segment_bytes : int option;  (* journal segment roll threshold *)
-  retain_segments : int option;  (* sealed-segment count that triggers compaction *)
+  retain_segments : int option;  (* sealed-segment count that triggers a checkpoint *)
 }
 
 type metrics = {
@@ -26,19 +26,12 @@ type metrics = {
   events : int;
 }
 
-(* Online compaction is a two-phase pass driven one bounded step at a time
-   from the event loop: first snapshot the current frontier (making every
-   record at or below it redundant), then retire covered sealed segments a
-   few files per tick — group-commit acks never wait on a retire. *)
-type compaction = C_idle | C_retiring of { frontier : int; started : float }
-
 type t = {
   config : config;
   io : Io.t;
   tenants : (string, Session.t) Hashtbl.t;
   mutable tenant_order_rev : string list;
   journal : Journal.writer option;
-  mutable compaction : compaction;
   mutable last_event : Journal.event option;  (* event [events - 1] *)
   mutable events : int;
   mutable since_snapshot : int;
@@ -72,7 +65,7 @@ let validate_config c =
     | Some _ when c.snapshot = None ->
         Error "snapshot-every requires a snapshot path"
     | Some _ when c.journal = None ->
-        Error "snapshot-every requires a journal path (there is nothing to truncate)"
+        Error "snapshot-every requires a journal path (a checkpoint bounds the journal)"
     | Some _ | None -> Ok ()
   in
   let* () =
@@ -87,7 +80,7 @@ let validate_config c =
     | Some n when n < 0 ->
         Error (Printf.sprintf "retain-segments must be >= 0, got %d" n)
     | Some _ when c.snapshot = None ->
-        Error "retain-segments requires a snapshot path (compaction snapshots first)"
+        Error "retain-segments requires a snapshot path (a checkpoint writes one)"
     | Some _ when c.journal = None ->
         Error "retain-segments requires a journal path (there is nothing to retire)"
     | Some _ | None -> Ok ()
@@ -110,7 +103,6 @@ let make_t config ~io ~obs ~tenant_sessions journal ~events ~last ~since_snapsho
       tenants = Hashtbl.create 8;
       tenant_order_rev = [];
       journal;
-      compaction = C_idle;
       last_event = last;
       events;
       since_snapshot;
@@ -153,6 +145,48 @@ let make_t config ~io ~obs ~tenant_sessions journal ~events ~last ~since_snapsho
 let fresh_tenant_session ~policy ~seed ~capacity tenant =
   let* p = Policy.of_name ~rng:(Tenant.rng ~seed tenant) policy in
   Ok (Session.create ~capacity ~policy:p ())
+
+(* {2 Checkpoint}
+
+   The one way the journal is trimmed, whatever asked for it (SNAPSHOT,
+   [snapshot_every], [retain_segments], [dvbp compact], a resume that
+   finds the snapshot ahead of the journal): seal the active segment so
+   every record at or below [t.events] is durable before the snapshot
+   exists, write the snapshot at [t.events], then retire every sealed
+   segment it covers. *)
+
+let checkpoint t =
+  match t.config.snapshot with
+  | None -> Error "no snapshot path configured"
+  | Some path ->
+      let started = Metrics.now t.obs in
+      Option.iter (fun w -> Journal.roll w ~base:t.events) t.journal;
+      Metrics.time_snapshot t.obs (fun () ->
+          Snapshot.write ~io:t.io ~path
+            (Snapshot.of_sessions ~policy:t.config.policy ~seed:t.config.seed
+               ~capacity:t.config.capacity ~events:t.events ~last:t.last_event (sessions t)));
+      t.since_snapshot <- 0;
+      t.snapshots <- t.snapshots + 1;
+      Metrics.set_compaction_lag t.obs 0;
+      let retired =
+        match t.journal with Some w -> Journal.retire_sealed w ~upto:t.events | None -> 0
+      in
+      Metrics.on_compaction t.obs ~seconds:(Metrics.now t.obs -. started);
+      Ok (path, retired)
+
+let checkpoint_due t =
+  (match t.config.snapshot_every with Some n -> t.since_snapshot >= n | None -> false)
+  ||
+  match (t.config.retain_segments, t.journal) with
+  | Some retain, Some w -> Journal.sealed_segments w > retain
+  | _ -> false
+
+(* The benchmark harness (perfbench/layers.ml) still names the staged
+   compaction of earlier versions; a checkpoint now completes within the
+   call that triggers it, so nothing is ever pending between calls. *)
+let compact = checkpoint
+let compaction_pending (_ : t) = false
+let compaction_step (_ : t) = ()
 
 let create ?(io = Real_io.v) ?metrics config =
   let obs = match metrics with Some m -> m | None -> Metrics.create () in
@@ -202,26 +236,27 @@ let resume ?(io = Real_io.v) ?metrics config (st : Recovery.state) =
     match config.journal with
     | None -> Ok None
     | Some path ->
-        let* w, r =
+        let* w, _ =
           Journal.append_to ~io ~metrics:obs ~fsync_every:config.fsync_every
             ?segment_bytes:config.segment_bytes ~source:st.Recovery.journal ~path
             { Journal.policy = config.policy; seed = config.seed;
               capacity = config.capacity; base = 0 }
         in
-        (* A crash between a snapshot's rename and the journal truncate
-           leaves the snapshot ahead of the journal (both files durable,
-           both valid). Appending to the stale journal would skip the
-           events only the snapshot holds, so bring its base up to the
-           recovered frontier first. *)
-        let frontier = r.Journal.header.base + List.length r.Journal.events in
-        if frontier < st.Recovery.events then
-          Journal.truncate w ~new_base:st.Recovery.events;
         Ok (Some w)
   in
-  Ok
-    (make_t config ~io ~obs ~tenant_sessions:st.Recovery.sessions journal
-       ~events:st.Recovery.events ~last:st.Recovery.last
-       ~since_snapshot:st.Recovery.from_journal)
+  let t =
+    make_t config ~io ~obs ~tenant_sessions:st.Recovery.sessions journal
+      ~events:st.Recovery.events ~last:st.Recovery.last
+      ~since_snapshot:st.Recovery.from_journal
+  in
+  (* Earlier versions wrote a snapshot before trimming the journal, without
+     sealing it first: a crash between the two, with the journal's tail
+     still unsynced, leaves the snapshot durably ahead of the journal.
+     Appending there would leave a hole, so checkpoint first: the seal
+     opens the next segment at the recovered frontier. *)
+  match t.journal with
+  | Some w when Journal.frontier w < t.events -> Result.map (fun _ -> t) (checkpoint t)
+  | Some _ | None -> Ok t
 
 (* [serve --resume]: one read of the journal and snapshot, the replay,
    the writer reopened from what was read; the wall time of the whole
@@ -299,88 +334,6 @@ let stats_line t =
      cost=%.4f latency_mean_us=%.1f latency_max_us=%.1f"
     t.requests t.placements t.rejections t.departures t.errors t.snapshots t.events
     open_bins bins_opened active_items clock cost lat_mean lat_max
-
-(* Write a durable snapshot of the whole current state at [path]. What
-   happens to the journal afterwards is the caller's choice: the classic
-   snapshot path truncates everything, compaction retires covered sealed
-   segments while the active one keeps streaming. *)
-let write_snapshot t path =
-  Metrics.time_snapshot t.obs (fun () ->
-      Snapshot.write ~io:t.io ~path
-        (Snapshot.of_sessions ~policy:t.config.policy ~seed:t.config.seed
-           ~capacity:t.config.capacity ~events:t.events ~last:t.last_event (sessions t)));
-  t.since_snapshot <- 0;
-  t.snapshots <- t.snapshots + 1;
-  Metrics.set_compaction_lag t.obs 0
-
-let take_snapshot t =
-  match t.config.snapshot with
-  | None -> Error "no snapshot path configured"
-  | Some path ->
-      write_snapshot t path;
-      (match t.journal with
-      | Some w -> Journal.truncate w ~new_base:t.events
-      | None -> ());
-      Ok path
-
-let maybe_auto_snapshot t =
-  match t.config.snapshot_every with
-  | Some n when t.since_snapshot >= n -> (
-      match take_snapshot t with
-      | Ok _ -> ()
-      | Error msg -> failwith msg (* excluded by validate_config *))
-  | Some _ | None -> ()
-
-(* {2 Online compaction}
-
-   Driven by the event loop between select ticks: when the sealed-segment
-   count exceeds [retain_segments], one step snapshots the frontier (every
-   record at or below it is now redundant), and subsequent steps retire
-   covered sealed segments a few files at a time. Each step is a bounded
-   amount of work, so group-commit acks never queue behind a whole
-   compaction pass. *)
-
-let retire_batch = 4 (* sealed segments unlinked per step *)
-
-let compaction_pending t =
-  match t.compaction with
-  | C_retiring _ -> true
-  | C_idle -> (
-      match (t.config.retain_segments, t.journal) with
-      | Some retain, Some w -> Journal.sealed_segments w > retain
-      | _ -> false)
-
-let compaction_step t =
-  match t.compaction with
-  | C_retiring { frontier; started } -> (
-      match t.journal with
-      | None -> t.compaction <- C_idle
-      | Some w ->
-          let retired = Journal.retire_sealed ~max_segments:retire_batch w ~upto:frontier in
-          if retired < retire_batch then begin
-            (* nothing left at or below the frontier: the pass is done *)
-            Metrics.on_compaction t.obs ~seconds:(Metrics.now t.obs -. started);
-            t.compaction <- C_idle
-          end)
-  | C_idle when compaction_pending t -> (
-      match t.config.snapshot with
-      | None -> () (* excluded by validate_config *)
-      | Some path ->
-          write_snapshot t path;
-          t.compaction <- C_retiring { frontier = t.events; started = Metrics.now t.obs })
-  | C_idle -> ()
-
-let compact t =
-  match (t.config.snapshot, t.journal) with
-  | None, _ -> Error "no snapshot path configured"
-  | _, None -> Error "no journal configured"
-  | Some path, Some w ->
-      let started = Metrics.now t.obs in
-      write_snapshot t path;
-      let retired = Journal.retire_sealed w ~upto:t.events in
-      Metrics.on_compaction t.obs ~seconds:(Metrics.now t.obs -. started);
-      t.compaction <- C_idle;
-      Ok (path, retired)
 
 (* {2 Request parsing}
 
@@ -672,7 +625,8 @@ let process_run t ~group_commit (reqs : request array) (replies : (string * bool
   (match !staged_rev with e :: _ -> t.last_event <- Some e | [] -> ());
   journal_events t ~group_commit (List.rev !staged_rev) ~waiters:n;
   Metrics.set_compaction_lag t.obs t.since_snapshot;
-  if !staged_rev <> [] then maybe_auto_snapshot t
+  if !staged_rev <> [] && checkpoint_due t then
+    match checkpoint t with Ok _ -> () | Error msg -> failwith msg (* excluded by validate_config *)
 
 let handle_control t req =
   count_request t req;
@@ -680,8 +634,8 @@ let handle_control t req =
   | Q_stats -> (stats_line t, false)
   | Q_metrics -> (Metrics.render_text t.obs, false)
   | Q_snapshot -> (
-      match take_snapshot t with
-      | Ok path -> (Printf.sprintf "OK snapshot %s events=%d" path t.events, false)
+      match checkpoint t with
+      | Ok (path, _) -> (Printf.sprintf "OK snapshot %s events=%d" path t.events, false)
       | Error msg -> err t msg)
   | Q_quit -> ("BYE", true)
   | Q_err { msg; _ } -> err t msg
@@ -788,9 +742,6 @@ let serve t ic oc =
         output_string oc reply;
         output_char oc '\n';
         flush oc;
-        (* the event loop steps compaction between select ticks; the
-           blocking loop's equivalent beat is one step per request *)
-        compaction_step t;
         if not quit then loop ()
   in
   Fun.protect ~finally:(fun () -> close t) loop

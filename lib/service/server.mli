@@ -50,9 +50,13 @@
       covers up to [fsync_every] records (the per-batch ceiling), which is
       what makes the multi-client path both stronger {e and} faster.
 
-    When [snapshot_every = Some n], a snapshot is taken (and the journal
-    truncated) every [n] applied events — exactly at the event on the
-    streaming path, at the next run boundary on the batch path. *)
+    The journal is trimmed only by a {!checkpoint}, whatever asks for it:
+    [SNAPSHOT], [dvbp compact], and the two triggers checked at the end of
+    each event run's commit — [snapshot_every = Some n] ([n] applied
+    events since the last snapshot: exactly at the event on the streaming
+    path, at the run boundary on the batch path) and [retain_segments =
+    Some k] (more than [k] sealed segments). The replies of the run that
+    fires a trigger wait for its checkpoint. *)
 
 type config = {
   policy : string;  (** short name for [Policy.of_name] *)
@@ -70,10 +74,9 @@ type config = {
           append that carries the active segment past it seals the segment
           and opens the next *)
   retain_segments : int option;
-      (** online compaction trigger: when more than this many {e sealed}
-          segments are on disk, the event loop snapshots and retires the
-          covered ones ({!compaction_step}). [None] disables compaction.
-          Requires journal and snapshot paths. *)
+      (** checkpoint trigger: when more than this many {e sealed} segments
+          are on disk after a commit, the server checkpoints, which
+          retires them. Requires journal and snapshot paths. *)
 }
 
 type t
@@ -89,8 +92,8 @@ type metrics = {
 }
 
 val create : ?io:Io.t -> ?metrics:Metrics.t -> config -> (t, string) result
-(** Fresh server: a {!Tenant.default} session, fresh journal (truncates an
-    existing file — use {!resume} to continue one). Other tenant sessions
+(** Fresh server: a {!Tenant.default} session, fresh journal (a durable
+    journal there is refused — use {!resume} to continue one). Other tenant sessions
     are created on first contact. [io] (default {!Real_io.v}) is the
     backend journal and snapshot writes go through. [metrics] (default a
     fresh {!Metrics.create}) receives all instrumentation; pass
@@ -101,8 +104,9 @@ val create : ?io:Io.t -> ?metrics:Metrics.t -> config -> (t, string) result
 val resume : ?io:Io.t -> ?metrics:Metrics.t -> config -> Recovery.state -> (t, string) result
 (** Continue serving from a recovered state (all tenant sessions). The
     config must agree with the recovered policy/seed/capacity; the journal
-    is re-opened for appending (validating its header) rather than
-    truncated. Metric counters restart from zero except [events], which
+    is re-opened for appending (validating its header). A snapshot ahead
+    of the journal (written by an earlier version, see DESIGN.md §9.3) is
+    repaired by one {!checkpoint} before any append. Metric counters restart from zero except [events], which
     counts from genesis (the engine pull family reflects the recovered
     sessions, so replayed events are counted once, not twice). *)
 
@@ -168,36 +172,34 @@ val sessions : t -> (string * Dvbp_engine.Session.t) list
 (** All tenant sessions in first-appearance order ({!Tenant.default}
     first). Read-only access for tests and reporting. *)
 
-val take_snapshot : t -> (string, string) result
-(** What the [SNAPSHOT] command runs: write a {!Snapshot} of every tenant
-    and truncate the journal. Exposed for drivers. *)
+val checkpoint : t -> (string * int, string) result
+(** Bounds the journal by the live state, in one call, in this order:
+    + if the active journal segment holds records, seal it ({!Journal.roll})
+      and open the next one at the server's event count, so every record
+      at or below that frontier is durable first;
+    + write a {!Snapshot} of every tenant at that frontier;
+    + retire every sealed segment whose records all fall at or below it
+      ({!Journal.retire_sealed}).
 
-(** {1 Online compaction}
+    A crash at any point leaves a snapshot no further ahead than its
+    journal and a journal chain the snapshot covers. Returns the snapshot
+    path and the number of segments retired. [SNAPSHOT], [dvbp compact],
+    both triggers and a {!resume} that finds the snapshot ahead of the
+    journal all call it; each call counts once under
+    [dvbp_server_compactions_total] and [dvbp_server_snapshots_total].
+    Without a journal it only writes the snapshot. Errors when no snapshot
+    path is configured. *)
 
-    A compaction pass bounds journal disk usage without stopping the
-    world: snapshot the current frontier (making every record at or below
-    it redundant), then unlink the sealed segments the snapshot covers, a
-    few files per step. The active segment is never touched, so appends
-    and group commits proceed throughout. *)
+(** {2 Names kept for the benchmark harness}
 
-val compaction_pending : t -> bool
-(** Whether {!compaction_step} has work: a pass is mid-flight, or the
-    sealed-segment count exceeds [retain_segments]. The event loop polls
-    this to keep its select timeout at zero while compacting. *)
-
-val compaction_step : t -> unit
-(** One bounded unit of compaction: either start a pass (write the
-    snapshot, remember the frontier) or retire up to a handful of covered
-    sealed segments. No-op when nothing is pending. Called by
-    {!Event_loop} once per tick, between request batches. *)
+    [perfbench/layers.ml] drives the staged compaction of earlier versions
+    by these names: [compact] is {!checkpoint}, [compaction_pending] is
+    always [false] and [compaction_step] does nothing, since a checkpoint
+    completes within the call that triggers it. *)
 
 val compact : t -> (string * int, string) result
-(** Synchronous whole pass (the [dvbp compact] command and the sim's
-    [Compact] action): snapshot, then retire {e all} covered sealed
-    segments at once. Returns the snapshot path and the number of segments
-    retired. Unlike {!take_snapshot} this never truncates the active
-    segment — the journal keeps its tail. Errors when no snapshot or no
-    journal path is configured. *)
+val compaction_pending : t -> bool
+val compaction_step : t -> unit
 
 val close : t -> unit
 (** Syncs and closes the journal. Idempotent. *)

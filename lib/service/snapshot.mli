@@ -1,9 +1,10 @@
 (** Checkpoint of the live service state.
 
-    A snapshot lets recovery keep the journal short: after a successful
-    snapshot the journal is truncated ({!Journal.truncate}) or its covered
-    sealed segments retired ({!Journal.retire_sealed}), and only events
-    after the snapshot's frontier need replaying.
+    A snapshot lets recovery keep the journal short: a checkpoint
+    ({!Server.checkpoint}) seals the journal's active segment, writes the
+    snapshot, then retires the sealed segments it covers
+    ({!Journal.retire_sealed}), so only events after the snapshot's
+    frontier need replaying.
 
     Format v3 holds, per tenant, the session's saved state
     ({!Dvbp_engine.Session.Saved}): what the tenant's future placements

@@ -43,18 +43,15 @@ let apply_line server line =
 (* Drive the whole script. [batch = Some b] exercises the group-commit path
    ({!Server.handle_batch}, [b] lines per call); [None] the streaming one.
    [check] is off while a planned crash is pending (replies then never
-   arrive — the run dies mid-script by design). [tick] runs after every
-   line (or chunk) — the compaction sweeps pass {!Server.compaction_step}
-   so segment retirement interleaves with traffic exactly as the event
-   loop interleaves it, and its I/O boundaries are swept like any other. *)
-let apply_all ?batch ~check ~tick server lines =
+   arrive — the run dies mid-script by design). Checkpoints run inside
+   the server's commit, so their I/O boundaries are swept like any other. *)
+let apply_all ?batch ~check server lines =
   match batch with
   | None ->
       List.iter
         (fun line ->
           if check then apply_line server line
-          else ignore (Server.handle_line server line);
-          tick server)
+          else ignore (Server.handle_line server line))
         lines
   | Some b ->
       let rec go = function
@@ -67,7 +64,6 @@ let apply_all ?batch ~check ~tick server lines =
               Array.iteri
                 (fun i (reply, quit) -> check_applied arr.(i) reply quit)
                 replies;
-            tick server;
             go (drop b lines)
       in
       go lines
@@ -114,7 +110,7 @@ let make_lines ~tenants inst =
     interleave [] scripts
 
 let run ?(policy = "mtf") ?(seed = 11) ?(n = 12) ?(fsync_every = 3)
-    ?(snapshot_every = 5) ?(snapshot = true) ?segment_bytes ?retain_segments
+    ?(snapshot_every = Some 5) ?(snapshot = true) ?segment_bytes ?retain_segments
     ?(wrap = fun io -> io) ?batch ?(tenants = 1) ?(jobs = 1) () =
   let params = { Uniform_model.d = 2; n; mu = 10; span = 60; bin_size = 100 } in
   let inst = Uniform_model.generate params ~rng:(Rng.create ~seed:(seed + 1)) in
@@ -126,23 +122,12 @@ let run ?(policy = "mtf") ?(seed = 11) ?(n = 12) ?(fsync_every = 3)
       capacity = Uniform_model.capacity params;
       journal = Some journal_path;
       snapshot = (if snapshot then Some snapshot_path else None);
-      (* with compaction armed, snapshots come from the compaction pass —
-         the truncate-everything auto-snapshot would retire every sealed
-         segment out from under it *)
-      snapshot_every =
-        (if snapshot && retain_segments = None then Some snapshot_every else None);
+      snapshot_every = (if snapshot then snapshot_every else None);
       fsync_every;
       jobs;
       segment_bytes;
       retain_segments;
     }
-  in
-  (* with a retention trigger configured, step compaction after every
-     line/chunk — the event loop's once-per-tick cadence *)
-  let tick =
-    match retain_segments with
-    | None -> fun _ -> ()
-    | Some _ -> fun server -> Server.compaction_step server
   in
   (* Uninterrupted run: fixes the boundary count, the event count, and
      the reference final state. Alongside it, a journal-less reference
@@ -157,7 +142,7 @@ let run ?(policy = "mtf") ?(seed = 11) ?(n = 12) ?(fsync_every = 3)
     | Ok s -> s
     | Error e -> failwith ("sweep baseline: " ^ e)
   in
-  apply_all ?batch ~check:true ~tick server lines;
+  apply_all ?batch ~check:true server lines;
   let baseline_fp = fingerprint_server server in
   Server.close server;
   let boundaries = Sim_fs.ops fs0 in
@@ -199,7 +184,7 @@ let run ?(policy = "mtf") ?(seed = 11) ?(n = 12) ?(fsync_every = 3)
        match Server.create ~io ~metrics:(Metrics.noop ()) config with
        | Error e -> failwith ("server create: " ^ e)
        | Ok server ->
-           apply_all ?batch ~check:false ~tick server lines;
+           apply_all ?batch ~check:false server lines;
            Server.close server;
            failwith "planned crash never fired"
      with Sim_fs.Crash -> ());
@@ -229,7 +214,7 @@ let run ?(policy = "mtf") ?(seed = 11) ?(n = 12) ?(fsync_every = 3)
           | Ok s -> (s, 0)
           | Error e -> failwith ("fresh restart: " ^ e))
     in
-    apply_all ?batch ~check:true ~tick resumed (drop recovered_events lines);
+    apply_all ?batch ~check:true resumed (drop recovered_events lines);
     let fp = fingerprint_server resumed in
     Server.close resumed;
     if fp <> baseline_fp then

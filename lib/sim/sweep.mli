@@ -35,7 +35,7 @@ val run :
   ?seed:int ->
   ?n:int ->
   ?fsync_every:int ->
-  ?snapshot_every:int ->
+  ?snapshot_every:int option ->
   ?snapshot:bool ->
   ?segment_bytes:int ->
   ?retain_segments:int ->
@@ -46,16 +46,17 @@ val run :
   unit ->
   outcome
 (** Defaults: [policy = "mtf"], [seed = 11], [n = 12] items, [fsync_every =
-    3], [snapshot_every = 5] (small batches so fsync batching and journal
-    truncation both land inside the sweep). [wrap] decorates the simulated
+    3], [snapshot_every = Some 5] (small batches so fsync batching and
+    checkpoints both land inside the sweep; [None] leaves only the
+    [retain_segments] trigger). [wrap] decorates the simulated
     backend — the sensitivity smoke uses it to sabotage the torn-record
     guard and prove the sweep notices.
 
     [segment_bytes] shrinks the journal's segment roll threshold so seals
-    land inside the sweep; [retain_segments] arms online compaction, which
-    the sweep then steps after every line (or chunk) the way the event
-    loop steps it per tick — every segment open/seal/rename/retire/dir-sync
-    boundary becomes a swept crash point. [snapshot = false] strips the
+    land inside the sweep; [retain_segments] arms the sealed-segment
+    checkpoint trigger, which the server fires inside the commit of the
+    line (or chunk) that crossed it — every segment
+    open/seal/rename/retire/dir-sync boundary becomes a swept crash point. [snapshot = false] strips the
     snapshot path entirely (and [snapshot_every] with it): recovery then
     leans on the journal chain alone, which the seal-sensitivity smoke
     uses to prove a defeated seal check is caught.

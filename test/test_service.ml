@@ -361,16 +361,37 @@ let journal_tests =
             let r = ok_or_fail (Journal.read_file path) in
             check_bool "clean now" false r.Journal.dropped_torn;
             check_int "events" (List.length sample_events) (List.length r.Journal.events)));
-    Alcotest.test_case "truncate restarts the file at the new base" `Quick (fun () ->
+    Alcotest.test_case "roll ~base starts the next segment at the new base" `Quick
+      (fun () ->
         with_tmp_dir (fun dir ->
             let path = Filename.concat dir "j.log" in
+            let n = List.length sample_events in
             let w = Journal.create ~path (header ()) in
             List.iter (Journal.append w) sample_events;
-            Journal.truncate w ~new_base:(List.length sample_events);
-            Journal.append w (Journal.Depart { tenant = dflt; time = 9.0; item_id = 99 });
+            (* at the frontier: the chain stays whole across the seal *)
+            Journal.roll w ~base:n;
+            check_bool "sealed" true (Sys.file_exists (sealed_seg ~idx:0 path));
+            Journal.roll w ~base:n;
+            check_bool "an empty active at its base is left alone" false
+              (Sys.file_exists (active_seg ~idx:2 path));
+            let extra = Journal.Depart { tenant = dflt; time = 9.0; item_id = 99 } in
+            Journal.append w extra;
+            check_bool "below the frontier is refused" true
+              (try Journal.roll w ~base:n; false with Invalid_argument _ -> true);
             Journal.close w;
             let r = ok_or_fail (Journal.read_file path) in
-            check_int "base" (List.length sample_events) r.Journal.header.Journal.base;
+            check_int "whole chain: base" 0 r.Journal.header.Journal.base;
+            check_int "whole chain: events" (n + 1) (List.length r.Journal.events);
+            (* above the frontier (a snapshot ahead of the journal): the
+               next record carries the new base and the chain still loads,
+               from that base *)
+            let w, _ = ok_or_fail (Journal.append_to ~path (header ())) in
+            Journal.roll w ~base:(n + 5);
+            check_int "frontier" (n + 5) (Journal.frontier w);
+            Journal.append w extra;
+            Journal.close w;
+            let r = ok_or_fail (Journal.read_file path) in
+            check_int "base" (n + 5) r.Journal.header.Journal.base;
             check_int "only the suffix" 1 (List.length r.Journal.events)));
     Alcotest.test_case "create rejects bad fsync_every" `Quick (fun () ->
         with_tmp_dir (fun dir ->
@@ -486,10 +507,7 @@ let segment_tests =
             check_int "survivors" 3 (Journal.sealed_segments w);
             check_bool "oldest gone" false (Sys.file_exists (sealed_seg ~idx:0 path));
             check_bool "uncovered kept" true (Sys.file_exists (sealed_seg ~idx:3 path));
-            (* the bound caps one call's work; a second call finishes *)
-            check_int "bounded call" 2
-              (Journal.retire_sealed ~max_segments:2 w ~upto:6);
-            check_int "remainder" 1 (Journal.retire_sealed w ~upto:6);
+            check_int "the rest in one call" 3 (Journal.retire_sealed w ~upto:6);
             check_int "nothing left to retire" 0 (Journal.retire_sealed w ~upto:6);
             Journal.close w;
             (* the surviving chain reads back with its base above the gap *)
@@ -912,10 +930,10 @@ let recovery_tests =
             check_bool "open bins" true (contains_sub out "bin ")));
   ]
 
-let fresh_server ?journal ?snapshot ?snapshot_every ?segment_bytes
+let fresh_server ?metrics ?journal ?snapshot ?snapshot_every ?segment_bytes
     ?retain_segments () =
   ok_or_fail
-    (Server.create
+    (Server.create ?metrics
        {
          Server.policy = "mtf";
          seed = 7;
@@ -1550,16 +1568,43 @@ let metrics_tests =
             Journal.close w;
             check_int "heal counted" 1
               (metric_value (metric_rows m) "dvbp_journal_torn_heals_total")));
-    Alcotest.test_case "truncation is counted" `Quick (fun () ->
+    Alcotest.test_case "every checkpoint counts once" `Quick (fun () ->
         with_tmp_dir (fun dir ->
-            let path = Filename.concat dir "j.log" in
-            let m = Metrics.create () in
-            let w = Journal.create ~metrics:m ~path (header ()) in
-            List.iter (Journal.append w) sample_events;
-            Journal.truncate w ~new_base:(List.length sample_events);
-            Journal.close w;
-            check_int "truncates" 1
-              (metric_value (metric_rows m) "dvbp_journal_truncates_total")));
+            let journal = Filename.concat dir "j.log" in
+            let snapshot = Filename.concat dir "s.snap" in
+            let served ?snapshot_every ?segment_bytes ?retain_segments lines =
+              let m = Metrics.create () in
+              let t =
+                fresh_server ~metrics:m ~journal ~snapshot ?snapshot_every ?segment_bytes
+                  ?retain_segments ()
+              in
+              List.iter (fun (line, reply) -> expect t line reply) lines;
+              Server.close t;
+              Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+              metric_rows m
+            in
+            let arrive i = (Printf.sprintf "ARRIVE %d %d 10,10" i i, "PLACED 0 " ^ if i = 0 then "1" else "0") in
+            let check_counts what ~checkpoints ~retired rows =
+              check_int (what ^ ": snapshots") checkpoints
+                (metric_value rows "dvbp_server_snapshots_total");
+              check_int (what ^ ": one compaction per checkpoint") checkpoints
+                (metric_value rows "dvbp_server_compactions_total");
+              check_int (what ^ ": durations sampled") checkpoints
+                (metric_value rows "dvbp_server_compaction_seconds_count");
+              check_int (what ^ ": segments retired") retired
+                (metric_value rows "dvbp_journal_segments_retired_total");
+              check_bool (what ^ ": no truncate family") false
+                (List.exists (fun r -> contains_sub r.Dvbp_obs.Prom.name "truncate") rows)
+            in
+            (* snapshot_every after event 2, then SNAPSHOT after event 3:
+               each seals the active segment and retires it *)
+            served ~snapshot_every:2
+              [ arrive 0; arrive 1; arrive 2; ("SNAPSHOT", "OK snapshot " ^ snapshot ^ " events=3") ]
+            |> check_counts "snapshot_every + SNAPSHOT" ~checkpoints:2 ~retired:2;
+            (* 64-byte segments seal on every append: the second sealed
+               segment crosses retain_segments 1 *)
+            served ~segment_bytes:64 ~retain_segments:1 [ arrive 0; arrive 1; arrive 2 ]
+            |> check_counts "retain_segments" ~checkpoints:1 ~retired:2));
     Alcotest.test_case "fit-scan metrics agree across kernels on one trace" `Quick
       (fun () ->
         (* same deterministic event stream into a SWAR session and a forced
@@ -1618,10 +1663,10 @@ let metrics_tests =
   ]
 
 (* -------------------------------------------------------------------- *)
-(* Online compaction: the snapshot-then-retire pass, its bounded steps,
-   its metric families, and the serve loop keeping disk usage flat. The
+(* Checkpoints: seal, snapshot and retire in one call, its triggers, its
+   metric families, and the resume of a snapshot ahead of its journal. The
    64-byte segment target seals on every append (header ~60 bytes), so a
-   six-event script leaves six sealed segments to compact. *)
+   six-event script leaves six sealed segments. *)
 
 let drive_sample_protocol t =
   expect t "ARRIVE 0 0 60,10" "PLACED 0 1";
@@ -1630,6 +1675,11 @@ let drive_sample_protocol t =
   expect t "DEPART 3 0" "OK";
   expect t "DEPART 4 2" "OK";
   expect t "DEPART 5.5 1" "OK"
+
+let sealed_files dir =
+  Array.fold_left
+    (fun n f -> if Filename.check_suffix f ".seg" then n + 1 else n)
+    0 (Sys.readdir dir)
 
 let compaction_tests =
   [
@@ -1640,13 +1690,13 @@ let compaction_tests =
             let snapshot = Filename.concat dir "s.snap" in
             let t = fresh_server ~journal ~snapshot ~segment_bytes:64 () in
             drive_sample_protocol t;
-            (match Server.compact t with
+            (match Server.checkpoint t with
             | Error e -> Alcotest.fail e
             | Ok (path, retired) ->
                 check_string "snapshot path" snapshot path;
                 check_int "all sealed segments retired" 6 retired);
-            (* the active segment keeps its tail: serving continues and new
-               appends chain onto the snapshotted frontier *)
+            (* serving continues and new appends chain onto the
+               snapshotted frontier *)
             let reply, _ = Server.handle_line t "ARRIVE 7 9 5,5" in
             check_bool "still serving" true (contains_sub reply "PLACED");
             Server.close t;
@@ -1655,17 +1705,22 @@ let compaction_tests =
               st.Recovery.from_snapshot;
             check_int "post-compact tail replays from the journal" 1
               st.Recovery.from_journal));
-    Alcotest.test_case "compact without snapshot or journal is a clean error"
-      `Quick (fun () ->
+    Alcotest.test_case "compact without snapshot path is a clean error" `Quick
+      (fun () ->
         with_tmp_dir (fun dir ->
             let journal = Filename.concat dir "j.log" in
             let t = fresh_server ~journal () in
-            check_bool "no snapshot path" true (Result.is_error (Server.compact t));
+            check_bool "no snapshot path" true (Result.is_error (Server.checkpoint t));
             Server.close t;
-            let t = fresh_server () in
-            check_bool "no journal" true (Result.is_error (Server.compact t));
+            (* without a journal there is nothing to seal or retire *)
+            let snapshot = Filename.concat dir "s.snap" in
+            let t = fresh_server ~snapshot () in
+            expect t "ARRIVE 0 0 60,10" "PLACED 0 1";
+            (match Server.checkpoint t with
+            | Ok (_, retired) -> check_int "nothing retired" 0 retired
+            | Error e -> Alcotest.fail e);
             Server.close t));
-    Alcotest.test_case "retain_segments arms pending; bounded steps converge"
+    Alcotest.test_case "retain_segments arms a checkpoint in the commit; recovery exact"
       `Quick (fun () ->
         with_tmp_dir (fun dir ->
             let journal = Filename.concat dir "j.log" in
@@ -1674,20 +1729,19 @@ let compaction_tests =
               fresh_server ~journal ~snapshot ~segment_bytes:64
                 ~retain_segments:1 ()
             in
-            drive_sample_protocol t;
-            check_bool "six sealed > retain 1" true (Server.compaction_pending t);
-            (* first step writes the snapshot and arms the retire pass *)
-            Server.compaction_step t;
+            expect t "ARRIVE 0 0 60,10" "PLACED 0 1";
+            check_bool "one sealed segment is within retain 1" false
+              (Sys.file_exists snapshot);
+            expect t "ARRIVE 1 1 50,50" "PLACED 1 1";
+            (* the second seal crossed the trigger: the reply came back
+               after the snapshot and the retire *)
             check_bool "snapshot written" true (Sys.file_exists snapshot);
-            check_bool "pass mid-flight" true (Server.compaction_pending t);
-            let steps = ref 1 in
-            while Server.compaction_pending t && !steps < 32 do
-              Server.compaction_step t;
-              incr steps
-            done;
-            (* 6 segments at 4 per retire step: snapshot + two retire steps *)
-            check_int "converges in bounded steps" 3 !steps;
-            Server.compaction_step t;  (* idle: a spurious step is a no-op *)
+            check_int "covered segments retired" 0 (sealed_files dir);
+            expect t "ARRIVE 1.5 2 30,20" "PLACED 1 0";
+            expect t "DEPART 3 0" "OK";
+            expect t "DEPART 4 2" "OK";
+            expect t "DEPART 5.5 1" "OK";
+            check_int "a checkpoint per second seal" 3 (Server.metrics t).Server.snapshots;
             Server.close t;
             let st = ok_or_fail (Recovery.recover ~snapshot ~journal ()) in
             check_int "nothing lost" 6
@@ -1699,46 +1753,93 @@ let compaction_tests =
             let snapshot = Filename.concat dir "s.snap" in
             let m = Metrics.create () in
             let t =
-              ok_or_fail
-                (Server.create ~metrics:m
-                   {
-                     Server.policy = "mtf";
-                     seed = 7;
-                     capacity = cap;
-                     journal = Some journal;
-                     snapshot = Some snapshot;
-                     snapshot_every = None;
-                     fsync_every = 64;
-                     jobs = 1;
-                     segment_bytes = Some 64;
-                     retain_segments = Some 1;
-                   })
+              fresh_server ~metrics:m ~journal ~snapshot ~segment_bytes:64
+                ~retain_segments:1 ()
             in
-            drive_sample_protocol t;
+            expect t "ARRIVE 0 0 60,10" "PLACED 0 1";
+            check_int "lag tracks unsnapshotted events" 1
+              (metric_value (metric_rows m) "dvbp_server_compaction_lag_events");
+            expect t "ARRIVE 1 1 50,50" "PLACED 1 1";
             let rows = metric_rows m in
-            check_int "seals counted" 6
+            check_int "seals counted" 2
               (metric_value rows "dvbp_journal_segments_sealed_total");
-            check_bool "lag tracks unsnapshotted events" true
-              (metric_value rows "dvbp_server_compaction_lag_events" > 0);
-            while Server.compaction_pending t do
-              Server.compaction_step t
-            done;
-            let rows = metric_rows m in
             check_int "segments gauge: active only" 1
               (metric_value rows "dvbp_journal_segments");
-            check_int "retirements counted" 6
+            check_int "retirements counted" 2
               (metric_value rows "dvbp_journal_segments_retired_total");
             check_bool "retired bytes counted" true
               (metric_value rows "dvbp_journal_retired_bytes_total" > 0);
-            check_int "one compaction pass" 1
+            check_int "one checkpoint" 1
               (metric_value rows "dvbp_server_compactions_total");
-            check_int "pass duration sampled" 1
+            check_int "its duration sampled" 1
               (metric_value rows "dvbp_server_compaction_seconds_count");
-            check_int "lag reset by the pass" 0
+            check_int "lag reset by the checkpoint" 0
               (metric_value rows "dvbp_server_compaction_lag_events");
             check_bool "live bytes back to the active segment" true
               (metric_value rows "dvbp_journal_live_bytes" < 128);
             Server.close t));
+    Alcotest.test_case "resume over a snapshot ahead of its journal" `Quick (fun () ->
+        (* What an earlier version could leave: a snapshot at E written,
+           then a power cut before the journal's last records were synced
+           or trimmed — a journal whose frontier f is below E. *)
+        with_tmp_dir (fun dir ->
+            let journal = Filename.concat dir "j.log" in
+            let snapshot = Filename.concat dir "s.snap" in
+            let e = List.length sample_events in
+            Snapshot.write ~path:snapshot (snap_of (replay_exn sample_events));
+            let w = Journal.create ~path:journal (header ()) in
+            List.iter (Journal.append w) (List.filteri (fun i _ -> i < e - 2) sample_events);
+            Journal.close w;
+            let config =
+              {
+                Server.policy = "mtf";
+                seed = 7;
+                capacity = cap;
+                journal = Some journal;
+                snapshot = Some snapshot;
+                snapshot_every = None;
+                fsync_every = 64;
+                jobs = 1;
+                segment_bytes = None;
+                retain_segments = None;
+              }
+            in
+            let after = [ "ARRIVE 7 9 5,5"; "DEPART 8 9" ] in
+            let t =
+              match ok_or_fail (Server.restart config) with
+              | Some t -> t
+              | None -> Alcotest.fail "the journal holds durable state"
+            in
+            check_int "the repair is one checkpoint" 1 (Server.metrics t).Server.snapshots;
+            List.iter
+              (fun line ->
+                let reply, _ = Server.handle_line t line in
+                check_bool line true (reply = "OK" || contains_sub reply "PLACED"))
+              after;
+            Server.close t;
+            (* the two new events sit at indices E+1 and E+2, right after
+               the snapshot's frontier *)
+            let r = ok_or_fail (Journal.read_file journal) in
+            check_int "journal base" e r.Journal.header.Journal.base;
+            check_int "the new events" 2 (List.length r.Journal.events);
+            (* a second recovery agrees with an uninterrupted run *)
+            let reference = fresh_server () in
+            drive_sample_protocol reference;
+            List.iter (fun line -> ignore (Server.handle_line reference line)) after;
+            let st =
+              match ok_or_fail (Recovery.load ~snapshot ~journal ()) with
+              | Some st -> st
+              | None -> Alcotest.fail "nothing recovered"
+            in
+            check_int "events" (e + 2) st.Recovery.events;
+            let fingerprints sessions =
+              List.map (fun (tn, s) -> (tn, Session.fingerprint s)) sessions
+            in
+            Alcotest.(check (list (pair string string)))
+              "fingerprints of an uninterrupted run"
+              (fingerprints (Server.sessions reference))
+              (fingerprints st.Recovery.sessions);
+            Server.close reference));
   ]
 
 (* -------------------------------------------------------------------- *)
@@ -2610,12 +2711,11 @@ let compacting_snapshot_bytes ~dir n =
           (fun (reply, _) ->
             if reply.[0] <> 'P' && reply.[0] <> 'O' then Alcotest.failf "refused: %s" reply)
           (Server.handle_batch t (Array.of_list chunk));
-        Server.compaction_step t;
         feed (List.filteri (fun i _ -> i >= 1024) lines)
   in
   let lines = sliding_lines n in
   feed lines;
-  ignore (ok_or_fail (Server.compact t));
+  ignore (ok_or_fail (Server.checkpoint t));
   let fp = Session.fingerprint (Server.session t) in
   Server.close t;
   let st = ok_or_fail (Recovery.recover ~snapshot ~journal ()) in

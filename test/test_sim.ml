@@ -234,7 +234,7 @@ let defeat_torn_guard io =
 let no_dirsync io = { io with Io.fsync_dir = (fun _ -> ()) }
 
 (* The crash-after-rename-before-dirsync window, made deterministic: keep
-   every journal-side op (segment creates, seal renames, truncate removes)
+   every journal-side op (segment creates, seal renames, retire removes)
    but roll back the snapshot's rename. *)
 let dirsync_window_mode =
   Sim_fs.Directed
@@ -271,7 +271,7 @@ let completed_run ~wrap n =
   in
   let server = ok_or_fail (Server.create ~io config) in
   List.iter (fun l -> ignore (Server.handle_line server l)) (Loadgen.script inst);
-  check_bool "at least one snapshot+truncate happened" true
+  check_bool "at least one checkpoint happened" true
     ((Server.metrics server).Server.snapshots >= 1);
   Server.close server;
   (fs, io)
@@ -327,10 +327,9 @@ let sweep_tests =
        boundaries" `Slow (fun () ->
         (* tiny segments + an aggressive retention trigger: seals, segment
            opens, snapshot writes and retires all land inside the swept
-           window, and compaction interleaves with traffic exactly as the
-           event loop interleaves it *)
+           window, each checkpoint inside the commit that fired it *)
         let o =
-          Sweep.run ~segment_bytes:112 ~retain_segments:1 ~n:16 ()
+          Sweep.run ~segment_bytes:112 ~retain_segments:1 ~snapshot_every:None ~n:16 ()
         in
         Printf.printf "segmented %s\n" (Sweep.render o);
         Printf.printf "segmented sweep boundary count: %d\n%!" o.Sweep.boundaries;
@@ -349,11 +348,29 @@ let sweep_tests =
       "segmented group-commit sweep: compaction under batches is bit-identical"
       `Slow (fun () ->
         let o =
-          Sweep.run ~segment_bytes:112 ~retain_segments:1 ~batch:4 ~tenants:2
-            ~n:(8 * budget) ()
+          Sweep.run ~segment_bytes:112 ~retain_segments:1 ~snapshot_every:None ~batch:4
+            ~tenants:2 ~n:(8 * budget) ()
         in
         Printf.printf "segmented batched %s\n" (Sweep.render o);
         check_bool "no failures" true (o.Sweep.failures = []));
+    Alcotest.test_case
+      "segmented sweep with both checkpoint triggers armed is bit-identical" `Slow
+      (fun () ->
+        (* snapshot_every and retain_segments together, as the live-state
+           memory smoke serves: a checkpoint that seals a partly filled
+           active segment and one that finds it empty both land in the
+           swept window *)
+        let o =
+          Sweep.run ~segment_bytes:112 ~retain_segments:1 ~snapshot_every:(Some 3) ~n:16 ()
+        in
+        Printf.printf "segmented both-triggers %s\n" (Sweep.render o);
+        Printf.printf "both-triggers sweep boundary count: %d\n%!" o.Sweep.boundaries;
+        (match o.Sweep.failures with
+        | [] -> ()
+        | f :: _ ->
+            Alcotest.failf "%d failures, first at boundary %d (%s): %s"
+              (List.length o.Sweep.failures) f.Sweep.boundary f.Sweep.mode
+              f.Sweep.message));
     Alcotest.test_case "sensitivity smoke: sabotaged torn-record guard is caught"
       `Slow (fun () ->
         let o = Sweep.run ~wrap:defeat_torn_guard ~n:10 () in
@@ -475,7 +492,7 @@ type cmd =
   | Arrive of int * int * int  (* time step, size1, size2 *)
   | Depart of int * int  (* time step, index among live items *)
   | Snap
-  | Compact  (* synchronous compaction pass: snapshot + retire sealed *)
+  | Compact  (* a checkpoint outside the protocol: seal, snapshot, retire *)
   | Crash_now of int  (* crash mode index, power cut between requests *)
   | Crash_at of int * int  (* ops ahead, crash mode index: mid-request cut *)
 
@@ -737,7 +754,7 @@ let run_case ?batch (fs_seed, cmds) =
           (* not a protocol line: drain queued requests first so the
              snapshot covers everything acked, then run a whole pass *)
           flush_batch ();
-          match Server.compact !server with
+          match Server.checkpoint !server with
           | Ok _ -> ()
           | Error e -> failwith ("compact: " ^ e)
           | exception Sim_fs.Crash -> recover_after !pending_mode)
