@@ -389,7 +389,10 @@ let snapshot_every_arg =
 let fsync_every_arg =
   Arg.(value & opt int 64
        & info [ "fsync-every" ] ~docv:"N"
-           ~doc:"Journal fsync batch size (1 = fsync every record).")
+           ~doc:"Journal fsync cadence of the stdio server: fsync every N \
+                 records (1 = every record). No effect with $(b,--listen), \
+                 which commits each tick's event run with one fsync before \
+                 replying.")
 
 let serve_jobs_arg =
   Arg.(value & opt int 1
@@ -528,9 +531,10 @@ let loadgen_cmd =
   let lg_fsync_arg =
     Arg.(value & opt (some int) None
          & info [ "fsync-every" ] ~docv:"N"
-             ~doc:"Journal fsync batch size / group-commit ceiling \
-                   (default: 64 for the single-client pipe driver, 1024 \
-                   otherwise).")
+             ~doc:"Journal fsync cadence of the single-client pipe driver \
+                   (default 64). Refused with $(b,--clients), $(b,--connect) \
+                   or a binary trace: their event-loop server commits each \
+                   tick with one fsync.")
   in
   let connect_arg =
     Arg.(value & opt (some string) None

@@ -158,7 +158,7 @@ type loadgen_opts = {
   lg_journal : string option;
   lg_snapshot : string option;
   lg_snapshot_every : int option;
-  lg_fsync_every : int option;
+  lg_fsync_every : int option;  (* the pipe driver's only; refused by [drive] *)
   lg_clients : int;  (* 0 = the single-client pipe driver, {!Service.Loadgen.run} *)
   lg_jobs : int;
   lg_window : int;
@@ -172,7 +172,16 @@ type loadgen_opts = {
    anyway. *)
 let loadgen (o : loadgen_opts) =
   let module L = Service.Loadgen in
+  (* the event-loop server behind [drive] commits each tick's event run
+     with one fsync, so a cadence there would be silently ignored *)
   let drive source =
+    let* () =
+      if o.lg_fsync_every = None then Ok ()
+      else
+        Error
+          "--fsync-every applies only to the single-client pipe driver (no \
+           --clients, no --connect, no binary --trace)"
+    in
     let transport =
       match o.lg_connect with
       | Some path -> L.Connect path
@@ -182,8 +191,6 @@ let loadgen (o : loadgen_opts) =
               L.journal = o.lg_journal;
               snapshot = o.lg_snapshot;
               snapshot_every = o.lg_snapshot_every;
-              fsync_every =
-                Option.value o.lg_fsync_every ~default:L.server_defaults.L.fsync_every;
               jobs = o.lg_jobs;
               segment_bytes = None;
               retain_segments = None;

@@ -70,7 +70,10 @@ type loadgen_opts = {
   lg_journal : string option;
   lg_snapshot : string option;
   lg_snapshot_every : int option;
-  lg_fsync_every : int option;  (** [None] = library default *)
+  lg_fsync_every : int option;
+      (** fsync cadence of the single-client pipe driver; [None] = library
+          default. Refused with any other driver: its event-loop server
+          commits each tick with one fsync. *)
   lg_clients : int;
       (** [0] = classic single-client pipe driver; [n > 0] = [n] concurrent
           clients (tenants [t0..t{n-1}]) against one event-loop server *)

@@ -20,15 +20,30 @@ type t = {
   nop : bool;
   clock : unit -> float;
   mutable metrics : metric list; (* reverse registration order *)
+  keys : (string * (string * string) list, unit) Hashtbl.t; (* the metrics' (name, labels) *)
   spans : span option array;
   mutable span_total : int;
 }
 
 let create ?(clock = Sys.time) () =
-  { nop = false; clock; metrics = []; spans = Array.make span_capacity None; span_total = 0 }
+  {
+    nop = false;
+    clock;
+    metrics = [];
+    keys = Hashtbl.create 64;
+    spans = Array.make span_capacity None;
+    span_total = 0;
+  }
 
 let noop () =
-  { nop = true; clock = (fun () -> 0.0); metrics = []; spans = [||]; span_total = 0 }
+  {
+    nop = true;
+    clock = (fun () -> 0.0);
+    metrics = [];
+    keys = Hashtbl.create 1;
+    spans = [||];
+    span_total = 0;
+  }
 
 let is_noop t = t.nop
 let now t = if t.nop then 0.0 else t.clock ()
@@ -43,8 +58,9 @@ let valid_name s =
 let register t ~help ~labels name v =
   if not t.nop then begin
     if not (valid_name name) then invalid_arg ("Registry: invalid metric name " ^ name);
-    if List.exists (fun m -> m.m_name = name && m.m_labels = labels) t.metrics then
+    if Hashtbl.mem t.keys (name, labels) then
       invalid_arg ("Registry: duplicate metric " ^ name);
+    Hashtbl.add t.keys (name, labels) ();
     t.metrics <- { m_name = name; m_labels = labels; m_help = help; m_value = v } :: t.metrics
   end
 

@@ -132,11 +132,12 @@ type writer = {
 (* Every append encodes through the writer's own scratch and buffer, so
    a group commit allocates only the string it hands to [Io]. The buffer
    starts small (a 64 KiB block allocated at startup measurably delays a
-   server's first reply) and keeps what it grows to, up to [enc_keep]; a
-   buffer that one oversized batch grew past that is released afterwards
-   rather than kept. *)
+   server's first reply) and keeps what it grows to, up to [enc_keep]: a
+   busy tick's whole event run (thousands of ~40-byte records) fits, so
+   it is not regrown run after run; a buffer that one oversized run grew
+   past that is released afterwards rather than kept. *)
 let enc_initial = 4096
-let enc_keep = 65536
+let enc_keep = 1 lsl 20
 
 let add_record scratch buf e =
   Record.Scratch.reset scratch;
@@ -310,7 +311,8 @@ let append w e =
    one fsync — which, because fsync covers the file, also makes durable
    any records a streaming [append] left unsynced. An empty batch does
    nothing (no write, no fsync). The roll check runs once per batch, so
-   a segment may overshoot its target by at most one batch. *)
+   a segment may overshoot its target by at most one batch (the server's
+   batch is one event run, at most one event-loop tick of lines). *)
 let append_batch w events =
   check_open w;
   match events with

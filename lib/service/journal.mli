@@ -49,10 +49,11 @@
     earlier, which rewrites it as segments.
 
     Durability: the writer flushes every record to the OS ([write(2)]) as it
-    is appended — a [SIGKILL] loses nothing already appended — and batches
-    the much more expensive [fsync(2)] every [fsync_every] records (plus on
-    seal/{!sync}/{!close}), so a power failure can lose at most the last
-    batch.
+    is appended — a [SIGKILL] loses nothing already appended. A streaming
+    {!append} batches the much more expensive [fsync(2)] every
+    [fsync_every] records (plus on seal/{!sync}/{!close}), so a power
+    failure can lose at most the last cadence window; a group commit
+    ({!append_batch}) fsyncs once per call, whatever its length.
 
     All file access goes through an injectable {!Io} backend (default
     {!Real_io.v}); the deterministic simulation tests swap in a simulated
@@ -154,7 +155,8 @@ val create :
     regular file at [path] itself is refused too: it is a retired
     single-file journal (the error is {!retired}, as {!load} gives) or
     something that is not a journal at all. [fsync_every]
-    (default [64]) batches fsyncs; [1] syncs every record. [segment_bytes]
+    (default [64]) batches the fsyncs of streaming {!append}s; [1] syncs
+    every record. [segment_bytes]
     (default 1 MiB) is the roll threshold: an append that carries the
     active segment past it triggers a seal. [metrics] (default
     {!Metrics.noop}) receives append/fsync/seal/retire/heal tallies.
@@ -197,12 +199,13 @@ val append_batch : writer -> event list -> unit
     (and any earlier unsynced streaming append; fsync covers the file) is
     durable. An empty batch is a no-op (no write, no fsync). Callers
     release replies only after this returns, so a power cut can never
-    lose a batch-acked record. Batch sizing (the [fsync_every] per-batch
-    ceiling) is the caller's job — see {!Server.handle_batch}. The roll
-    check runs once per batch (after the fsync), so a segment may
-    overshoot [segment_bytes] by at most one batch. The batch is encoded
-    through the writer's reused buffer, so a call allocates only the
-    string it writes. *)
+    lose a batch-acked record. [fsync_every] does not apply: the batch is
+    whatever the caller commits at once — one event run for
+    {!Server.handle_batch}, at most one {!Event_loop} tick ([max_batch]
+    lines). The roll check runs once per batch (after the fsync), so a
+    segment may overshoot [segment_bytes] by at most one batch. The batch
+    is encoded through the writer's reused buffer, so a call allocates
+    only the string it writes. *)
 
 val sync : writer -> unit
 (** Forces an fsync now. *)

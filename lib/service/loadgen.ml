@@ -219,7 +219,6 @@ type server_opts = {
   journal : string option;
   snapshot : string option;
   snapshot_every : int option;
-  fsync_every : int;
   jobs : int;
   segment_bytes : int option;
   retain_segments : int option;
@@ -230,7 +229,6 @@ let server_defaults =
     journal = None;
     snapshot = None;
     snapshot_every = None;
-    fsync_every = 1024;
     jobs = 1;
     segment_bytes = None;
     retain_segments = None;
@@ -533,7 +531,9 @@ let in_process ~policy ~seed ~capacity (o : server_opts) scripts =
         journal = o.journal;
         snapshot = o.snapshot;
         snapshot_every = o.snapshot_every;
-        fsync_every = o.fsync_every;
+        (* the event loop commits through [handle_batch] alone, one fsync
+           per event run; the streaming cadence is never read *)
+        fsync_every = 64;
         jobs = o.jobs;
         segment_bytes = o.segment_bytes;
         retain_segments = o.retain_segments;

@@ -15,7 +15,7 @@
       each with one window of requests in flight, against an in-process
       {!Event_loop} server or an external [dvbp serve --listen]. Windows
       pipeline, the server batches across clients, and one fsync covers
-      many events. *)
+      each tick's event run. *)
 
 type client_report = {
   tenant : string;
@@ -90,14 +90,14 @@ type server_opts = {
   journal : string option;
   snapshot : string option;
   snapshot_every : int option;
-  fsync_every : int;  (** the per-batch commit ceiling *)
   jobs : int;  (** tenant shards *)
   segment_bytes : int option;
   retain_segments : int option;
 }
 
 val server_defaults : server_opts
-(** No journal, [fsync_every = 1024], [jobs = 1]. *)
+(** No journal, [jobs = 1]. The server commits each event run with one
+    fsync, so there is no commit size to set. *)
 
 type transport =
   | In_process of server_opts

@@ -489,9 +489,9 @@ let parse_request t line =
 
    The entry points differ only in the commit's journal call:
    {!handle_line} streams each event with {!Journal.append} (fsync at the
-   [fsync_every] cadence); {!handle_batch} group-commits with
-   {!Journal.append_batch}, in chunks of at most [fsync_every] records,
-   one fsync per chunk, before any reply is released. *)
+   [fsync_every] cadence); {!handle_batch} group-commits the whole run
+   with one {!Journal.append_batch} — one write, one fsync — before any
+   reply is released. *)
 
 type applied =
   | A_none
@@ -530,13 +530,8 @@ let apply_request req session =
       | () -> A_departed (Journal.Depart { tenant; time; item_id }))
   | Q_stats | Q_metrics | Q_snapshot | Q_quit | Q_err _ -> A_none
 
-let rec split_at n = function
-  | [] -> ([], [])
-  | rest when n <= 0 -> ([], rest)
-  | x :: rest ->
-      let a, b = split_at (n - 1) rest in
-      (x :: a, b)
-
+(* a run's replies wait for all of it, so one commit covering the whole
+   run acks nothing later than smaller commits would (pinned in tests) *)
 let journal_events t ~group_commit events ~waiters =
   match (t.journal, events) with
   | None, _ | _, [] -> ()
@@ -546,16 +541,7 @@ let journal_events t ~group_commit events ~waiters =
         events
   | Some w, _ ->
       Metrics.set_group_commit_waiters t.obs waiters;
-      let rec chunks = function
-        | [] -> ()
-        | events ->
-            (* per-batch ceiling: one commit never spans more than
-               fsync_every records (pinned in tests) *)
-            let chunk, rest = split_at t.config.fsync_every events in
-            Metrics.time_journal_append t.obs (fun () -> Journal.append_batch w chunk);
-            chunks rest
-      in
-      chunks events;
+      Metrics.time_journal_append t.obs (fun () -> Journal.append_batch w events);
       Metrics.set_group_commit_waiters t.obs 0
 
 (* Answer the event run [reqs.(lo) .. reqs.(hi - 1)] into [replies]. A

@@ -46,8 +46,8 @@
       acked event can be lost to a power cut within the cadence window;
     - {!handle_batch} (the {!Event_loop} path): {b group commit} — every
       applied event in the batch is journaled and fsynced {e before} the
-      replies are released, so an acked event is always durable. One fsync
-      covers up to [fsync_every] records (the per-batch ceiling), which is
+      replies are released, so an acked event is always durable. One
+      write and one fsync cover each event run, however long, which is
       what makes the multi-client path both stronger {e and} faster.
 
     The journal is trimmed only by a {!checkpoint}, whatever asks for it:
@@ -66,8 +66,9 @@ type config = {
   snapshot : string option;  (** required for [SNAPSHOT] / [snapshot_every] *)
   snapshot_every : int option;  (** auto-snapshot every [n] applied events *)
   fsync_every : int;
-      (** streaming path: journal fsync cadence; batch path: per-batch
-          ceiling — one group commit never spans more records than this *)
+      (** journal fsync cadence of the streaming path ({!handle_line},
+          {!serve}); {!handle_batch} commits each event run with one
+          fsync and ignores it *)
   jobs : int;  (** tenant shards for {!handle_batch} (1 = no domains) *)
   segment_bytes : int option;
       (** journal segment roll threshold in bytes (default 1 MiB); an
@@ -127,8 +128,8 @@ val handle_line : t -> string -> string * bool
 val handle_batch : t -> string array -> (string * bool) array
 (** Group commit: handles every line (arrival order across connections —
     slot [i] answers line [i]) and returns only after all applied events
-    are journaled {e and fsynced}, in chunks of at most [fsync_every]
-    records each. ARRIVE/DEPART lines, malformed ones included, are
+    are journaled {e and fsynced}: one {!Journal.append_batch} (one write,
+    one fsync) per event run. ARRIVE/DEPART lines, malformed ones included, are
     answered in runs whose events are applied sharded by tenant over
     [config.jobs] domains; per-tenant results are bit-identical for any
     [jobs]. Every other line (STATS, SNAPSHOT, QUIT, unknown commands) is

@@ -55,7 +55,7 @@ val run :
     [segment_bytes] shrinks the journal's segment roll threshold so seals
     land inside the sweep; [retain_segments] arms the sealed-segment
     checkpoint trigger, which the server fires inside the commit of the
-    line (or chunk) that crossed it — every segment
+    line (or event run) that crossed it — every segment
     open/seal/rename/retire/dir-sync boundary becomes a swept crash point. [snapshot = false] strips the
     snapshot path entirely (and [snapshot_every] with it): recovery then
     leans on the journal chain alone, which the seal-sensitivity smoke

@@ -194,6 +194,51 @@ let registry_tests =
           (match R.Counter.make r "9bad" with
           | _ -> false
           | exception Invalid_argument _ -> true));
+    Alcotest.test_case "50k label sets register in linear time, in render order" `Quick
+      (fun () ->
+        (* one labelled series per tenant: the duplicate check must not scan
+           the registry, or tenant k's first event costs O(k) *)
+        let n = 50_000 in
+        let r = R.create () in
+        R.Counter.pull r "first_total" ~help:"before" (fun () -> 1);
+        let t0 = Sys.time () in
+        for i = 0 to n - 1 do
+          R.Counter.pull r "tenant_events_total" ~help:"per tenant"
+            ~labels:[ ("tenant", string_of_int i) ]
+            (fun () -> i)
+        done;
+        let secs = Sys.time () -. t0 in
+        R.Gauge.pull r "last_gauge" (fun () -> 2.0);
+        (* linear: tens of ms here; a scan per registration takes seconds *)
+        check_bool (Printf.sprintf "%d registrations in %.3f s CPU" n secs) true (secs < 1.0);
+        check_bool "a duplicate still raises" true
+          (match R.Counter.pull r "tenant_events_total" ~labels:[ ("tenant", "777") ] (fun () -> 0) with
+          | () -> false
+          | exception Invalid_argument _ -> true);
+        let text = R.render r in
+        let rows = Result.get_ok (Prom.parse text) in
+        check_int "every series rendered once" (n + 2) (List.length rows);
+        let expected =
+          ("first_total", "")
+          :: List.init n (fun i -> ("tenant_events_total", string_of_int i))
+          @ [ ("last_gauge", "") ]
+        in
+        check_bool "rows come out in registration order" true
+          (List.for_all2
+             (fun (row : Prom.row) (name, tenant) ->
+               row.Prom.name = name
+               && Option.value (List.assoc_opt "tenant" row.Prom.labels) ~default:"" = tenant)
+             rows expected);
+        let count_sub sub =
+          let k = String.length sub in
+          let c = ref 0 in
+          for i = 0 to String.length text - k do
+            if String.sub text i k = sub then incr c
+          done;
+          !c
+        in
+        check_int "one HELP line for the labelled family" 1
+          (count_sub "# HELP tenant_events_total "));
     Alcotest.test_case "noop registry records and renders nothing" `Quick (fun () ->
         let r = R.noop () in
         check_bool "is_noop" true (R.is_noop r);

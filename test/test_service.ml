@@ -1844,7 +1844,7 @@ let compaction_tests =
 
 (* -------------------------------------------------------------------- *)
 (* Group commit and the multi-client front end: handle_batch isolation,
-   the fsync-per-batch ceiling, shard-count determinism and the event
+   one fsync per event run, shard-count determinism and the event
    loop's ordering guarantees. *)
 
 let fresh_server_jobs ?io ?journal ?metrics ~jobs () =
@@ -1920,7 +1920,7 @@ let batch_tests =
             in
             check_bool "journal holds applied events with tenants" true
               (tenants = [ dflt; "t1"; "t1" ])));
-    Alcotest.test_case "group commit fsyncs at the per-batch ceiling" `Quick
+    Alcotest.test_case "group commit fsyncs once per event run" `Quick
       (fun () ->
         with_tmp_dir (fun dir ->
             let journal = Filename.concat dir "j.log" in
@@ -1944,19 +1944,22 @@ let batch_tests =
             let arrive i = Printf.sprintf "ARRIVE %d %d 5,5" i i in
             let batch_of lo n = Array.init n (fun k -> arrive (lo + k)) in
             let fsyncs () = metric_value (metric_rows m) "dvbp_journal_fsyncs_total" in
-            (* 10 events at ceiling 4 -> ceil(10/4) = 3 commits *)
+            let base = fsyncs () in
+            (* one run of 10 events is one commit, whatever fsync_every says *)
             ignore (Server.handle_batch t (batch_of 0 10));
-            check_int "ceil(10/4) fsyncs" 3 (fsyncs ());
-            (* exactly one ceiling's worth -> exactly one more *)
-            ignore (Server.handle_batch t (batch_of 10 4));
-            check_int "one full chunk" 4 (fsyncs ());
+            check_int "10 events at fsync_every 4: one fsync" 1 (fsyncs () - base);
+            (* a control line ends a run: two runs, two commits *)
+            ignore
+              (Server.handle_batch t
+                 (Array.concat [ batch_of 10 3; [| "STATS" |]; batch_of 13 5 ]));
+            check_int "a run split by STATS: two fsyncs" 3 (fsyncs () - base);
             (* control-only batches commit nothing *)
             ignore (Server.handle_batch t [| "STATS"; "BOGUS" |]);
-            check_int "no events, no fsync" 4 (fsyncs ());
+            check_int "no events, no fsync" 3 (fsyncs () - base);
             let rows = metric_rows m in
-            check_int "batch size histogram counts chunks" 4
+            check_int "batch size histogram counts runs" 3
               (metric_value rows "dvbp_journal_batch_size_count");
-            check_int "batch size histogram sums events" 14
+            check_int "batch size histogram sums events" 18
               (metric_value rows "dvbp_journal_batch_size_sum");
             check_int "waiters gauge resets after release" 0
               (metric_value rows "dvbp_journal_group_commit_waiters");

@@ -514,6 +514,45 @@ let sm_journal = "sm/j.log"
 let sm_snapshot = "sm/s.snap"
 let sm_fsync_every = 3
 
+(* group commits, fsyncs and seals on the server's journal so far *)
+let journal_counts server =
+  let rows =
+    match Dvbp_obs.Prom.parse (Metrics.render_text (Server.observability server)) with
+    | Ok rows -> rows
+    | Error e -> failwith e
+  in
+  let get name =
+    match Dvbp_obs.Prom.find rows name with
+    | Some r -> int_of_float r.Dvbp_obs.Prom.value
+    | None -> failwith ("no metric " ^ name)
+  in
+  ( get "dvbp_journal_batch_size_count",
+    get "dvbp_journal_fsyncs_total",
+    get "dvbp_journal_segments_sealed_total" )
+
+(* A batch commits once per event run that applied an event (a run
+   ends at a SNAPSHOT line): one group commit and one fsync each, plus
+   the fsync of every segment sealed meanwhile. *)
+let check_one_commit_per_run lines replies ~before:(c0, f0, s0) ~after:(c1, f1, s1) =
+  let runs = ref 0 and applied = ref false in
+  let close_run () =
+    if !applied then incr runs;
+    applied := false
+  in
+  Array.iteri
+    (fun i line ->
+      if line = "SNAPSHOT" then close_run ()
+      else
+        let reply = fst replies.(i) in
+        if reply = "OK" || String.starts_with ~prefix:"PLACED" reply then applied := true)
+    lines;
+  close_run ();
+  if c1 - c0 <> !runs then
+    failwith (Printf.sprintf "%d event runs took %d group commits" !runs (c1 - c0));
+  if f1 - f0 <> !runs + (s1 - s0) then
+    failwith
+      (Printf.sprintf "%d event runs and %d seals took %d fsyncs" !runs (s1 - s0) (f1 - f0))
+
 (* Run one generated schedule against a server over [Sim_fs], mirroring it
    in a pure model. Crashes power-cut the fs, recovery is checked against
    the model (prefix-of-acked history, bounded loss, exact state agreement),
@@ -667,9 +706,12 @@ let run_case ?batch (fs_seed, cmds) =
       let items = Array.of_seq (Queue.to_seq pending_batch) in
       Queue.clear pending_batch;
       inflight := Array.to_list (Array.map fst items);
+      let before = journal_counts !server in
       match Server.handle_batch !server (Array.map fst items) with
       | replies ->
           inflight := [];
+          check_one_commit_per_run (Array.map fst items) replies ~before
+            ~after:(journal_counts !server);
           Array.iteri (fun i (reply, _quit) -> snd items.(i) reply) replies
       | exception Sim_fs.Crash -> recover_after !pending_mode
     end
