@@ -482,8 +482,8 @@ let run_json path =
      nothing: idle worker domains still join every stop-the-world minor GC,
      which costs the allocation-heavy loadgen ~40% on one core *)
   Domain_pool.shutdown (Domain_pool.default ());
-  (* service loadgen: the full serialise -> pipe -> place -> journal -> reply
-     round trip, with and without the WAL, on a Table 2 workload *)
+  (* service loadgen: the full serialise -> socket -> place -> journal ->
+     reply round trip, with and without the WAL, on a Table 2 workload *)
   let lg_instance =
     W.Uniform_model.generate (W.Uniform_model.table2 ~d:2 ~mu:100)
       ~rng:(Rng.create ~seed:5)
@@ -511,9 +511,16 @@ let run_json path =
     Fun.protect
       ~finally:(fun () -> Option.iter remove_journal_files tmp)
       (fun () ->
+        (* one in-process client, 64 requests in flight: the server
+           commits each window's event run with one fsync, so at most 64
+           events share one *)
         match
-          Dvbp_service.Loadgen.run ~policy:"mtf" ~seed:3 ?journal:tmp
-            ~fsync_every:64 lg_instance
+          Dvbp_service.Loadgen.drive ~policy:"mtf" ~seed:3
+            ~transport:
+              (Dvbp_service.Loadgen.In_process
+                 { Dvbp_service.Loadgen.server_defaults with journal = tmp })
+            ~window:64
+            (Dvbp_service.Loadgen.Instances [ lg_instance ])
         with
         | Ok report -> report
         | Error e ->
@@ -684,7 +691,7 @@ let run_json path =
   in
   Buffer.add_string buf "  \"service_loadgen\": {\n";
   Buffer.add_string buf
-    "    \"workload\": \"uniform table2 d=2 mu=100 (n=1000)\", \"policy\": \"mtf\", \"fsync_every\": 64,\n";
+    "    \"workload\": \"uniform table2 d=2 mu=100 (n=1000)\", \"policy\": \"mtf\", \"window\": 64,\n";
   Buffer.add_string buf (lg_json "journaled" lg_journaled);
   Buffer.add_string buf ",\n";
   Buffer.add_string buf (lg_json "no_journal" lg_bare);

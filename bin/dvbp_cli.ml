@@ -386,13 +386,15 @@ let snapshot_every_arg =
            ~doc:"Checkpoint (seal the journal, snapshot, retire the covered \
                  segments) every N applied events.")
 
-let fsync_every_arg =
-  Arg.(value & opt int 64
+(* Kept only because the benchmark harness can pass it to [serve] in its
+   experiments: every event run is committed with one fsync, so the value
+   is never read. *)
+let ignored_fsync_every_arg =
+  Arg.(value & opt (some int) None
        & info [ "fsync-every" ] ~docv:"N"
-           ~doc:"Journal fsync cadence of the stdio server: fsync every N \
-                 records (1 = every record). No effect with $(b,--listen), \
-                 which commits each tick's event run with one fsync before \
-                 replying.")
+           ~deprecated:"deprecated and ignored; the server commits every event \
+                        run with one fsync"
+           ~doc:"Ignored.")
 
 let serve_jobs_arg =
   Arg.(value & opt int 1
@@ -433,14 +435,14 @@ let serve_cmd =
              ~doc:"Serve many concurrent clients on this unix socket path \
                    (group commit across connections) instead of stdio.")
   in
-  let action policy seed capacity journal snapshot snapshot_every fsync_every jobs
+  let action policy seed capacity journal snapshot snapshot_every (_ : int option) jobs
       segment_bytes retain_segments listen resume metrics_dump =
     match
       Cli.Service_cli.serve
         { Cli.Service_cli.policy; seed; capacity; journal; snapshot;
-          snapshot_every; fsync_every; jobs; segment_bytes; retain_segments;
+          snapshot_every; jobs; segment_bytes; retain_segments;
           listen; resume; metrics_dump }
-        stdin stdout
+        Unix.stdin Unix.stdout
     with
     | Ok () -> 0
     | Error e -> prerr_endline e; 1
@@ -450,7 +452,7 @@ let serve_cmd =
        ~doc:"Durable online placement service: ARRIVE/DEPART line protocol on \
              stdio or a unix socket")
     Term.(const action $ policy_arg $ seed_arg $ capacity_arg $ journal_arg
-          $ snapshot_arg $ snapshot_every_arg $ fsync_every_arg $ serve_jobs_arg
+          $ snapshot_arg $ snapshot_every_arg $ ignored_fsync_every_arg $ serve_jobs_arg
           $ segment_bytes_arg $ retain_segments_arg
           $ listen_arg $ resume_arg $ metrics_dump_arg)
 
@@ -510,11 +512,10 @@ let loadgen_cmd =
              ~doc:"Policy rng seed (workload generation uses --seed).")
   in
   let clients_arg =
-    Arg.(value & opt int 0
+    Arg.(value & opt int 1
          & info [ "clients" ] ~docv:"N"
-             ~doc:"Drive N concurrent clients (tenants t0..t{N-1}) against one \
-                   event-loop server from one select(2) loop; 0 = the \
-                   single-client pipe driver.")
+             ~doc:"Drive N >= 1 concurrent clients (tenants t0..t{N-1}) \
+                   against one event-loop server from one select(2) loop.")
   in
   let lg_jobs_arg =
     Arg.(value & opt int 1
@@ -528,14 +529,6 @@ let loadgen_cmd =
              ~doc:"Requests each connection keeps in flight (one pipelined \
                    window); a binary trace sends one block per window.")
   in
-  let lg_fsync_arg =
-    Arg.(value & opt (some int) None
-         & info [ "fsync-every" ] ~docv:"N"
-             ~doc:"Journal fsync cadence of the single-client pipe driver \
-                   (default 64). Refused with $(b,--clients), $(b,--connect) \
-                   or a binary trace: their event-loop server commits each \
-                   tick with one fsync.")
-  in
   let connect_arg =
     Arg.(value & opt (some string) None
          & info [ "connect" ] ~docv:"SOCK"
@@ -544,13 +537,13 @@ let loadgen_cmd =
                    mid-run is tolerated and reported).")
   in
   let action workload trace d mu n rho seed policy policy_seed journal snapshot
-      snapshot_every fsync_every clients jobs window connect emit =
+      snapshot_every clients jobs window connect emit =
     let source = { Cli.Workload_select.workload; trace; d; mu; n; rho; seed } in
     match
       Cli.Service_cli.loadgen
         { Cli.Service_cli.source; lg_policy = policy; lg_seed = policy_seed;
           lg_journal = journal; lg_snapshot = snapshot;
-          lg_snapshot_every = snapshot_every; lg_fsync_every = fsync_every;
+          lg_snapshot_every = snapshot_every;
           lg_clients = clients; lg_jobs = jobs; lg_window = window;
           lg_connect = connect; emit }
     with
@@ -562,7 +555,7 @@ let loadgen_cmd =
        ~doc:"Replay a workload through the protocol against a live server")
     Term.(const action $ workload_arg $ trace_arg $ d_arg $ mu_arg $ n_arg
           $ rho_arg $ seed_arg $ policy_arg $ policy_seed_arg $ journal_arg
-          $ snapshot_arg $ snapshot_every_arg $ lg_fsync_arg $ clients_arg
+          $ snapshot_arg $ snapshot_every_arg $ clients_arg
           $ lg_jobs_arg $ window_arg $ connect_arg $ emit_arg)
 
 let metrics_cmd =

@@ -27,7 +27,6 @@ type serve_opts = {
   journal : string option;
   snapshot : string option;
   snapshot_every : int option;
-  fsync_every : int;
   jobs : int;
   segment_bytes : int option;
   retain_segments : int option;
@@ -48,16 +47,17 @@ let server_config (o : serve_opts) =
       journal = o.journal;
       snapshot = o.snapshot;
       snapshot_every = o.snapshot_every;
-      fsync_every = o.fsync_every;
+      fsync_every = 64 (* not read by the server *);
       jobs = o.jobs;
       segment_bytes = o.segment_bytes;
       retain_segments = o.retain_segments;
     }
 
-(* --listen: a unix-domain event loop accepting many concurrent clients
-   (group commit across all of them); without it, the classic blocking
-   stdin/stdout conversation. *)
-let serve (o : serve_opts) ic oc =
+(* One event loop either way: over [input]/[output] (stdin/stdout), or
+   with --listen over a unix-domain socket accepting many concurrent
+   clients until SIGTERM/SIGINT. The metrics dump is written before the
+   socket path is removed. *)
+let serve (o : serve_opts) input output =
   let* config = server_config o in
   let metrics = Service.Metrics.create () in
   let* server =
@@ -71,41 +71,42 @@ let serve (o : serve_opts) ic oc =
     | Some server -> Ok server
     | None -> Service.Server.create ~metrics config
   in
-  let* () =
-    match o.listen with
-    | None ->
-        Service.Server.serve server ic oc;
-        Ok ()
-    | Some path -> (
-        match
-          let () = if Sys.file_exists path then Sys.remove path in
-          let fd = Unix.socket ~cloexec:false Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          Unix.bind fd (Unix.ADDR_UNIX path);
-          Unix.listen fd 64;
-          fd
-        with
-        | exception Unix.Unix_error (e, fn, _) ->
-            Service.Server.close server;
-            Error
-              (Printf.sprintf "--listen %s: %s: %s" path fn (Unix.error_message e))
-        | listen_fd ->
-            Fun.protect
-              ~finally:(fun () ->
-                (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-                if Sys.file_exists path then Sys.remove path)
-              (fun () ->
-                Service.Event_loop.serve ~listen:listen_fd ~stop_when_drained:false
-                  server);
-            Ok ())
+  let dump () =
+    match o.metrics_dump with
+    | None -> ()
+    | Some path ->
+        let out = open_out path in
+        output_string out (Service.Metrics.render_text metrics);
+        output_char out '\n';
+        close_out out
   in
-  (match o.metrics_dump with
-  | None -> ()
-  | Some path ->
-      let out = open_out path in
-      output_string out (Service.Metrics.render_text metrics);
-      output_char out '\n';
-      close_out out);
-  Ok ()
+  match o.listen with
+  | None ->
+      Service.Event_loop.serve ~stdio:(input, output) server;
+      dump ();
+      Ok ()
+  | Some path -> (
+      match
+        let () = if Sys.file_exists path then Sys.remove path in
+        let fd = Unix.socket ~cloexec:false Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.bind fd (Unix.ADDR_UNIX path);
+        Unix.listen fd 64;
+        fd
+      with
+      | exception Unix.Unix_error (e, fn, _) ->
+          Service.Server.close server;
+          Error
+            (Printf.sprintf "--listen %s: %s: %s" path fn (Unix.error_message e))
+      | listen_fd ->
+          Fun.protect
+            ~finally:(fun () ->
+              (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+              if Sys.file_exists path then Sys.remove path)
+            (fun () ->
+              Service.Event_loop.serve ~listen:listen_fd ~stop_when_drained:false
+                server;
+              dump ());
+          Ok ())
 
 (* one read of the journal and the snapshot; a journal holding nothing
    durable is an error here *)
@@ -134,7 +135,7 @@ let compact ?io ~journal ~snapshot ?segment_bytes () =
       journal = Some journal;
       snapshot = Some snapshot;
       snapshot_every = None;
-      fsync_every = 64;
+      fsync_every = 64 (* not read by the server *);
       jobs = 1;
       segment_bytes;
       retain_segments = None;
@@ -158,8 +159,7 @@ type loadgen_opts = {
   lg_journal : string option;
   lg_snapshot : string option;
   lg_snapshot_every : int option;
-  lg_fsync_every : int option;  (* the pipe driver's only; refused by [drive] *)
-  lg_clients : int;  (* 0 = the single-client pipe driver, {!Service.Loadgen.run} *)
+  lg_clients : int;
   lg_jobs : int;
   lg_window : int;
   lg_connect : string option;  (* drive an external --listen server *)
@@ -172,16 +172,7 @@ type loadgen_opts = {
    anyway. *)
 let loadgen (o : loadgen_opts) =
   let module L = Service.Loadgen in
-  (* the event-loop server behind [drive] commits each tick's event run
-     with one fsync, so a cadence there would be silently ignored *)
   let drive source =
-    let* () =
-      if o.lg_fsync_every = None then Ok ()
-      else
-        Error
-          "--fsync-every applies only to the single-client pipe driver (no \
-           --clients, no --connect, no binary --trace)"
-    in
     let transport =
       match o.lg_connect with
       | Some path -> L.Connect path
@@ -209,12 +200,8 @@ let loadgen (o : loadgen_opts) =
   | _ ->
       let* instance = Workload_select.build o.source in
       if o.emit then Ok (String.concat "\n" (L.script instance) ^ "\n")
-      else if o.lg_clients < 0 then Error "--clients must be >= 0"
-      else if o.lg_clients = 0 && o.lg_connect = None then
-        let* report =
-          L.run ~policy:o.lg_policy ~seed:o.lg_seed ?journal:o.lg_journal
-            ?snapshot:o.lg_snapshot ?snapshot_every:o.lg_snapshot_every
-            ?fsync_every:o.lg_fsync_every instance
-        in
-        Ok (L.render report)
-      else drive (L.Instances (List.init (max 1 o.lg_clients) (fun _ -> instance)))
+      else if o.lg_clients < 1 then
+        Error
+          (Printf.sprintf "--clients must be >= 1, got %d (one client is --clients 1)"
+             o.lg_clients)
+      else drive (L.Instances (List.init o.lg_clients (fun _ -> instance)))

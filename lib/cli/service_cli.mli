@@ -18,8 +18,7 @@ type serve_opts = {
   journal : string option;
   snapshot : string option;
   snapshot_every : int option;
-  fsync_every : int;
-  jobs : int;  (** tenant shards for the batch path (domains) *)
+  jobs : int;  (** tenant shards (domains) *)
   segment_bytes : int option;
       (** journal segment roll threshold (bytes, default 1 MiB) *)
   retain_segments : int option;
@@ -33,17 +32,21 @@ type serve_opts = {
       (** write the final [METRICS] exposition here on exit *)
 }
 
-val serve : serve_opts -> in_channel -> out_channel -> (unit, string) result
-(** Runs the blocking request loop until QUIT/EOF. With [resume], an
-    existing journal (plus snapshot, if present) is recovered and served
-    from; without it the journal is started fresh. With [metrics_dump],
-    the final metrics snapshot is written to that file when the loop
-    ends (readable back with [dvbp metrics]).
+val serve :
+  serve_opts -> Unix.file_descr -> Unix.file_descr -> (unit, string) result
+(** [serve o input output] runs {!Dvbp_service.Event_loop.serve} over
+    requests read from [input] and replies written to [output] (stdin and
+    stdout for [dvbp serve]) until QUIT or EOF. With [resume], an existing
+    journal (plus snapshot, if present) is recovered and served from;
+    without it the journal is started fresh. With [metrics_dump], the
+    final metrics snapshot is written to that file when the loop ends
+    (readable back with [dvbp metrics]).
 
-    With [listen], the channels are ignored: a unix-domain listener is
-    bound at that path and the multi-client event loop serves group-commit
-    batches until the process is killed (each client may QUIT its own
-    connection; the listener itself stays up). *)
+    With [listen], [input] and [output] are ignored: a unix-domain
+    listener is bound at that path and the loop serves many concurrent
+    clients (each may QUIT its own connection) until SIGTERM or SIGINT.
+    The journal is then synced, the metrics dump written and the socket
+    path removed. *)
 
 val recover : journal:string -> snapshot:string option -> (string, string) result
 (** Recovers and verifies (placement-by-placement — see {!Dvbp_service.Recovery});
@@ -70,15 +73,11 @@ type loadgen_opts = {
   lg_journal : string option;
   lg_snapshot : string option;
   lg_snapshot_every : int option;
-  lg_fsync_every : int option;
-      (** fsync cadence of the single-client pipe driver; [None] = library
-          default. Refused with any other driver: its event-loop server
-          commits each tick with one fsync. *)
   lg_clients : int;
-      (** [0] = classic single-client pipe driver; [n > 0] = [n] concurrent
-          clients (tenants [t0..t{n-1}]) against one event-loop server *)
-  lg_jobs : int;  (** server-side tenant shards (multi-client mode) *)
-  lg_window : int;  (** per-client pipelining depth (multi-client mode) *)
+      (** [n >= 1] concurrent clients (tenants [t0..t{n-1}]) against one
+          event-loop server; [0] and below are refused *)
+  lg_jobs : int;  (** server-side tenant shards *)
+  lg_window : int;  (** per-client pipelining depth *)
   lg_connect : string option;
       (** drive an external [dvbp serve --listen] server at this socket
           path instead of an in-process one; server death mid-run is

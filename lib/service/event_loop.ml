@@ -11,7 +11,9 @@
 let max_line = Server.max_line
 
 type conn = {
-  fd : Unix.file_descr;
+  fd : Unix.file_descr;  (* requests are read here *)
+  out_fd : Unix.file_descr;  (* and replies written here: [fd] itself for a socket *)
+  owned : bool;  (* closed when done; stdio fds are put back in blocking mode instead *)
   mutable inb : Bytes.t;
   mutable in_start : int;
   mutable in_scan : int;
@@ -25,10 +27,13 @@ type conn = {
   mutable closed : bool;
 }
 
-let make_conn fd =
+let new_conn ~owned fd out_fd =
   Unix.set_nonblock fd;
+  Unix.set_nonblock out_fd;
   {
     fd;
+    out_fd;
+    owned;
     inb = Bytes.create 65536;
     in_start = 0;
     in_scan = 0;
@@ -42,12 +47,19 @@ let make_conn fd =
     closed = false;
   }
 
+let make_conn fd = new_conn ~owned:true fd fd
 let has_out c = c.out_pos < c.out_len
 
+(* O_NONBLOCK lives on the open file description, which stdio shares
+   with the parent shell, so it is cleared again rather than left set *)
 let close_conn c =
   if not c.closed then begin
     c.closed <- true;
-    (try Unix.close c.fd with Unix.Unix_error _ -> ())
+    if c.owned then (try Unix.close c.fd with Unix.Unix_error _ -> ())
+    else
+      List.iter
+        (fun fd -> try Unix.clear_nonblock fd with Unix.Unix_error _ -> ())
+        [ c.fd; c.out_fd ]
   end
 
 (* Free [need] bytes after the live bytes [pos, len) of [buf]: shift
@@ -65,15 +77,32 @@ let make_room ?(max_size = max_int) buf ~pos ~len need =
 (* the least free space a read is offered *)
 let min_read = 4096
 
-(* A line over [max_line] bytes: nothing more is read from this
-   connection; the lines before it are still answered, then the ERR, then
-   the connection closes once its replies are flushed. *)
-let refuse_overlong c =
-  c.overlong <- true;
+(* A connection with more unsent reply bytes than this is not read until
+   its peer takes them, so a slow reader holds back its own input instead
+   of growing the reply buffer: [dvbp serve < script | slow-consumer]
+   stays bounded, as a blocking write would keep it. *)
+let out_high_water = 1 lsl 20
+
+(* Nothing more is read from this connection, and the input not yet
+   split into lines is dropped; it closes once its replies are flushed. *)
+let stop_reading c =
   c.closing <- true;
   c.in_start <- 0;
   c.in_scan <- 0;
   c.in_len <- 0
+
+(* A line over [max_line] bytes: the lines before it are still answered,
+   then the ERR. *)
+let refuse_overlong c =
+  c.overlong <- true;
+  stop_reading c
+
+(* A QUIT line was batched: the lines behind it are neither applied nor
+   answered, the overlong ERR included. *)
+let quit_batched c =
+  Queue.clear c.pending;
+  c.overlong <- false;
+  stop_reading c
 
 (* queue every complete line in the unscanned input as a request *)
 let split_lines c =
@@ -110,8 +139,7 @@ let read_chunk c =
   end;
   match Unix.read c.fd c.inb c.in_len (Bytes.length c.inb - c.in_len) with
   | 0 ->
-      (* EOF: a trailing unterminated line still counts as a request, as
-         in the blocking loop's [read_request_line] *)
+      (* EOF: a trailing unterminated line still counts as a request *)
       if c.in_len > c.in_start && not c.overlong then begin
         Queue.add (Bytes.sub_string c.inb c.in_start (c.in_len - c.in_start)) c.pending;
         c.in_start <- 0;
@@ -140,7 +168,7 @@ let try_write c =
   if not c.closed then begin
     let len = c.out_len - c.out_pos in
     if len > 0 then
-      match Unix.single_write c.fd c.outb c.out_pos len with
+      match Unix.single_write c.out_fd c.outb c.out_pos len with
       | written ->
           c.out_pos <- c.out_pos + written;
           if c.out_pos = c.out_len then begin
@@ -158,13 +186,31 @@ let try_write c =
   end;
   if c.closing && (not (has_out c)) && Queue.is_empty c.pending then close_conn c
 
-let serve ?(max_batch = 16384) ?listen ?(conns = []) ?(stop_when_drained = true) server =
+(* SIGTERM and SIGINT end the loop cleanly, so the journal is synced and
+   the caller's epilogue runs. Only on the main domain: a loop in a
+   spawned domain (the in-process load generator) leaves the process's
+   signals to its owner. Returns the handlers to put back. *)
+let stop_on_signals stop =
+  if not (Domain.is_main_domain ()) then []
+  else
+    List.map
+      (fun s -> (s, Sys.signal s (Sys.Signal_handle (fun _ -> stop := true))))
+      [ Sys.sigterm; Sys.sigint ]
+
+let serve ?(max_batch = 16384) ?listen ?(conns = []) ?stdio ?(stop_when_drained = true)
+    server =
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
   | _ -> ()
   | exception Invalid_argument _ -> ());
   (match listen with Some fd -> Unix.set_nonblock fd | None -> ());
-  let live = ref (List.map make_conn conns) in
-  let ever_connected = ref (conns <> []) in
+  let live =
+    ref
+      (List.map make_conn conns
+      @ match stdio with Some (i, o) -> [ new_conn ~owned:false i o ] | None -> [])
+  in
+  let ever_connected = ref (!live <> []) in
+  let stop = ref false in
+  let saved_handlers = stop_on_signals stop in
   (* preallocated batch slots: lines and their owner's index into this
      round's live array — refilled every dispatch, never re-allocated *)
   let batch_lines = Array.make max_batch "" in
@@ -181,10 +227,12 @@ let serve ?(max_batch = 16384) ?listen ?(conns = []) ?(stop_when_drained = true)
         let c = live_arr.(i) in
         if (not c.closed) && !batched < max_batch && not (Queue.is_empty c.pending)
         then begin
-          batch_lines.(!batched) <- Queue.pop c.pending;
+          let line = Queue.pop c.pending in
+          batch_lines.(!batched) <- line;
           batch_owner.(!batched) <- i;
           incr batched;
-          progressed := true
+          progressed := true;
+          if Server.quits line then quit_batched c
         end
       done
     done;
@@ -194,12 +242,9 @@ let serve ?(max_batch = 16384) ?listen ?(conns = []) ?(stop_when_drained = true)
     if n > 0 then begin
       let replies = Server.handle_batch server (Array.sub batch_lines 0 n) in
       Array.iteri
-        (fun i (reply, quit) ->
+        (fun i (reply, _quit) ->
           let c = live_arr.(batch_owner.(i)) in
-          if not c.closed then begin
-            add_reply c reply;
-            if quit then c.closing <- true
-          end)
+          if not c.closed then add_reply c reply)
         replies;
       (* drop the slot references so handled request lines can be GC'd *)
       Array.fill batch_lines 0 n ""
@@ -207,16 +252,18 @@ let serve ?(max_batch = 16384) ?listen ?(conns = []) ?(stop_when_drained = true)
   in
   let rec loop () =
     live := List.filter (fun c -> not c.closed) !live;
-    if not (stop_when_drained && !ever_connected && !live = []) then begin
+    if not (!stop || (stop_when_drained && !ever_connected && !live = [])) then begin
       let read_fds =
         (match listen with Some fd -> [ fd ] | None -> [])
         @ List.filter_map
-            (fun c -> if c.closing || c.closed then None else Some c.fd)
+            (fun c ->
+              if c.closing || c.closed || c.out_len - c.out_pos > out_high_water then None
+              else Some c.fd)
             !live
       in
       let write_fds =
         List.filter_map
-          (fun c -> if (not c.closed) && has_out c then Some c.fd else None)
+          (fun c -> if (not c.closed) && has_out c then Some c.out_fd else None)
           !live
       in
       let have_pending =
@@ -228,7 +275,12 @@ let serve ?(max_batch = 16384) ?listen ?(conns = []) ?(stop_when_drained = true)
            would spin, so stop *)
         ()
       else begin
-        let timeout = if have_pending then 0.0 else -1.0 in
+        (* a signal whose handler runs between the stop check and
+           select(2) does not interrupt the select: while handlers are
+           armed, wait a bounded time so the next tick sees the stop *)
+        let timeout =
+          if have_pending then 0.0 else if saved_handlers <> [] then 0.25 else -1.0
+        in
         let readable, writable, _ =
           match Unix.select read_fds write_fds [] timeout with
           | r -> r
@@ -258,7 +310,7 @@ let serve ?(max_batch = 16384) ?listen ?(conns = []) ?(stop_when_drained = true)
           !live;
         List.iter
           (fun c ->
-            if List.memq c.fd writable || has_out c || c.closing then try_write c)
+            if List.memq c.out_fd writable || has_out c || c.closing then try_write c)
           !live;
         loop ()
       end
@@ -266,6 +318,7 @@ let serve ?(max_batch = 16384) ?listen ?(conns = []) ?(stop_when_drained = true)
   in
   Fun.protect
     ~finally:(fun () ->
+      List.iter (fun (s, h) -> Sys.set_signal s h) saved_handlers;
       List.iter close_conn !live;
       Server.close server)
     loop

@@ -1,5 +1,6 @@
-(** Concurrent multi-client front end: a [select(2)]-based event loop
-    feeding {!Server.handle_batch}.
+(** The one serve loop: a [select(2)]-based event loop feeding
+    {!Server.handle_batch}, for unix-socket clients and for stdin/stdout
+    alike.
 
     One loop tick = read every readable connection, drain the complete
     lines round-robin across connections into a single batch (per-
@@ -10,10 +11,15 @@
     therefore always durable, and the fsync cost is shared by the whole
     batch: the busier the server, the cheaper each event's durability.
 
+    Backpressure: a connection with more than 1 MiB of unsent replies is
+    not read until its peer takes them.
+
     Isolation: a malformed line or a rejected arrival answers on its own
     connection and affects nothing else; a client that disconnects
     mid-batch loses only its own replies. QUIT (or EOF) closes just that
-    connection after its pending replies flush.
+    connection after its pending replies flush: once a QUIT line is
+    batched, the lines behind it on that connection are neither applied
+    nor answered ({!Server.quits}).
 
     Determinism: the loop itself only moves bytes; all packing and
     journaling happen in {!Server.handle_batch}, whose per-tenant results
@@ -25,6 +31,7 @@ val serve :
   ?max_batch:int ->
   ?listen:Unix.file_descr ->
   ?conns:Unix.file_descr list ->
+  ?stdio:Unix.file_descr * Unix.file_descr ->
   ?stop_when_drained:bool ->
   Server.t ->
   unit
@@ -35,14 +42,26 @@ val serve :
       {!Server.handle_batch} call; excess stays queued for the next tick.
     - [listen]: a bound, listening socket to accept new connections from.
     - [conns]: already-connected bidirectional fds (socketpairs in the
-      loadgen, accepted sockets otherwise). All fds are set nonblocking.
+      loadgen, accepted sockets otherwise). All fds are set nonblocking
+      and closed when their connection ends.
+    - [stdio]: one more connection that reads requests from the first fd
+      and writes replies to the second — [(Unix.stdin, Unix.stdout)] for
+      [dvbp serve] without [--listen]. Both are set nonblocking while it
+      is served and put back in blocking mode, not closed, when it ends:
+      the open file description is shared with the parent shell. Regular
+      files work too: they are always ready, and a read at the end of one
+      is EOF.
     - [stop_when_drained] (default [true]): return once at least one
-      connection has existed and all are gone — the in-process loadgen's
-      termination condition, with or without a [listen] socket. With
-      [false] the loop serves until the process dies, as
-      [dvbp serve --listen] does. SIGPIPE is ignored (peer death must
-      surface as an [EPIPE] on that one connection, not kill the
-      server). *)
+      connection has existed and all are gone — the termination condition
+      of the stdio server and of the in-process loadgen, with or without
+      a [listen] socket. With [false] the loop serves until it is
+      signalled, as [dvbp serve --listen] does.
+
+    SIGPIPE is ignored (peer death must surface as an [EPIPE] on that one
+    connection, not kill the server). On the main domain, SIGTERM and
+    SIGINT make the loop return at its next tick, closing every
+    connection and the server, so the journal is synced; the previous
+    handlers are put back on return. *)
 
 (** {2 Request framing}
 

@@ -122,6 +122,8 @@ type writer = {
   mutable active_bytes : int;  (* active file size, header included *)
   mutable crc : int;  (* running CRC-32 of the active record region *)
   mutable sealed : sealed_info list;  (* ascending index *)
+  mutable sealed_n : int;  (* [List.length sealed] *)
+  mutable sealed_bytes : int;  (* the [si_bytes] of [sealed], summed *)
   mutable unsynced : int;
   mutable appended : int;
   mutable closed : bool;
@@ -152,6 +154,7 @@ let take_encoded buf =
 let path w = w.w_path
 let appended w = w.appended
 let default_segment_bytes = 1 lsl 20
+let default_fsync_every = 64
 
 let validate_fsync_every fsync_every =
   if fsync_every < 1 then
@@ -167,15 +170,13 @@ let crc_add crc s =
     ~pos:0 ~len:(String.length s)
 
 let frontier w = w.active_base + w.active_count
-let sealed_segments w = List.length w.sealed
+let sealed_segments w = w.sealed_n
+let live_bytes w = w.sealed_bytes + w.active_bytes
 
-let live_bytes w =
-  List.fold_left (fun acc s -> acc + s.si_bytes) w.active_bytes w.sealed
-
+(* O(1): the sealed list is summed as it changes, so every commit can
+   refresh the gauges *)
 let gauges w =
-  Metrics.set_journal_live w.metrics
-    ~segments:(List.length w.sealed + 1)
-    ~bytes:(live_bytes w)
+  Metrics.set_journal_live w.metrics ~segments:(w.sealed_n + 1) ~bytes:(live_bytes w)
 
 (* open a fresh active segment and make its header durable; the caller
    issues the directory fsync (usually batched with other entry changes) *)
@@ -204,6 +205,8 @@ let make_writer ~io ~metrics ~fsync_every ~segment_bytes ~path ~shape ~out ~acti
       active_bytes;
       crc;
       sealed;
+      sealed_n = List.length sealed;
+      sealed_bytes = List.fold_left (fun acc s -> acc + s.si_bytes) 0 sealed;
       unsynced = 0;
       appended = 0;
       closed = false;
@@ -214,7 +217,7 @@ let make_writer ~io ~metrics ~fsync_every ~segment_bytes ~path ~shape ~out ~acti
   gauges w;
   w
 
-let create ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
+let create ?(io = Real_io.v) ?metrics ?(fsync_every = default_fsync_every)
     ?(segment_bytes = default_segment_bytes) ~path header =
   let metrics = match metrics with Some m -> m | None -> Metrics.noop () in
   validate_fsync_every fsync_every;
@@ -274,6 +277,8 @@ let roll w ~base =
             si_path = dst;
           };
         ];
+    w.sealed_n <- w.sealed_n + 1;
+    w.sealed_bytes <- w.sealed_bytes + w.active_bytes;
     Metrics.on_seal w.metrics;
     let idx = w.active_idx + 1 in
     let out, hbytes = open_active ~io:w.io ~path:w.w_path ~idx ~base w.shape in
@@ -309,10 +314,12 @@ let append w e =
 
 (* Group commit: the whole batch becomes one buffered write and exactly
    one fsync — which, because fsync covers the file, also makes durable
-   any records a streaming [append] left unsynced. An empty batch does
-   nothing (no write, no fsync). The roll check runs once per batch, so
-   a segment may overshoot its target by at most one batch (the server's
-   batch is one event run, at most one event-loop tick of lines). *)
+   any records a streaming [append] left unsynced. When the batch fills
+   the segment, that fsync is the seal's, so it covers the footer too.
+   An empty batch does nothing (no write, no fsync). The roll check runs
+   once per batch, so a segment may overshoot its target by at most one
+   batch (the server's batch is one event run, at most one event-loop
+   tick of lines). *)
 let append_batch w events =
   check_open w;
   match events with
@@ -334,9 +341,12 @@ let append_batch w events =
       w.active_count <- w.active_count + !n;
       w.active_bytes <- w.active_bytes + bytes;
       w.crc <- crc_add w.crc s;
-      Metrics.time_fsync w.metrics (fun () -> w.out.Io.fsync ());
-      w.unsynced <- 0;
       if w.active_bytes >= w.segment_bytes then roll w ~base:(frontier w)
+      else begin
+        Metrics.time_fsync w.metrics (fun () -> w.out.Io.fsync ());
+        w.unsynced <- 0;
+        gauges w
+      end
 
 let sync w =
   check_open w;
@@ -360,9 +370,11 @@ let retire_sealed w ~upto =
       List.iter (fun s -> w.io.Io.remove s.si_path) victims;
       w.io.Io.fsync_dir (Filename.dirname w.w_path);
       w.sealed <- keep;
+      let bytes = List.fold_left (fun acc s -> acc + s.si_bytes) 0 victims in
+      w.sealed_n <- w.sealed_n - List.length victims;
+      w.sealed_bytes <- w.sealed_bytes - bytes;
       Metrics.on_retire w.metrics
-        ~segments:(List.length victims)
-        ~bytes:(List.fold_left (fun acc s -> acc + s.si_bytes) 0 victims);
+        ~segments:(List.length victims) ~bytes;
       gauges w;
       List.length victims
 
@@ -399,18 +411,18 @@ let encode_region events =
     events;
   Buffer.contents buf
 
-let append_to ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
-    ?(segment_bytes = default_segment_bytes) ?source ~path header =
+let append_to ?(io = Real_io.v) ?metrics ?(segment_bytes = default_segment_bytes) ?source
+    ~path header =
   let metrics = match metrics with Some m -> m | None -> Metrics.noop () in
-  validate_fsync_every fsync_every;
   validate_segment_bytes segment_bytes;
   let dir = Filename.dirname path in
   let fresh () =
-    let w = create ~io ~metrics ~fsync_every ~segment_bytes ~path header in
+    let w = create ~io ~metrics ~segment_bytes ~path header in
     Ok (w, { header; events = []; dropped_torn = false })
   in
   let mk_writer =
-    make_writer ~io ~metrics ~fsync_every ~segment_bytes ~path ~shape:header
+    make_writer ~io ~metrics ~fsync_every:default_fsync_every ~segment_bytes ~path
+      ~shape:header
   in
   (* a source is trusted only while the files are as it found them:
      after a write it would reopen the writer from a stale count and CRC

@@ -48,12 +48,12 @@
     journal, run [dvbp compact] with a build from commit [3660be8] or
     earlier, which rewrites it as segments.
 
-    Durability: the writer flushes every record to the OS ([write(2)]) as it
-    is appended — a [SIGKILL] loses nothing already appended. A streaming
-    {!append} batches the much more expensive [fsync(2)] every
-    [fsync_every] records (plus on seal/{!sync}/{!close}), so a power
-    failure can lose at most the last cadence window; a group commit
-    ({!append_batch}) fsyncs once per call, whatever its length.
+    Durability: the server commits through {!append_batch} alone — one
+    write and one [fsync(2)] per call, whatever its length, before any
+    reply it covers is released — so no crash loses an acked record.
+    The streaming {!append} (fsync every [fsync_every] records, plus on
+    seal/{!sync}/{!close}) is kept for the benchmark harness's journal
+    layer, which times single appends.
 
     All file access goes through an injectable {!Io} backend (default
     {!Real_io.v}); the deterministic simulation tests swap in a simulated
@@ -168,7 +168,6 @@ val create :
 val append_to :
   ?io:Io.t ->
   ?metrics:Metrics.t ->
-  ?fsync_every:int ->
   ?segment_bytes:int ->
   ?source:source ->
   path:string ->
@@ -189,9 +188,9 @@ val append_to :
 
 val append : writer -> event -> unit
 (** Streaming append: one record, flushed to the OS; fsyncs per the
-    [fsync_every] cadence (a power cut may lose up to the last cadence
-    window of {e acked} records — the blocking server's contract). May
-    seal the active segment and open the next one. *)
+    [fsync_every] cadence, so a power cut may lose up to the last cadence
+    window. The server never calls it; the benchmark harness's journal
+    layer does. May seal the active segment and open the next one. *)
 
 val append_batch : writer -> event list -> unit
 (** Group commit: appends the whole batch as one buffered write and
@@ -202,10 +201,13 @@ val append_batch : writer -> event list -> unit
     lose a batch-acked record. [fsync_every] does not apply: the batch is
     whatever the caller commits at once — one event run for
     {!Server.handle_batch}, at most one {!Event_loop} tick ([max_batch]
-    lines). The roll check runs once per batch (after the fsync), so a
-    segment may overshoot [segment_bytes] by at most one batch. The batch
-    is encoded through the writer's reused buffer, so a call allocates
-    only the string it writes. *)
+    lines). The roll check runs once per batch, so a segment may overshoot
+    [segment_bytes] by at most one batch; a batch that fills the segment
+    is made durable by the seal's own fsync ({!roll}), which covers the
+    footer too, so a call costs one fsync either way. Refreshes the
+    [dvbp_journal_live_bytes] and [dvbp_journal_segments] gauges. The
+    batch is encoded through the writer's reused buffer, so a call
+    allocates only the string it writes. *)
 
 val sync : writer -> unit
 (** Forces an fsync now. *)

@@ -126,93 +126,6 @@ let epilogue ic oc =
       | bye -> Error (Printf.sprintf "expected BYE, got %S" bye)
       | exception End_of_file -> died "QUIT")
 
-let run ~policy ~seed ?journal ?snapshot ?snapshot_every ?(fsync_every = 64)
-    ?segment_bytes ?retain_segments (instance : Instance.t) =
-  let* pairs = expected_replies ~policy ~seed instance in
-  let* server =
-    Server.create
-      {
-        Server.policy;
-        seed;
-        capacity = instance.Instance.capacity;
-        journal;
-        snapshot;
-        snapshot_every;
-        fsync_every;
-        jobs = 1;
-        segment_bytes;
-        retain_segments;
-      }
-  in
-  let req_r, req_w = Unix.pipe ~cloexec:false () in
-  let resp_r, resp_w = Unix.pipe ~cloexec:false () in
-  let dom =
-    Domain.spawn (fun () ->
-        let ic = Unix.in_channel_of_descr req_r in
-        let oc = Unix.out_channel_of_descr resp_w in
-        Fun.protect
-          ~finally:(fun () ->
-            close_in_noerr ic;
-            close_out_noerr oc)
-          (fun () -> Server.serve server ic oc))
-  in
-  let oc = Unix.out_channel_of_descr req_w in
-  let ic = Unix.in_channel_of_descr resp_r in
-  let request line =
-    output_string oc line;
-    output_char oc '\n';
-    flush oc;
-    match input_line ic with
-    | reply -> Ok reply
-    | exception End_of_file -> Error (Printf.sprintf "server died on %S" line)
-  in
-  let latency = Histogram.create () in
-  let outcome =
-    let rec drive = function
-      | [] -> Ok ()
-      | (line, expected) :: rest ->
-          let t0 = Unix.gettimeofday () in
-          let* reply = request line in
-          Histogram.observe latency ((Unix.gettimeofday () -. t0) *. 1e6);
-          if reply <> expected then
-            Error
-              (Printf.sprintf "divergence on %S: server said %S, shadow session says %S"
-                 line reply expected)
-          else drive rest
-    in
-    let t0 = Unix.gettimeofday () in
-    let* () = drive pairs in
-    let wall = Unix.gettimeofday () -. t0 in
-    let* stats, metrics_text = epilogue ic oc in
-    let n = List.length pairs in
-    let latency_us = Histogram.snapshot latency in
-    Ok
-      {
-        events = n;
-        wall_seconds = wall;
-        events_per_sec = (if wall > 0.0 then float_of_int n /. wall else 0.0);
-        latency_us;
-        clients =
-          [
-            {
-              tenant = Tenant.default;
-              client_events = n;
-              client_attempted = n;
-              client_latency_us = latency_us;
-            };
-          ];
-        trace = None;
-        server_stats = stats;
-        server_metrics = metrics_text;
-      }
-  in
-  close_out_noerr oc;
-  close_in_noerr ic;
-  Domain.join dom;
-  outcome
-
-(* {2 The pipelined driver} *)
-
 type source = Instances of Instance.t list | Trace of string
 
 type server_opts = {
@@ -531,9 +444,7 @@ let in_process ~policy ~seed ~capacity (o : server_opts) scripts =
         journal = o.journal;
         snapshot = o.snapshot;
         snapshot_every = o.snapshot_every;
-        (* the event loop commits through [handle_batch] alone, one fsync
-           per event run; the streaming cadence is never read *)
-        fsync_every = 64;
+        fsync_every = 64 (* not read by the server *);
         jobs = o.jobs;
         segment_bytes = o.segment_bytes;
         retain_segments = o.retain_segments;

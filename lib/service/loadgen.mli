@@ -6,16 +6,12 @@
     half-open interval semantics the engine uses), and every reply is
     checked against a deterministic shadow session.
 
-    Two drivers:
-    - {!run}: one closed-loop client over two OS pipes into the blocking
-      {!Server.serve} loop, in its own domain. It is the measured path of
-      the [service_loadgen] bench line that CI gates, so it stays as it is
-      until that gate moves to perfbench; the blocking loop goes with it.
-    - {!drive}: one thread, [select(2)] over [N] nonblocking connections,
-      each with one window of requests in flight, against an in-process
-      {!Event_loop} server or an external [dvbp serve --listen]. Windows
-      pipeline, the server batches across clients, and one fsync covers
-      each tick's event run. *)
+    One driver, {!drive}: one thread, [select(2)] over [N] nonblocking
+    connections, each with one window of requests in flight, against an
+    in-process {!Event_loop} server or an external [dvbp serve --listen].
+    Windows pipeline, the server batches across clients, and one fsync
+    covers each tick's event run. A single client with [~window:1] is a
+    closed loop, one request at a time. *)
 
 type client_report = {
   tenant : string;
@@ -60,22 +56,6 @@ val expected_replies :
 (** The (request, expected reply) pairs a correct server must produce for
     this instance — [tenant] (default {!Tenant.default}) selects the
     request grammar and the shadow session's rng ({!Tenant.rng}). *)
-
-val run :
-  policy:string ->
-  seed:int ->
-  ?journal:string ->
-  ?snapshot:string ->
-  ?snapshot_every:int ->
-  ?fsync_every:int ->
-  ?segment_bytes:int ->
-  ?retain_segments:int ->
-  Dvbp_core.Instance.t ->
-  (report, string) result
-(** Starts a fresh server (journaling to [journal] if given), replays the
-    instance one request at a time, verifies every reply against the
-    shadow session, then [STATS], [METRICS] and [QUIT]. Any unexpected
-    reply is an error naming the request. *)
 
 type source =
   | Instances of Dvbp_core.Instance.t list

@@ -98,8 +98,8 @@ val on_request : t -> kind -> unit
 (** One request line handled (counted even when the reply is ERR). *)
 
 val observe_request : t -> kind -> seconds:float -> unit
-(** End-to-end handling latency of one request (measured by the serve
-    loop; in-process [handle_line] drivers don't produce latencies). *)
+(** Handling latency of one request, as {!Server.handle_batch} measures
+    it (so also for one-line [handle_line] calls). *)
 
 val observe_request_n : t -> kind -> seconds:float -> int -> unit
 (** [observe_request_n t kind ~seconds k]: [k] requests of [kind] that all

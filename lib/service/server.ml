@@ -10,7 +10,7 @@ type config = {
   journal : string option;
   snapshot : string option;
   snapshot_every : int option;
-  fsync_every : int;
+  fsync_every : int;  (* not read: the benchmark harness still builds the record *)
   jobs : int;
   segment_bytes : int option;  (* journal segment roll threshold *)
   retain_segments : int option;  (* sealed-segment count that triggers a checkpoint *)
@@ -50,11 +50,6 @@ type t = {
 let ( let* ) = Result.bind
 
 let validate_config c =
-  let* () =
-    if c.fsync_every < 1 then
-      Error (Printf.sprintf "fsync-every must be >= 1, got %d" c.fsync_every)
-    else Ok ()
-  in
   let* () =
     if c.jobs < 1 then Error (Printf.sprintf "jobs must be >= 1, got %d" c.jobs)
     else Ok ()
@@ -200,8 +195,7 @@ let create ?(io = Real_io.v) ?metrics config =
     | None -> Ok None
     | Some path -> (
         match
-          Journal.create ~io ~metrics:obs ~fsync_every:config.fsync_every
-            ?segment_bytes:config.segment_bytes ~path
+          Journal.create ~io ~metrics:obs ?segment_bytes:config.segment_bytes ~path
             { Journal.policy = config.policy; seed = config.seed;
               capacity = config.capacity; base = 0 }
         with
@@ -237,8 +231,8 @@ let resume ?(io = Real_io.v) ?metrics config (st : Recovery.state) =
     | None -> Ok None
     | Some path ->
         let* w, _ =
-          Journal.append_to ~io ~metrics:obs ~fsync_every:config.fsync_every
-            ?segment_bytes:config.segment_bytes ~source:st.Recovery.journal ~path
+          Journal.append_to ~io ~metrics:obs ?segment_bytes:config.segment_bytes
+            ~source:st.Recovery.journal ~path
             { Journal.policy = config.policy; seed = config.seed;
               capacity = config.capacity; base = 0 }
         in
@@ -338,8 +332,9 @@ let stats_line t =
 (* {2 Request parsing}
 
    [parse_request] is the only code that turns a request line into a
-   request, for both entry points. Fields are space-separated; a trailing
-   CR and stray blanks (leading, trailing, doubled) are tolerated. Fields
+   request, and [quits] asks the same scanner whether a line is QUIT.
+   Fields are space-separated; a trailing CR and stray blanks (leading,
+   trailing, doubled) are tolerated. Fields
    are scanned in place; numeric fields take a plain-decimal fast path and
    otherwise fall back to the stdlib conversion of the field's substring,
    so every spelling [int_of_string]/[float_of_string] accepts ([+7],
@@ -450,6 +445,10 @@ let parse_event line starts stops nf ~arrive =
     Q_arrive { tenant; time; item_id; size = parse_sizes line starts.(b + 2) stops.(b + 2) }
   else Q_depart { tenant; time; item_id }
 
+let quits line =
+  let starts = [| 0 |] and stops = [| 0 |] in
+  scan_fields line starts stops = 1 && Record.field_is line starts.(0) stops.(0) "QUIT"
+
 let parse_request t line =
   let starts = t.field_starts and stops = t.field_stops in
   let nf = scan_fields line starts stops in
@@ -473,9 +472,9 @@ let parse_request t line =
 
 (* {2 Answering requests}
 
-   Both entry points answer ARRIVE/DEPART lines in runs of consecutive
-   event lines, and every other line on its own between runs (so SNAPSHOT
-   always sees every staged record flushed). A run goes through:
+   ARRIVE/DEPART lines are answered in runs of consecutive event lines,
+   and every other line on its own between runs (so SNAPSHOT always sees
+   every staged record committed). A run goes through:
 
    + {e prep} (calling domain): count the line, resolve its tenant session
      (creating it on first contact);
@@ -485,13 +484,9 @@ let parse_request t line =
      a tenant's events all land on one shard ({!Tenant.shard}), so every
      per-tenant packing is bit-identical to [jobs = 1];
    + {e commit} (calling domain): walk outcomes in arrival order, account
-     counters, journal the applied events, then release replies.
-
-   The entry points differ only in the commit's journal call:
-   {!handle_line} streams each event with {!Journal.append} (fsync at the
-   [fsync_every] cadence); {!handle_batch} group-commits the whole run
-   with one {!Journal.append_batch} — one write, one fsync — before any
-   reply is released. *)
+     counters, group-commit the applied events with one
+     {!Journal.append_batch} — one write, one fsync — then release
+     replies. *)
 
 type applied =
   | A_none
@@ -532,13 +527,9 @@ let apply_request req session =
 
 (* a run's replies wait for all of it, so one commit covering the whole
    run acks nothing later than smaller commits would (pinned in tests) *)
-let journal_events t ~group_commit events ~waiters =
+let journal_events t events ~waiters =
   match (t.journal, events) with
   | None, _ | _, [] -> ()
-  | Some w, _ when not group_commit ->
-      List.iter
-        (fun e -> Metrics.time_journal_append t.obs (fun () -> Journal.append w e))
-        events
   | Some w, _ ->
       Metrics.set_group_commit_waiters t.obs waiters;
       Metrics.time_journal_append t.obs (fun () -> Journal.append_batch w events);
@@ -547,7 +538,7 @@ let journal_events t ~group_commit events ~waiters =
 (* Answer the event run [reqs.(lo) .. reqs.(hi - 1)] into [replies]. A
    line whose tenant session cannot be resolved becomes a [Q_err] in
    [reqs], so the caller sees which lines reached a session. *)
-let process_run t ~group_commit (reqs : request array) (replies : (string * bool) array)
+let process_run t (reqs : request array) (replies : (string * bool) array)
     ~lo ~hi =
   let jobs = t.config.jobs in
   let n = hi - lo in
@@ -609,7 +600,7 @@ let process_run t ~group_commit (reqs : request array) (replies : (string * bool
         replies.(lo + k) <- ("OK", false)
   done;
   (match !staged_rev with e :: _ -> t.last_event <- Some e | [] -> ());
-  journal_events t ~group_commit (List.rev !staged_rev) ~waiters:n;
+  journal_events t (List.rev !staged_rev) ~waiters:n;
   Metrics.set_compaction_lag t.obs t.since_snapshot;
   if !staged_rev <> [] && checkpoint_due t then
     match checkpoint t with Ok _ -> () | Error msg -> failwith msg (* excluded by validate_config *)
@@ -626,17 +617,6 @@ let handle_control t req =
   | Q_quit -> ("BYE", true)
   | Q_err { msg; _ } -> err t msg
   | Q_arrive _ | Q_depart _ -> invalid_arg "Server.handle_control: event request"
-
-(* the streaming answer to one parsed line: a one-line run or a control *)
-let respond t req =
-  if in_run req then begin
-    let replies = [| ("", false) |] in
-    process_run t ~group_commit:false [| req |] replies ~lo:0 ~hi:1;
-    replies.(0)
-  end
-  else handle_control t req
-
-let handle_line t line = respond t (parse_request t line)
 
 (* batch latency: every line in a run waited for the same commit, so each
    observes the run's full prep+apply+commit wall time — one bulk bucket
@@ -658,6 +638,12 @@ let observe_run t reqs ~lo ~hi ~seconds =
     (fun tenant k -> Metrics.observe_tenant_request_n t.obs ~tenant ~seconds k)
     per_tenant
 
+(* With [snapshot_every = Some k] a run ends at the line that brings the
+   events since the last snapshot to [k], so the checkpoint lands exactly
+   there when every line applies (at the next run boundary otherwise) *)
+let run_limit t =
+  match t.config.snapshot_every with Some k -> max 1 (k - t.since_snapshot) | None -> max_int
+
 let handle_batch t lines =
   let reqs = Array.map (parse_request t) lines in
   let n = Array.length reqs in
@@ -666,9 +652,9 @@ let handle_batch t lines =
   while !i < n do
     let t0 = Metrics.now t.obs in
     if in_run reqs.(!i) then begin
-      let j = ref !i in
-      while !j < n && in_run reqs.(!j) do incr j done;
-      process_run t ~group_commit:true reqs replies ~lo:!i ~hi:!j;
+      let j = ref !i and limit = run_limit t in
+      while !j < n && !j - !i < limit && in_run reqs.(!j) do incr j done;
+      process_run t reqs replies ~lo:!i ~hi:!j;
       if not (Metrics.is_noop t.obs) then
         observe_run t reqs ~lo:!i ~hi:!j ~seconds:(Metrics.now t.obs -. t0);
       i := !j
@@ -682,6 +668,8 @@ let handle_batch t lines =
   done;
   replies
 
+let handle_line t line = (handle_batch t [| line |]).(0)
+
 let close t =
   if not t.closed then begin
     (match t.journal with Some w -> Journal.close w | None -> ());
@@ -691,43 +679,3 @@ let close t =
 let max_line = 65536
 
 let overlong_reply = Printf.sprintf "ERR request line exceeds %d bytes" max_line
-
-(* [input_line] bounded like the event loop's framing: a line longer
-   than [max_line] bytes is [`Overlong] as soon as its next byte arrives;
-   at EOF an unterminated line still counts *)
-let read_request_line buf ic =
-  Buffer.clear buf;
-  let rec go () =
-    match input_char ic with
-    | '\n' -> `Line (Buffer.contents buf)
-    | _ when Buffer.length buf = max_line -> `Overlong
-    | ch ->
-        Buffer.add_char buf ch;
-        go ()
-    | exception End_of_file ->
-        if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
-  in
-  go ()
-
-let serve t ic oc =
-  let buf = Buffer.create 256 in
-  let rec loop () =
-    match read_request_line buf ic with
-    | `Eof -> ()
-    | `Overlong ->
-        (* refused, and nothing more is read *)
-        output_string oc overlong_reply;
-        output_char oc '\n';
-        flush oc
-    | `Line line ->
-        let t0 = Metrics.now t.obs in
-        let req = parse_request t line in
-        let reply, quit = respond t req in
-        Metrics.observe_request t.obs (kind_of_request req)
-          ~seconds:(Metrics.now t.obs -. t0);
-        output_string oc reply;
-        output_char oc '\n';
-        flush oc;
-        if not quit then loop ()
-  in
-  Fun.protect ~finally:(fun () -> close t) loop

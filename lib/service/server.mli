@@ -23,8 +23,9 @@
     [# EOF] terminator line. The metric families it carries are
     documented name-by-name in [OPERATIONS.md].
 
-    Both entry points ({!handle_line}, {!handle_batch}) parse with the
-    same scanner, so a line gets the same answer through either. Fields
+    Lines are answered by {!handle_batch} ({!handle_line} is a one-line
+    batch), and {!quits} asks the same scanner whether a line is QUIT.
+    Fields
     are separated by one or more blanks; leading and trailing blanks and
     one trailing CR are ignored. Commands are case-sensitive, and control
     words take no arguments ([STATS now] is an unknown command). [<id>]
@@ -40,23 +41,19 @@
     its own bins, clock, and policy rng ({!Tenant.rng}), and item ids /
     time monotonicity are per-tenant.
 
-    Durability comes in two strengths:
-    - {!handle_line} (the blocking {!serve} loop): applied events are
-      journaled and the fsync follows the [fsync_every] cadence, so an
-      acked event can be lost to a power cut within the cadence window;
-    - {!handle_batch} (the {!Event_loop} path): {b group commit} — every
-      applied event in the batch is journaled and fsynced {e before} the
-      replies are released, so an acked event is always durable. One
-      write and one fsync cover each event run, however long, which is
-      what makes the multi-client path both stronger {e and} faster.
+    Durability has one contract, {b acked ⇒ durable}: every applied
+    event is group-committed — journaled and fsynced — {e before} the
+    reply that acks it is released, so no crash loses an acked event. One
+    write and one fsync cover each event run, however long.
 
     The journal is trimmed only by a {!checkpoint}, whatever asks for it:
     [SNAPSHOT], [dvbp compact], and the two triggers checked at the end of
     each event run's commit — [snapshot_every = Some n] ([n] applied
-    events since the last snapshot: exactly at the event on the streaming
-    path, at the run boundary on the batch path) and [retain_segments =
-    Some k] (more than [k] sealed segments). The replies of the run that
-    fires a trigger wait for its checkpoint. *)
+    events since the last snapshot; a run is cut at the line that would
+    make [n], so the checkpoint lands exactly at the [n]th event when
+    every line applies) and [retain_segments = Some k] (more than [k]
+    sealed segments). The replies of the run that fires a trigger wait
+    for its checkpoint. *)
 
 type config = {
   policy : string;  (** short name for [Policy.of_name] *)
@@ -66,9 +63,8 @@ type config = {
   snapshot : string option;  (** required for [SNAPSHOT] / [snapshot_every] *)
   snapshot_every : int option;  (** auto-snapshot every [n] applied events *)
   fsync_every : int;
-      (** journal fsync cadence of the streaming path ({!handle_line},
-          {!serve}); {!handle_batch} commits each event run with one
-          fsync and ignores it *)
+      (** not read: every event run is committed with one fsync. See
+          "Names kept for the benchmark harness". *)
   jobs : int;  (** tenant shards for {!handle_batch} (1 = no domains) *)
   segment_bytes : int option;
       (** journal segment roll threshold in bytes (default 1 MiB); an
@@ -100,7 +96,7 @@ val create : ?io:Io.t -> ?metrics:Metrics.t -> config -> (t, string) result
     fresh {!Metrics.create}) receives all instrumentation; pass
     {!Metrics.noop} to disable it (the sim sweeps do).
     Errors on an unknown policy or an invalid
-    [snapshot_every]/[fsync_every]/[jobs] combination. *)
+    [snapshot_every]/[segment_bytes]/[retain_segments]/[jobs] combination. *)
 
 val resume : ?io:Io.t -> ?metrics:Metrics.t -> config -> Recovery.state -> (t, string) result
 (** Continue serving from a recovered state (all tenant sessions). The
@@ -119,12 +115,6 @@ val restart : ?io:Io.t -> ?metrics:Metrics.t -> config -> (t option, string) res
     sequence's wall time and the events restored from each source.
     Errors when [config] names no journal. *)
 
-val handle_line : t -> string -> string * bool
-(** [handle_line t line] is [(reply, quit)]; [quit] is true only for QUIT.
-    Exposed for in-process drivers ({!Loadgen}) and tests. The same
-    answer, counters and packing as a one-line {!handle_batch}; only the
-    durability differs: streaming (fsync cadence), like {!serve}. *)
-
 val handle_batch : t -> string array -> (string * bool) array
 (** Group commit: handles every line (arrival order across connections —
     slot [i] answers line [i]) and returns only after all applied events
@@ -133,22 +123,27 @@ val handle_batch : t -> string array -> (string * bool) array
     answered in runs whose events are applied sharded by tenant over
     [config.jobs] domains; per-tenant results are bit-identical for any
     [jobs]. Every other line (STATS, SNAPSHOT, QUIT, unknown commands) is
-    handled between commits on the calling domain. *)
+    handled between commits on the calling domain. Each line's handling
+    latency goes to the per-kind request histograms ({!latency_summary}). *)
+
+val handle_line : t -> string -> string * bool
+(** [handle_line t line] is [(handle_batch t [| line |]).(0)]:
+    [(reply, quit)], where [quit] is true only for QUIT. For in-process
+    drivers and tests. *)
+
+val quits : string -> bool
+(** [quits line]: the line is a QUIT request, as the request scanner
+    reads it (blanks around it and one trailing CR are ignored). The
+    {!Event_loop} takes no more lines from a connection once it has
+    batched one. *)
 
 val max_line : int
-(** The longest request line either transport accepts: 65,536 bytes,
+(** The longest request line {!Event_loop} accepts: 65,536 bytes,
     newline excluded. *)
 
 val overlong_reply : string
 (** The reply to a longer line: [ERR request line exceeds 65536 bytes].
-    Nothing more is read from that input afterwards. *)
-
-val serve : t -> in_channel -> out_channel -> unit
-(** Read-eval-reply until QUIT, EOF or a line over {!max_line} bytes
-    (answered {!overlong_reply}), then {!close}. Replies are flushed per
-    request, byte-identical to {!Event_loop}'s for the same
-    input. Per-request handling latency is recorded into the per-kind
-    request histograms (see {!latency_summary}). *)
+    {!Event_loop} reads nothing more from that input afterwards. *)
 
 val metrics : t -> metrics
 val stats_line : t -> string
@@ -157,9 +152,9 @@ val stats_line : t -> string
     [clock] is the max). Richer telemetry lives in the [METRICS] reply. *)
 
 val latency_summary : t -> Dvbp_obs.Histogram.snapshot
-(** Request-handling latency in seconds, all request kinds merged
-    (populated by {!serve} and {!handle_batch}; empty for in-process
-    {!handle_line} drivers). *)
+(** Request-handling latency in seconds, all request kinds merged, as
+    {!handle_batch} (and so {!handle_line}) records it. Empty with
+    {!Metrics.noop}. *)
 
 val observability : t -> Metrics.t
 (** The metrics bundle this server reports into (the one passed to
@@ -196,7 +191,9 @@ val checkpoint : t -> (string * int, string) result
     [perfbench/layers.ml] drives the staged compaction of earlier versions
     by these names: [compact] is {!checkpoint}, [compaction_pending] is
     always [false] and [compaction_step] does nothing, since a checkpoint
-    completes within the call that triggers it. *)
+    completes within the call that triggers it. The harness also builds
+    {!config} with its [fsync_every] field, which the server no longer
+    reads. *)
 
 val compact : t -> (string * int, string) result
 val compaction_pending : t -> bool

@@ -40,33 +40,23 @@ let apply_line server line =
   let reply, quit = Server.handle_line server line in
   check_applied line reply quit
 
-(* Drive the whole script. [batch = Some b] exercises the group-commit path
-   ({!Server.handle_batch}, [b] lines per call); [None] the streaming one.
+(* Drive the whole script through {!Server.handle_batch}, [batch] lines
+   per call, counting into [acked] the lines whose replies came back.
    [check] is off while a planned crash is pending (replies then never
    arrive — the run dies mid-script by design). Checkpoints run inside
    the server's commit, so their I/O boundaries are swept like any other. *)
-let apply_all ?batch ~check server lines =
-  match batch with
-  | None ->
-      List.iter
-        (fun line ->
-          if check then apply_line server line
-          else ignore (Server.handle_line server line))
-        lines
-  | Some b ->
-      let rec go = function
-        | [] -> ()
-        | lines ->
-            let chunk = take b lines in
-            let arr = Array.of_list chunk in
-            let replies = Server.handle_batch server arr in
-            if check then
-              Array.iteri
-                (fun i (reply, quit) -> check_applied arr.(i) reply quit)
-                replies;
-            go (drop b lines)
-      in
-      go lines
+let apply_all ~batch ?(acked = ref 0) ~check server lines =
+  let rec go = function
+    | [] -> ()
+    | lines ->
+        let arr = Array.of_list (take batch lines) in
+        let replies = Server.handle_batch server arr in
+        acked := !acked + Array.length arr;
+        if check then
+          Array.iteri (fun i (reply, quit) -> check_applied arr.(i) reply quit) replies;
+        go (drop batch lines)
+  in
+  go lines
 
 (* All tenant sessions folded into one comparable string (sorted by tenant
    so first-appearance order can't mask or fake a divergence). *)
@@ -109,9 +99,9 @@ let make_lines ~tenants inst =
     in
     interleave [] scripts
 
-let run ?(policy = "mtf") ?(seed = 11) ?(n = 12) ?(fsync_every = 3)
-    ?(snapshot_every = Some 5) ?(snapshot = true) ?segment_bytes ?retain_segments
-    ?(wrap = fun io -> io) ?batch ?(tenants = 1) ?(jobs = 1) () =
+let run ?(policy = "mtf") ?(seed = 11) ?(n = 12) ?(snapshot_every = Some 5)
+    ?(snapshot = true) ?segment_bytes ?retain_segments ?(wrap = fun io -> io) ?(batch = 1)
+    ?(tenants = 1) ?(jobs = 1) () =
   let params = { Uniform_model.d = 2; n; mu = 10; span = 60; bin_size = 100 } in
   let inst = Uniform_model.generate params ~rng:(Rng.create ~seed:(seed + 1)) in
   let lines = make_lines ~tenants inst in
@@ -123,7 +113,7 @@ let run ?(policy = "mtf") ?(seed = 11) ?(n = 12) ?(fsync_every = 3)
       journal = Some journal_path;
       snapshot = (if snapshot then Some snapshot_path else None);
       snapshot_every = (if snapshot then snapshot_every else None);
-      fsync_every;
+      fsync_every = 64 (* not read by the server *);
       jobs;
       segment_bytes;
       retain_segments;
@@ -142,7 +132,7 @@ let run ?(policy = "mtf") ?(seed = 11) ?(n = 12) ?(fsync_every = 3)
     | Ok s -> s
     | Error e -> failwith ("sweep baseline: " ^ e)
   in
-  apply_all ?batch ~check:true server lines;
+  apply_all ~batch ~check:true server lines;
   let baseline_fp = fingerprint_server server in
   Server.close server;
   let boundaries = Sim_fs.ops fs0 in
@@ -174,17 +164,19 @@ let run ?(policy = "mtf") ?(seed = 11) ?(n = 12) ?(fsync_every = 3)
     Server.close reference;
     Array.of_list (fp0 :: after)
   in
-  (* One scenario: crash at boundary [k], power-cut with [mode], recover,
-     replay the rest of the workload, compare final fingerprints. *)
+  (* One scenario: crash at boundary [k], power-cut with [mode], recover
+     (keeping every acked event), replay the rest of the workload, compare
+     final fingerprints. *)
   let scenario k mode_idx mode =
     let fs = Sim_fs.create ~seed:(seed + (1000 * (k + 1)) + mode_idx) () in
     let io = wrap (Sim_fs.io fs) in
     Sim_fs.plan_crash fs ~at_op:k;
+    let acked = ref 0 in
     (try
        match Server.create ~io ~metrics:(Metrics.noop ()) config with
        | Error e -> failwith ("server create: " ^ e)
        | Ok server ->
-           apply_all ?batch ~check:false server lines;
+           apply_all ~batch ~acked ~check:false server lines;
            Server.close server;
            failwith "planned crash never fired"
      with Sim_fs.Crash -> ());
@@ -196,6 +188,8 @@ let run ?(policy = "mtf") ?(seed = 11) ?(n = 12) ?(fsync_every = 3)
           let m = st.Recovery.events in
           if m > events then
             failwith (Printf.sprintf "recovered %d events of a %d-event run" m events);
+          if m < !acked then
+            failwith (Printf.sprintf "recovered %d events, but %d were acked" m !acked);
           match Server.resume ~io ~metrics:(Metrics.noop ()) config st with
           | Error e -> failwith ("resume: " ^ e)
           | Ok s ->
@@ -210,11 +204,13 @@ let run ?(policy = "mtf") ?(seed = 11) ?(n = 12) ?(fsync_every = 3)
       | Ok None -> (
           (* the journal's creation itself was rolled back: no durable state
              ever existed, so the operator starts from scratch *)
+          if !acked > 0 then
+            failwith (Printf.sprintf "no journal survived, but %d events were acked" !acked);
           match Server.create ~io ~metrics:(Metrics.noop ()) config with
           | Ok s -> (s, 0)
           | Error e -> failwith ("fresh restart: " ^ e))
     in
-    apply_all ?batch ~check:true resumed (drop recovered_events lines);
+    apply_all ~batch ~check:true resumed (drop recovered_events lines);
     let fp = fingerprint_server resumed in
     Server.close resumed;
     if fp <> baseline_fp then

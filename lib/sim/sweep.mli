@@ -9,9 +9,9 @@
     [k]; after the power cut the surviving files are recovered, the
     remainder of the workload is replayed through a resumed server, and the
     final fingerprint must equal the reference bit for bit. Along the way
-    a recovery of [m] events must reproduce, tenant by tenant, the
-    reference fingerprints after [m] events, and every replayed request
-    must be accepted.
+    a recovery of [m] events must keep every event acked before the crash
+    and reproduce, tenant by tenant, the reference fingerprints after [m]
+    events, and every replayed request must be accepted.
 
     A rolled-back journal creation (nothing durable ever existed) is
     handled the way an operator would: start a fresh server and replay the
@@ -34,7 +34,6 @@ val run :
   ?policy:string ->
   ?seed:int ->
   ?n:int ->
-  ?fsync_every:int ->
   ?snapshot_every:int option ->
   ?snapshot:bool ->
   ?segment_bytes:int ->
@@ -45,10 +44,10 @@ val run :
   ?jobs:int ->
   unit ->
   outcome
-(** Defaults: [policy = "mtf"], [seed = 11], [n = 12] items, [fsync_every =
-    3], [snapshot_every = Some 5] (small batches so fsync batching and
-    checkpoints both land inside the sweep; [None] leaves only the
-    [retain_segments] trigger). [wrap] decorates the simulated
+(** Defaults: [policy = "mtf"], [seed = 11], [n = 12] items,
+    [snapshot_every = Some 5] (so checkpoints land inside the sweep;
+    [None] leaves only the [retain_segments] trigger), [batch = 1].
+    [wrap] decorates the simulated
     backend — the sensitivity smoke uses it to sabotage the torn-record
     guard and prove the sweep notices.
 
@@ -61,11 +60,10 @@ val run :
     leans on the journal chain alone, which the seal-sensitivity smoke
     uses to prove a defeated seal check is caught.
 
-    [batch = Some b] drives the {b group-commit} path instead of the
-    streaming one: lines go through {!Dvbp_service.Server.handle_batch},
-    [b] per call, so every crash boundary inside
-    {!Dvbp_service.Journal.append_batch}'s write+fsync is swept too — a
-    crash may lose only whole un-fsynced batch suffixes. [tenants > 1]
+    Lines go through {!Dvbp_service.Server.handle_batch}, [batch] per
+    call, so every crash boundary inside
+    {!Dvbp_service.Journal.append_batch}'s write+fsync is swept — a crash
+    may lose only un-acked events. [tenants > 1]
     round-robins the workload across that many tenants with the
     tenant-prefixed grammar (each tenant an isolated session); [jobs]
     shards the batch path over domains — final states must stay

@@ -6,6 +6,7 @@ module Instance = Dvbp_core.Instance
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_string = Alcotest.(check string)
 
 let contains_sub msg sub =
   let n = String.length msg and m = String.length sub in
@@ -165,7 +166,7 @@ let report_tests =
    error paths are all unit-testable here. *)
 
 let serve_opts ?(policy = "mtf") ?(seed = 7) ?(capacity = "100,100") ?journal
-    ?snapshot ?snapshot_every ?(fsync_every = 64) ?(jobs = 1) ?segment_bytes
+    ?snapshot ?snapshot_every ?(jobs = 1) ?segment_bytes
     ?retain_segments ?listen ?(resume = false) ?metrics_dump () =
   {
     Service_cli.policy;
@@ -174,7 +175,6 @@ let serve_opts ?(policy = "mtf") ?(seed = 7) ?(capacity = "100,100") ?journal
     journal;
     snapshot;
     snapshot_every;
-    fsync_every;
     jobs;
     segment_bytes;
     retain_segments;
@@ -193,15 +193,21 @@ let with_tmp_dir f =
       Unix.rmdir dir)
     (fun () -> f dir)
 
-(* runs [Service_cli.serve] over temp files carrying the request script *)
+(* runs [Service_cli.serve] over temp files carrying the request script,
+   as [dvbp serve < in.txt > out.txt] does *)
 let serve_script opts script =
   with_tmp_dir (fun dir ->
       let inp = Filename.concat dir "in.txt" in
       let outp = Filename.concat dir "out.txt" in
       Out_channel.with_open_text inp (fun oc -> Out_channel.output_string oc script);
+      let with_fd path flags f =
+        let fd = Unix.openfile path flags 0o600 in
+        Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd)
+      in
       let result =
-        In_channel.with_open_text inp (fun ic ->
-            Out_channel.with_open_text outp (fun oc -> Service_cli.serve opts ic oc))
+        with_fd inp [ Unix.O_RDONLY ] (fun input ->
+            with_fd outp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] (fun output ->
+                Service_cli.serve opts input output))
       in
       Result.map
         (fun () -> In_channel.with_open_text outp In_channel.input_all)
@@ -263,6 +269,66 @@ let service_tests =
                 check_bool "resumed placement" true (contains_sub out "PLACED 0 0");
                 check_bool "both events" true (contains_sub out "events=2")
             | Error e -> Alcotest.fail e));
+    Alcotest.test_case "serve --listen stops on SIGTERM: journal synced, metrics dumped"
+      `Quick (fun () ->
+        with_tmp_dir (fun dir ->
+            let sock = Filename.concat dir "s.sock" in
+            let journal = Filename.concat dir "j.log" in
+            let dump = Filename.concat dir "m.prom" in
+            (* a client on its own domain: one ARRIVE, its reply, then
+               SIGTERM to this process, whose main domain is serving; the
+               signal is sent even if the exchange fails, so the server
+               always stops *)
+            let client =
+              Domain.spawn (fun () ->
+                  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+                  let buf = Bytes.create 256 and got = Buffer.create 64 in
+                  Fun.protect
+                    ~finally:(fun () -> Unix.kill (Unix.getpid ()) Sys.sigterm)
+                    (fun () ->
+                      let rec connect tries =
+                        match Unix.connect fd (Unix.ADDR_UNIX sock) with
+                        | () -> ()
+                        | exception Unix.Unix_error _ when tries > 0 ->
+                            Unix.sleepf 0.01;
+                            connect (tries - 1)
+                      in
+                      connect 500;
+                      let req = "ARRIVE 0 0 60,10\n" in
+                      ignore (Unix.write_substring fd req 0 (String.length req));
+                      let rec read_reply () =
+                        let n = Unix.read fd buf 0 (Bytes.length buf) in
+                        Buffer.add_subbytes got buf 0 n;
+                        if n > 0 && not (String.contains (Buffer.contents got) '\n') then
+                          read_reply ()
+                      in
+                      read_reply ());
+                  (* the server closes the connection as it stops *)
+                  let rec drain () =
+                    match Unix.read fd buf 0 (Bytes.length buf) with
+                    | 0 -> ()
+                    | _ -> drain ()
+                    | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
+                  in
+                  drain ();
+                  Unix.close fd;
+                  Buffer.contents got)
+            in
+            let served =
+              Service_cli.serve
+                (serve_opts ~journal ~listen:sock ~metrics_dump:dump ())
+                Unix.stdin Unix.stdout
+            in
+            let reply = Domain.join client in
+            (match served with Ok () -> () | Error e -> Alcotest.fail e);
+            check_string "the ARRIVE was answered" "PLACED 0 1\n" reply;
+            check_bool "the socket path is removed" false (Sys.file_exists sock);
+            let text = In_channel.with_open_text dump In_channel.input_all in
+            check_bool "the dump holds the request counter" true
+              (contains_sub text "dvbp_server_requests_total");
+            match Service_cli.recover ~journal ~snapshot:None with
+            | Ok out -> check_bool "the acked event recovers" true (contains_sub out "bin 0")
+            | Error e -> Alcotest.fail e));
     Alcotest.test_case "recover reports a missing journal" `Quick (fun () ->
         match Service_cli.recover ~journal:"/nonexistent/j.log" ~snapshot:None with
         | Error msg -> check_bool "names the path" true (contains_sub msg "j.log")
@@ -306,11 +372,12 @@ let service_tests =
         with_tmp_dir (fun dir ->
             let journal = Filename.concat dir "j.log" in
             let snapshot = Filename.concat dir "s.snap" in
-            (* tiny segments: every journaled event seals its own segment *)
+            (* tiny segments: every event run seals its own segment, and
+               each STATS line ends a run *)
             (match
                serve_script
                  (serve_opts ~journal ~segment_bytes:64 ())
-                 "ARRIVE 0 0 60,10\nARRIVE 1 1 50,50\nDEPART 2 0\nQUIT\n"
+                 "ARRIVE 0 0 60,10\nSTATS\nARRIVE 1 1 50,50\nSTATS\nDEPART 2 0\nQUIT\n"
              with
             | Ok _ -> ()
             | Error e -> Alcotest.fail e);
@@ -334,8 +401,7 @@ let service_tests =
             lg_journal = None;
             lg_snapshot = None;
             lg_snapshot_every = None;
-            lg_fsync_every = None;
-            lg_clients = 0;
+            lg_clients = 1;
             lg_jobs = 1;
             lg_window = 256;
             lg_connect = None;
@@ -357,8 +423,7 @@ let service_tests =
             lg_journal = None;
             lg_snapshot = None;
             lg_snapshot_every = None;
-            lg_fsync_every = None;
-            lg_clients = 0;
+            lg_clients = 1;
             lg_jobs = 1;
             lg_window = 256;
             lg_connect = None;
@@ -366,6 +431,12 @@ let service_tests =
           }
         in
         check_bool "bad trace" true (Result.is_error (Service_cli.loadgen opts));
+        (match
+           Service_cli.loadgen
+             { opts with Service_cli.source = source ~n:5 (); lg_clients = 0 }
+         with
+        | Error msg -> check_bool "zero clients names --clients 1" true (contains_sub msg "--clients 1")
+        | Ok _ -> Alcotest.fail "--clients 0 accepted");
         check_bool "bad policy" true
           (Result.is_error
              (Service_cli.loadgen

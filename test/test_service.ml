@@ -1108,8 +1108,6 @@ let server_tests =
         in
         check_bool "unknown policy" true
           (Result.is_error (Server.create { base with Server.policy = "zzz" }));
-        check_bool "fsync_every 0" true
-          (Result.is_error (Server.create { base with Server.fsync_every = 0 }));
         check_bool "jobs 0" true
           (Result.is_error (Server.create { base with Server.jobs = 0 }));
         check_bool "snapshot_every without snapshot path" true
@@ -1193,14 +1191,17 @@ let server_tests =
             let r = ok_or_fail (Journal.read_file journal) in
             check_int "both events" 2 (List.length r.Journal.events)));
     Alcotest.test_case "serve loop over channels" `Quick (fun () ->
-        (* request/reply through real channels, exercising serve's IO path *)
+        (* request/reply through two pipes, as [dvbp serve] on
+           stdin/stdout: the event loop reads one fd and writes the other,
+           and hands them back open *)
         let req_r, req_w = Unix.pipe ~cloexec:false () in
         let rep_r, rep_w = Unix.pipe ~cloexec:false () in
         let t = fresh_server () in
         let domain =
           Domain.spawn (fun () ->
-              Server.serve t (Unix.in_channel_of_descr req_r)
-                (Unix.out_channel_of_descr rep_w))
+              Event_loop.serve ~stdio:(req_r, rep_w) t;
+              Unix.close req_r;
+              Unix.close rep_w)
         in
         let oc = Unix.out_channel_of_descr req_w in
         let ic = Unix.in_channel_of_descr rep_r in
@@ -1289,8 +1290,16 @@ let loadgen_tests =
             let snapshot = Filename.concat dir "s.snap" in
             let report =
               ok_or_fail
-                (Loadgen.run ~policy:"mtf" ~seed:7 ~journal ~snapshot
-                   ~snapshot_every:25 inst)
+                (Loadgen.drive ~policy:"mtf" ~seed:7
+                   ~transport:
+                     (Loadgen.In_process
+                        {
+                          Loadgen.server_defaults with
+                          journal = Some journal;
+                          snapshot = Some snapshot;
+                          snapshot_every = Some 25;
+                        })
+                   (Loadgen.Instances [ inst ]))
             in
             check_int "all events" 120 report.Loadgen.events;
             check_bool "throughput positive" true (report.Loadgen.events_per_sec > 0.0);
@@ -1305,7 +1314,10 @@ let loadgen_tests =
                    (fun e -> "server_metrics: " ^ e)
                    (Dvbp_obs.Prom.parse report.Loadgen.server_metrics))
             in
-            (match Dvbp_obs.Prom.find rows "dvbp_engine_placements_total" with
+            (match
+               Dvbp_obs.Prom.find rows ~labels:[ ("tenant", "t0") ]
+                 "dvbp_engine_placements_total"
+             with
             | Some r -> check_int "metrics placements" 60 (int_of_float r.Dvbp_obs.Prom.value)
             | None -> Alcotest.fail "dvbp_engine_placements_total missing");
             (* and what the run journaled must recover cleanly *)
@@ -1328,10 +1340,21 @@ let loadgen_tests =
             in
             let journal = Filename.concat dir "j.log" in
             let snapshot = Filename.concat dir "s.snap" in
+            (* one request in flight, so each event is its own commit
+               and segments fill record by record *)
             let report =
               ok_or_fail
-                (Loadgen.run ~policy:"mtf" ~seed:7 ~journal ~snapshot
-                   ~segment_bytes:256 ~retain_segments:2 inst)
+                (Loadgen.drive ~policy:"mtf" ~seed:7 ~window:1
+                   ~transport:
+                     (Loadgen.In_process
+                        {
+                          Loadgen.server_defaults with
+                          journal = Some journal;
+                          snapshot = Some snapshot;
+                          segment_bytes = Some 256;
+                          retain_segments = Some 2;
+                        })
+                   (Loadgen.Instances [ inst ]))
             in
             check_int "all events" 300 report.Loadgen.events;
             let journal_bytes =
@@ -1354,7 +1377,10 @@ let loadgen_tests =
             [ (0.0, 1.0, v [ 2; 2 ]) ]
         in
         check_bool "error" true
-          (Result.is_error (Loadgen.run ~policy:"zzz" ~seed:7 inst)));
+          (Result.is_error
+             (Loadgen.drive ~policy:"zzz" ~seed:7
+                ~transport:(Loadgen.In_process Loadgen.server_defaults)
+                (Loadgen.Instances [ inst ]))));
     Alcotest.test_case "drive: in-process clients are verified at jobs 1 and 2" `Quick
       (fun () ->
         List.iter
@@ -1473,6 +1499,18 @@ let loadgen_tests =
 (* Observability: the METRICS exposition, journal hooks, and the frozen
    STATS contract. *)
 
+(* every byte the peer writes until it closes *)
+let read_to_eof fd =
+  let buf = Bytes.create 4096 and out = Buffer.create 256 in
+  let rec go () =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> Buffer.contents out
+    | n ->
+        Buffer.add_subbytes out buf 0 n;
+        go ()
+  in
+  go ()
+
 let metric_rows m =
   match Dvbp_obs.Prom.parse (Metrics.render_text m) with
   | Ok rows -> rows
@@ -1488,8 +1526,9 @@ let metrics_tests =
     Alcotest.test_case "STATS line shape is frozen" `Quick (fun () ->
         (* Scripts parse STATS; its field list, order and formatting are a
            compatibility contract. If this test fails, you have broken that
-           contract — add new telemetry to METRICS instead. *)
-        let t = fresh_server () in
+           contract — add new telemetry to METRICS instead. Handling
+           latencies vary run to run, so they are not recorded here. *)
+        let t = fresh_server ~metrics:(Metrics.noop ()) () in
         expect t "ARRIVE 0 0 60,10" "PLACED 0 1";
         expect t "DEPART 1 0" "OK";
         let reply, _ = Server.handle_line t "STATS" in
@@ -1551,6 +1590,29 @@ let metrics_tests =
             check_bool "bytes counted" true
               (metric_value rows "dvbp_journal_bytes_written_total" > n);
             check_int "no heals" 0 (metric_value rows "dvbp_journal_torn_heals_total")));
+    Alcotest.test_case "live-journal gauges match the chain on disk after every commit"
+      `Quick (fun () ->
+        with_tmp_dir (fun dir ->
+            let path = Filename.concat dir "j.log" in
+            let m = Metrics.create () in
+            let w = Journal.create ~metrics:m ~segment_bytes:256 ~path (header ()) in
+            let on_disk () =
+              Array.fold_left
+                (fun (files, bytes) f ->
+                  (files + 1, bytes + (Unix.stat (Filename.concat dir f)).Unix.st_size))
+                (0, 0) (Sys.readdir dir)
+            in
+            for k = 1 to 12 do
+              Journal.append_batch w sample_events;
+              let files, bytes = on_disk () in
+              let rows = metric_rows m in
+              check_int (Printf.sprintf "live bytes after commit %d" k) bytes
+                (metric_value rows "dvbp_journal_live_bytes");
+              check_int (Printf.sprintf "segments after commit %d" k) files
+                (metric_value rows "dvbp_journal_segments")
+            done;
+            check_bool "some segments sealed" true (Journal.sealed_segments w > 1);
+            Journal.close w));
     Alcotest.test_case "healing a torn tail increments the heal counter" `Quick
       (fun () ->
         with_tmp_dir (fun dir ->
@@ -2012,6 +2074,75 @@ let batch_tests =
           (Server.sessions t1) (Server.sessions t4);
         Server.close t1;
         Server.close t4);
+    Alcotest.test_case "event loop: nothing after QUIT is applied or answered" `Quick
+      (fun () ->
+        (* a QUIT and the lines behind it in one write, over a socket and
+           over two pipes (as stdin/stdout): the server's scanner reads the
+           QUIT through its blanks and CR, and the loop takes no more lines
+           from that connection *)
+        let script = "ARRIVE 0 1 10,10\n QUIT \r\nARRIVE 1 2 10,10\nSTATS\n" in
+        let send fd = ignore (Unix.write_substring fd script 0 (String.length script)) in
+        let over_socket t =
+          let s, c = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          let loop = Domain.spawn (fun () -> Event_loop.serve ~conns:[ s ] t) in
+          send c;
+          let got = read_to_eof c in
+          Domain.join loop;
+          Unix.close c;
+          got
+        in
+        let over_pipes t =
+          let req_r, req_w = Unix.pipe () and rep_r, rep_w = Unix.pipe () in
+          let loop =
+            Domain.spawn (fun () ->
+                Event_loop.serve ~stdio:(req_r, rep_w) t;
+                Unix.close rep_w)
+          in
+          send req_w;
+          let got = read_to_eof rep_r in
+          Domain.join loop;
+          List.iter Unix.close [ req_r; req_w; rep_r ];
+          got
+        in
+        List.iter
+          (fun (transport, run) ->
+            let t = fresh_server () in
+            check_string (transport ^ ": replies end at BYE") "PLACED 0 1\nBYE\n" (run t);
+            check_int (transport ^ ": one event applied") 1 (Server.metrics t).Server.events)
+          [ ("socket", over_socket); ("pipes", over_pipes) ]);
+    Alcotest.test_case "event loop: a peer that does not read holds back its own input"
+      `Quick (fun () ->
+        (* stdin/stdout as two pipes, nobody reading the replies: each
+           2-byte "X" line answers a 25-byte ERR, so the loop must stop
+           reading once 1 MiB of replies waits, long before 1 MB of input
+           (12 MB of replies) is taken *)
+        let req_r, req_w = Unix.pipe () and rep_r, rep_w = Unix.pipe () in
+        let t = fresh_server ~metrics:(Metrics.noop ()) () in
+        let loop =
+          Domain.spawn (fun () ->
+              Event_loop.serve ~stdio:(req_r, rep_w) t;
+              Unix.close rep_w)
+        in
+        Unix.set_nonblock req_w;
+        let chunk = String.concat "" (List.init 4096 (fun _ -> "X\n")) in
+        let written = ref 0 and stalls = ref 0 in
+        while !written < 1_000_000 && !stalls < 50 do
+          match Unix.write_substring req_w chunk 0 (String.length chunk) with
+          | k ->
+              written := !written + k;
+              stalls := 0
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+              incr stalls;
+              Unix.sleepf 0.01
+        done;
+        check_bool (Printf.sprintf "input held back after %d bytes" !written) true
+          (!written < 1_000_000);
+        Unix.close req_w;
+        let replies = read_to_eof rep_r in
+        Domain.join loop;
+        List.iter Unix.close [ req_r; rep_r ];
+        check_int "every line taken was answered" ((!written + 1) / 2)
+          (List.length (String.split_on_char '\n' replies) - 1));
     Alcotest.test_case "event loop: per-connection FIFO, tenants isolated"
       `Quick (fun () ->
         (* two clients over socketpairs issue the same script under their
@@ -2222,9 +2353,8 @@ let batch_tests =
           let t = fresh_server () in
           let srv =
             Domain.spawn (fun () ->
-                let oc = Unix.out_channel_of_descr resp_w in
-                Server.serve t (Unix.in_channel_of_descr req_r) oc;
-                close_out oc)
+                Event_loop.serve ~stdio:(req_r, resp_w) t;
+                Unix.close resp_w)
           in
           let writer =
             Domain.spawn (fun () ->

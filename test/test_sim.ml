@@ -392,7 +392,7 @@ let sweep_tests =
           ~finally:(fun () -> Dvbp_service.Log.defeat_seal_check := false)
           (fun () ->
             let o =
-              Sweep.run ~segment_bytes:112 ~snapshot:false ~fsync_every:8 ~n:10 ()
+              Sweep.run ~segment_bytes:112 ~snapshot:false ~n:10 ()
             in
             Printf.printf "seal-sabotaged %s\n" (Sweep.render o);
             check_bool "the sweep must fail when the seal check is defeated" true
@@ -453,8 +453,8 @@ let sweep_tests =
         expect "ARRIVE 1 1 50,50" "PLACED 1 1";
         expect "ARRIVE 2 2 30,20" "PLACED 1 0";
         expect "DEPART 3 0" "OK";
-        (* power cut, no clean shutdown; fsync_every=1 made every record
-           durable *)
+        (* power cut, no clean shutdown; each acked event was
+           group-committed, so every record is durable *)
         Sim_fs.crash fs ~mode:Sim_fs.Lose_unsynced;
         let st = ok_or_fail (Recovery.recover ~io ~journal:"sim/j.log" ()) in
         check_int "all four events replayed" 4 st.Recovery.from_journal;
@@ -512,7 +512,6 @@ let show_cmd = function
 
 let sm_journal = "sm/j.log"
 let sm_snapshot = "sm/s.snap"
-let sm_fsync_every = 3
 
 (* group commits, fsyncs and seals on the server's journal so far *)
 let journal_counts server =
@@ -531,17 +530,21 @@ let journal_counts server =
     get "dvbp_journal_segments_sealed_total" )
 
 (* A batch commits once per event run that applied an event (a run
-   ends at a SNAPSHOT line): one group commit and one fsync each, plus
-   the fsync of every segment sealed meanwhile. *)
+   ends at a SNAPSHOT line): one group commit and one fsync each — a run
+   that fills its segment is made durable by the seal's fsync — plus the
+   fsync of each segment a SNAPSHOT's checkpoint sealed. *)
 let check_one_commit_per_run lines replies ~before:(c0, f0, s0) ~after:(c1, f1, s1) =
-  let runs = ref 0 and applied = ref false in
+  let runs = ref 0 and applied = ref false and snapshots = ref 0 in
   let close_run () =
     if !applied then incr runs;
     applied := false
   in
   Array.iteri
     (fun i line ->
-      if line = "SNAPSHOT" then close_run ()
+      if line = "SNAPSHOT" then begin
+        close_run ();
+        incr snapshots
+      end
       else
         let reply = fst replies.(i) in
         if reply = "OK" || String.starts_with ~prefix:"PLACED" reply then applied := true)
@@ -549,9 +552,11 @@ let check_one_commit_per_run lines replies ~before:(c0, f0, s0) ~after:(c1, f1, 
   close_run ();
   if c1 - c0 <> !runs then
     failwith (Printf.sprintf "%d event runs took %d group commits" !runs (c1 - c0));
-  if f1 - f0 <> !runs + (s1 - s0) then
+  let extra = f1 - f0 - !runs in
+  if extra < 0 || extra > min (s1 - s0) !snapshots then
     failwith
-      (Printf.sprintf "%d event runs and %d seals took %d fsyncs" !runs (s1 - s0) (f1 - f0))
+      (Printf.sprintf "%d event runs, %d seals and %d SNAPSHOTs took %d fsyncs" !runs
+         (s1 - s0) !snapshots (f1 - f0))
 
 (* Run one generated schedule against a server over [Sim_fs], mirroring it
    in a pure model. Crashes power-cut the fs, recovery is checked against
@@ -559,12 +564,10 @@ let check_one_commit_per_run lines replies ~before:(c0, f0, s0) ~after:(c1, f1, 
    then the model is rebased onto the surviving history and the schedule
    continues on a resumed server. Raises [Failure] on any mismatch.
 
-   [batch = Some b] drives requests through {!Server.handle_batch}, [b]
-   lines at a time (the group-commit path). Acks then carry a stronger
-   promise — a reply is only released after the whole batch is fsynced —
-   so the durability check tightens from "lose at most the fsync window"
-   to "lose {e nothing} acked", under every crash mode. *)
-let run_case ?batch (fs_seed, cmds) =
+   Requests go through {!Server.handle_batch}, [batch] lines at a time. A
+   reply is only released after the whole batch is fsynced, so no crash
+   mode may lose an acked event. *)
+let run_case ~batch (fs_seed, cmds) =
   let fs = Sim_fs.create ~seed:fs_seed () in
   let io = Sim_fs.io fs in
   let config =
@@ -575,7 +578,7 @@ let run_case ?batch (fs_seed, cmds) =
       journal = Some sm_journal;
       snapshot = Some sm_snapshot;
       snapshot_every = None;
-      fsync_every = sm_fsync_every;
+      fsync_every = 64 (* not read by the server *);
       jobs = 1;
       (* records are ~40 bytes, so segments seal every few events and the
          Compact action has sealed files to retire *)
@@ -656,36 +659,20 @@ let run_case ?batch (fs_seed, cmds) =
       | Error e -> failwith ("recovery failed: " ^ e)
       | Ok st ->
           let lh = st.Recovery.events in
-          (* durability: what survived is a prefix of what was attempted —
-             the acked events plus un-acked in-flight records (at most one
-             on the streaming path; up to a whole unreleased batch on the
-             group-commit path). The recovered state is checked against
-             the model of that prefix below. *)
-          let slack = match batch with Some b -> b | None -> 1 in
-          if lh > la + slack then
+          (* durability: what survived is the acked events plus a prefix
+             of the un-acked in-flight records (up to a whole unreleased
+             batch). A reply is released only after its batch's fsync, so
+             no crash mode may lose an acked event. The recovered state is
+             checked against the model of that history below. *)
+          if lh > la + batch then
             failwith (Printf.sprintf "recovered %d events but only %d were acked" lh la);
+          if lh < la then
+            failwith
+              (Printf.sprintf "a crash (%s) lost %d acked events" (Sim_fs.mode_name mode)
+                 (la - lh));
           let history =
-            if lh <= la then List.filteri (fun i _ -> i < lh) acked
-            else acked @ inflight_events lines acked (lh - la)
+            if lh = la then acked else acked @ inflight_events lines acked (lh - la)
           in
-          (match batch with
-          | Some _ ->
-              (* batch-ack invariant: a group-commit reply is released only
-                 after its fsync, so no crash mode may lose an acked event *)
-              if lh < la then
-                failwith
-                  (Printf.sprintf "group commit lost %d acked events" (la - lh))
-          | None ->
-              if lh < la && la - lh > sm_fsync_every then
-                failwith
-                  (Printf.sprintf
-                     "lost %d acked events, more than the fsync window of %d"
-                     (la - lh) sm_fsync_every);
-              (match mode with
-              | Sim_fs.Keep_unsynced ->
-                  if lh < la then
-                    failwith "keep-unsynced crash lost an acked (flushed) event"
-              | _ -> ()));
           let m = Ref_model.of_events history in
           (match Ref_model.agrees_with m st.Recovery.sessions with
           | Ok () -> ()
@@ -696,7 +683,7 @@ let run_case ?batch (fs_seed, cmds) =
           model := m;
           applied := List.rev history
   in
-  (* group-commit driver: queue lines and submit them [b] at a time; a
+  (* group-commit driver: queue lines and submit them [batch] at a time; a
      crash mid-batch releases no replies, so the whole in-flight batch
      goes un-acked (its events may still have reached the journal — the
      recovery slack above) *)
@@ -717,17 +704,8 @@ let run_case ?batch (fs_seed, cmds) =
     end
   in
   let exec line on_reply =
-    match batch with
-    | Some b ->
-        Queue.add (line, on_reply) pending_batch;
-        if Queue.length pending_batch >= b then flush_batch ()
-    | None -> (
-        inflight := [ line ];
-        match Server.handle_line !server line with
-        | reply, _quit ->
-            inflight := [];
-            on_reply reply
-        | exception Sim_fs.Crash -> recover_after !pending_mode)
+    Queue.add (line, on_reply) pending_batch;
+    if Queue.length pending_batch >= batch then flush_batch ()
   in
   List.iter
     (fun cmd ->
@@ -781,12 +759,10 @@ let run_case ?batch (fs_seed, cmds) =
                     applied := e :: !applied
                   end
                   else if
-                    (* batch mode picks the victim before earlier queued
-                       lines apply: a double departure inside one batch is
+                    (* the victim is picked before earlier queued lines
+                       apply: a double departure inside one batch is
                        refused, which is itself the isolation contract *)
-                    not
-                      (batch <> None
-                      && (String.length reply >= 3 && String.sub reply 0 3 = "ERR"))
+                    not (batch > 1 && String.length reply >= 3 && String.sub reply 0 3 = "ERR")
                   then failwith ("unexpected reply to DEPART: " ^ reply)))
       | Snap ->
           exec "SNAPSHOT" (fun reply ->
@@ -856,7 +832,7 @@ let prop_state_machine =
   QCheck2.Test.make
     ~name:"random serve/crash/recover schedules agree with the pure model"
     ~count:(200 * budget) ~print:sm_print sm_gen
-    (fun case -> run_case case)
+    (fun case -> run_case ~batch:1 case)
 
 let sm_batch_gen =
   QCheck2.Gen.(
