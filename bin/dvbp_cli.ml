@@ -386,16 +386,6 @@ let snapshot_every_arg =
            ~doc:"Checkpoint (seal the journal, snapshot, retire the covered \
                  segments) every N applied events.")
 
-(* Kept only because the benchmark harness can pass it to [serve] in its
-   experiments: every event run is committed with one fsync, so the value
-   is never read. *)
-let ignored_fsync_every_arg =
-  Arg.(value & opt (some int) None
-       & info [ "fsync-every" ] ~docv:"N"
-           ~deprecated:"deprecated and ignored; the server commits every event \
-                        run with one fsync"
-           ~doc:"Ignored.")
-
 let serve_jobs_arg =
   Arg.(value & opt int 1
        & info [ "jobs"; "j" ] ~docv:"INT"
@@ -435,7 +425,7 @@ let serve_cmd =
              ~doc:"Serve many concurrent clients on this unix socket path \
                    (group commit across connections) instead of stdio.")
   in
-  let action policy seed capacity journal snapshot snapshot_every (_ : int option) jobs
+  let action policy seed capacity journal snapshot snapshot_every jobs
       segment_bytes retain_segments listen resume metrics_dump =
     match
       Cli.Service_cli.serve
@@ -452,7 +442,7 @@ let serve_cmd =
        ~doc:"Durable online placement service: ARRIVE/DEPART line protocol on \
              stdio or a unix socket")
     Term.(const action $ policy_arg $ seed_arg $ capacity_arg $ journal_arg
-          $ snapshot_arg $ snapshot_every_arg $ ignored_fsync_every_arg $ serve_jobs_arg
+          $ snapshot_arg $ snapshot_every_arg $ serve_jobs_arg
           $ segment_bytes_arg $ retain_segments_arg
           $ listen_arg $ resume_arg $ metrics_dump_arg)
 

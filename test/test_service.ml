@@ -2112,37 +2112,59 @@ let batch_tests =
           [ ("socket", over_socket); ("pipes", over_pipes) ]);
     Alcotest.test_case "event loop: a peer that does not read holds back its own input"
       `Quick (fun () ->
-        (* stdin/stdout as two pipes, nobody reading the replies: each
-           2-byte "X" line answers a 25-byte ERR, so the loop must stop
-           reading once 1 MiB of replies waits, long before 1 MB of input
-           (12 MB of replies) is taken *)
-        let req_r, req_w = Unix.pipe () and rep_r, rep_w = Unix.pipe () in
-        let t = fresh_server ~metrics:(Metrics.noop ()) () in
-        let loop =
-          Domain.spawn (fun () ->
-              Event_loop.serve ~stdio:(req_r, rep_w) t;
-              Unix.close rep_w)
+        (* nobody reading the replies, over two pipes (as stdin/stdout) and
+           over a socket: each 2-byte "X" line answers a 25-byte ERR, so
+           the loop must stop reading once 1 MiB of replies waits, long
+           before 1 MB of input (12 MB of replies) is taken *)
+        let flood fd =
+          Unix.set_nonblock fd;
+          let chunk = String.concat "" (List.init 4096 (fun _ -> "X\n")) in
+          let written = ref 0 and stalls = ref 0 in
+          while !written < 1_000_000 && !stalls < 50 do
+            match Unix.write_substring fd chunk 0 (String.length chunk) with
+            | k ->
+                written := !written + k;
+                stalls := 0
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                incr stalls;
+                Unix.sleepf 0.01
+          done;
+          Unix.clear_nonblock fd;
+          !written
         in
-        Unix.set_nonblock req_w;
-        let chunk = String.concat "" (List.init 4096 (fun _ -> "X\n")) in
-        let written = ref 0 and stalls = ref 0 in
-        while !written < 1_000_000 && !stalls < 50 do
-          match Unix.write_substring req_w chunk 0 (String.length chunk) with
-          | k ->
-              written := !written + k;
-              stalls := 0
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-              incr stalls;
-              Unix.sleepf 0.01
-        done;
-        check_bool (Printf.sprintf "input held back after %d bytes" !written) true
-          (!written < 1_000_000);
-        Unix.close req_w;
-        let replies = read_to_eof rep_r in
-        Domain.join loop;
-        List.iter Unix.close [ req_r; rep_r ];
-        check_int "every line taken was answered" ((!written + 1) / 2)
-          (List.length (String.split_on_char '\n' replies) - 1));
+        let over_pipes t =
+          let req_r, req_w = Unix.pipe () and rep_r, rep_w = Unix.pipe () in
+          let loop =
+            Domain.spawn (fun () ->
+                Event_loop.serve ~stdio:(req_r, rep_w) t;
+                Unix.close rep_w)
+          in
+          let written = flood req_w in
+          Unix.close req_w;
+          let replies = read_to_eof rep_r in
+          Domain.join loop;
+          List.iter Unix.close [ req_r; rep_r ];
+          (written, replies)
+        in
+        let over_socket t =
+          let s, c = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          let loop = Domain.spawn (fun () -> Event_loop.serve ~conns:[ s ] t) in
+          let written = flood c in
+          Unix.shutdown c Unix.SHUTDOWN_SEND;
+          let replies = read_to_eof c in
+          Domain.join loop;
+          Unix.close c;
+          (written, replies)
+        in
+        List.iter
+          (fun (transport, run) ->
+            let written, replies = run (fresh_server ~metrics:(Metrics.noop ()) ()) in
+            check_bool
+              (Printf.sprintf "%s: input held back after %d bytes" transport written)
+              true (written < 1_000_000);
+            check_int (transport ^ ": every line taken was answered") ((written + 1) / 2)
+              (List.length (String.split_on_char '\n' replies) - 1))
+          [ ("pipes", over_pipes); ("socket", over_socket) ]);
     Alcotest.test_case "event loop: per-connection FIFO, tenants isolated"
       `Quick (fun () ->
         (* two clients over socketpairs issue the same script under their

@@ -529,34 +529,29 @@ let journal_counts server =
     get "dvbp_journal_fsyncs_total",
     get "dvbp_journal_segments_sealed_total" )
 
-(* A batch commits once per event run that applied an event (a run
-   ends at a SNAPSHOT line): one group commit and one fsync each — a run
-   that fills its segment is made durable by the seal's fsync — plus the
-   fsync of each segment a SNAPSHOT's checkpoint sealed. *)
+(* One handle_batch call's journal cost, exactly. The driver submits each
+   SNAPSHOT line alone, so a call is either one event run or one
+   checkpoint. An event run that applied an event is one group commit and
+   one fsync; when it fills its segment that fsync is the seal's, so the
+   run may also seal once. A SNAPSHOT takes no group commit: its
+   checkpoint seals the active segment if that holds records, and that
+   seal's fsync is its only one. *)
 let check_one_commit_per_run lines replies ~before:(c0, f0, s0) ~after:(c1, f1, s1) =
-  let runs = ref 0 and applied = ref false and snapshots = ref 0 in
-  let close_run () =
-    if !applied then incr runs;
-    applied := false
-  in
-  Array.iteri
-    (fun i line ->
-      if line = "SNAPSHOT" then begin
-        close_run ();
-        incr snapshots
-      end
-      else
-        let reply = fst replies.(i) in
-        if reply = "OK" || String.starts_with ~prefix:"PLACED" reply then applied := true)
-    lines;
-  close_run ();
-  if c1 - c0 <> !runs then
-    failwith (Printf.sprintf "%d event runs took %d group commits" !runs (c1 - c0));
-  let extra = f1 - f0 - !runs in
-  if extra < 0 || extra > min (s1 - s0) !snapshots then
+  let commits = c1 - c0 and fsyncs = f1 - f0 and seals = s1 - s0 in
+  let fail what =
     failwith
-      (Printf.sprintf "%d event runs, %d seals and %d SNAPSHOTs took %d fsyncs" !runs
-         (s1 - s0) !snapshots (f1 - f0))
+      (Printf.sprintf "%s took %d group commits, %d fsyncs and %d seals" what commits
+         fsyncs seals)
+  in
+  if lines = [| "SNAPSHOT" |] then begin
+    if commits <> 0 || fsyncs <> seals || seals > 1 then fail "a SNAPSHOT"
+  end
+  else begin
+    let applied (reply, _) = reply = "OK" || String.starts_with ~prefix:"PLACED" reply in
+    let runs = if Array.exists applied replies then 1 else 0 in
+    if commits <> runs || fsyncs <> runs || seals > runs then
+      fail (Printf.sprintf "%d event runs" runs)
+  end
 
 (* Run one generated schedule against a server over [Sim_fs], mirroring it
    in a pure model. Crashes power-cut the fs, recovery is checked against
@@ -564,9 +559,9 @@ let check_one_commit_per_run lines replies ~before:(c0, f0, s0) ~after:(c1, f1, 
    then the model is rebased onto the surviving history and the schedule
    continues on a resumed server. Raises [Failure] on any mismatch.
 
-   Requests go through {!Server.handle_batch}, [batch] lines at a time. A
-   reply is only released after the whole batch is fsynced, so no crash
-   mode may lose an acked event. *)
+   Requests go through {!Server.handle_batch}, [batch] lines at a time and
+   each SNAPSHOT line alone. A reply is only released after the whole
+   batch is fsynced, so no crash mode may lose an acked event. *)
 let run_case ~batch (fs_seed, cmds) =
   let fs = Sim_fs.create ~seed:fs_seed () in
   let io = Sim_fs.io fs in
@@ -683,25 +678,39 @@ let run_case ~batch (fs_seed, cmds) =
           model := m;
           applied := List.rev history
   in
-  (* group-commit driver: queue lines and submit them [batch] at a time; a
-     crash mid-batch releases no replies, so the whole in-flight batch
-     goes un-acked (its events may still have reached the journal — the
-     recovery slack above) *)
+  (* group-commit driver: queue lines and submit them [batch] at a time,
+     each SNAPSHOT line in a call of its own so that every call's journal
+     cost can be checked exactly. A crash mid-call releases no replies, so
+     the whole in-flight call goes un-acked (its events may still have
+     reached the journal — the recovery slack above) and the lines queued
+     behind it are never sent. *)
   let pending_batch = Queue.create () in
+  let submit items =
+    let lines = Array.map fst items in
+    inflight := Array.to_list lines;
+    let before = journal_counts !server in
+    match Server.handle_batch !server lines with
+    | replies ->
+        inflight := [];
+        check_one_commit_per_run lines replies ~before ~after:(journal_counts !server);
+        Array.iteri (fun i (reply, _quit) -> snd items.(i) reply) replies;
+        true
+    | exception Sim_fs.Crash ->
+        recover_after !pending_mode;
+        false
+  in
   let flush_batch () =
-    if not (Queue.is_empty pending_batch) then begin
-      let items = Array.of_seq (Queue.to_seq pending_batch) in
-      Queue.clear pending_batch;
-      inflight := Array.to_list (Array.map fst items);
-      let before = journal_counts !server in
-      match Server.handle_batch !server (Array.map fst items) with
-      | replies ->
-          inflight := [];
-          check_one_commit_per_run (Array.map fst items) replies ~before
-            ~after:(journal_counts !server);
-          Array.iteri (fun i (reply, _quit) -> snd items.(i) reply) replies
-      | exception Sim_fs.Crash -> recover_after !pending_mode
-    end
+    (* [run]: the event lines since the last SNAPSHOT, newest first *)
+    let submit_run = function [] -> true | run -> submit (Array.of_list (List.rev run)) in
+    let rec go run = function
+      | [] -> ignore (submit_run run)
+      | (("SNAPSHOT", _) as snap) :: rest ->
+          if submit_run run && submit [| snap |] then go [] rest
+      | item :: rest -> go (item :: run) rest
+    in
+    let items = List.of_seq (Queue.to_seq pending_batch) in
+    Queue.clear pending_batch;
+    go [] items
   in
   let exec line on_reply =
     Queue.add (line, on_reply) pending_batch;
