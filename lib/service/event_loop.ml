@@ -1,5 +1,6 @@
 (* Each connection owns two growable byte buffers, so the steady state
-   allocates only the request line strings handed to the server:
+   allocates only the request line strings handed to the server (and the
+   batch that carries them is preallocated, see [serve]):
    - input: bytes [in_start, in_len) of [inb] are received but not yet
      split; [in_start, in_scan) is known to hold no newline, so a line
      arriving over many reads is scanned once, not once per read. A
@@ -240,14 +241,16 @@ let serve ?(max_batch = 16384) ?listen ?(conns = []) ?stdio ?(stop_when_drained 
   in
   let dispatch live_arr n =
     if n > 0 then begin
-      let replies = Server.handle_batch server (Array.sub batch_lines 0 n) in
-      Array.iteri
-        (fun i (reply, _quit) ->
-          let c = live_arr.(batch_owner.(i)) in
-          if not c.closed then add_reply c reply)
-        replies;
-      (* drop the slot references so handled request lines can be GC'd *)
-      Array.fill batch_lines 0 n ""
+      (* the replies come back in the server's own scratch, no copy made *)
+      let replies = Server.handle_batch server ~len:n batch_lines in
+      for i = 0 to n - 1 do
+        let c = live_arr.(batch_owner.(i)) in
+        if not c.closed then add_reply c (fst replies.(i))
+      done;
+      (* drop the slot references so handled request lines and their
+         replies can be GC'd *)
+      Array.fill batch_lines 0 n "";
+      Array.fill replies 0 n ("", false)
     end
   in
   let rec loop () =

@@ -1,5 +1,6 @@
 type out = {
   write : string -> unit;
+  write_buffer : Buffer.t -> unit;
   flush : unit -> unit;
   fsync : unit -> unit;
   close : unit -> unit;

@@ -7,7 +7,8 @@
     writes, lose unsynced data and roll back renames at any I/O boundary.
 
     The contract distinguishes three durability levels, mirroring POSIX:
-    - {!out.write} buffers in the process — lost on any crash;
+    - {!out.write} (and {!out.write_buffer}) buffers in the process —
+      lost on any crash;
     - {!out.flush} hands the bytes to the OS ([write(2)]) — they survive a
       process kill ([SIGKILL]) but not a power cut;
     - {!out.fsync} makes them durable ([fsync(2)]).
@@ -19,6 +20,9 @@
 
 type out = {
   write : string -> unit;  (** buffer bytes in the process *)
+  write_buffer : Buffer.t -> unit;
+      (** {!out.write} of the buffer's contents, read in place: no string of
+          them is made. One I/O boundary, like {!out.write}. *)
   flush : unit -> unit;  (** push buffered bytes to the OS *)
   fsync : unit -> unit;  (** flush, then make the contents durable *)
   close : unit -> unit;  (** flushes; does {e not} fsync *)

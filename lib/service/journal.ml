@@ -127,29 +127,45 @@ type writer = {
   mutable unsynced : int;
   mutable appended : int;
   mutable closed : bool;
-  scratch : Record.Scratch.t;  (* one record's fields, reused per record *)
+  scratch : Record.Scratch.t;  (* one record line, reused per record *)
   enc : Buffer.t;  (* sealed record lines, reused per append *)
 }
 
-(* Every append encodes through the writer's own scratch and buffer, so
-   a group commit allocates only the string it hands to [Io]. The buffer
-   starts small (a 64 KiB block allocated at startup measurably delays a
-   server's first reply) and keeps what it grows to, up to [enc_keep]: a
-   busy tick's whole event run (thousands of ~40-byte records) fits, so
-   it is not regrown run after run; a buffer that one oversized run grew
-   past that is released afterwards rather than kept. *)
+(* Every append encodes through the writer's own scratch and buffer and
+   hands the buffer itself to [Io] ({!Io.out.write_buffer}), so a group
+   commit allocates no block sized to its batch. The buffer starts small
+   (a 64 KiB block allocated at startup measurably delays a server's
+   first reply) and keeps what it grows to, up to [enc_keep]: a busy
+   tick's whole event run (thousands of ~40-byte records) fits, so it is
+   not regrown run after run; a buffer that one oversized run grew past
+   that is released afterwards rather than kept. *)
 let enc_initial = 4096
 let enc_keep = 1 lsl 20
 
-let add_record scratch buf e =
+(* Encode [e] as one record line, newline included, in [scratch]; fold
+   its bytes into the running region CRC [crc] while they are there,
+   then copy them to the end of [buf]. Returns the new CRC. *)
+let add_record scratch buf crc e =
   Record.Scratch.reset scratch;
   Record.encode_into scratch e;
-  Record.seal_to buf scratch
+  Record.seal scratch;
+  Record.Scratch.add_char scratch '\n';
+  let bytes = scratch.Record.Scratch.buf and len = scratch.Record.Scratch.pos in
+  Buffer.add_subbytes buf bytes 0 len;
+  Dvbp_tracestore.Crc32.update crc bytes ~pos:0 ~len
 
-let take_encoded buf =
-  let s = Buffer.contents buf in
-  if Buffer.length buf > enc_keep then Buffer.reset buf else Buffer.clear buf;
-  s
+(* [buf]'s contents to [out], leaving [buf] empty (a failed write too,
+   so its records are never written twice); the byte count *)
+let write_encoded (out : Io.out) buf =
+  let bytes = Buffer.length buf in
+  let release () = if bytes > enc_keep then Buffer.reset buf else Buffer.clear buf in
+  match out.Io.write_buffer buf with
+  | () ->
+      release ();
+      bytes
+  | exception e ->
+      release ();
+      raise e
 
 let path w = w.w_path
 let appended w = w.appended
@@ -163,11 +179,6 @@ let validate_fsync_every fsync_every =
 let validate_segment_bytes segment_bytes =
   if segment_bytes < 64 then
     invalid_arg (Printf.sprintf "segment_bytes must be >= 64, got %d" segment_bytes)
-
-let crc_add crc s =
-  Dvbp_tracestore.Crc32.update crc
-    (Bytes.unsafe_of_string s)
-    ~pos:0 ~len:(String.length s)
 
 let frontier w = w.active_base + w.active_count
 let sealed_segments w = w.sealed_n
@@ -295,16 +306,14 @@ let roll w ~base =
 
 let append w e =
   check_open w;
-  add_record w.scratch w.enc e;
-  let line = take_encoded w.enc in
-  w.out.Io.write line;
-  w.out.Io.write "\n";
+  let crc = add_record w.scratch w.enc w.crc e in
+  let bytes = write_encoded w.out w.enc in
   w.out.Io.flush ();
-  Metrics.on_append w.metrics ~bytes:(String.length line + 1);
+  w.crc <- crc;
+  Metrics.on_append w.metrics ~bytes;
   w.appended <- w.appended + 1;
   w.active_count <- w.active_count + 1;
-  w.active_bytes <- w.active_bytes + String.length line + 1;
-  w.crc <- crc_add (crc_add w.crc line) "\n";
+  w.active_bytes <- w.active_bytes + bytes;
   w.unsynced <- w.unsynced + 1;
   if w.active_bytes >= w.segment_bytes then roll w ~base:(frontier w)
   else if w.unsynced >= w.fsync_every then begin
@@ -325,22 +334,19 @@ let append_batch w events =
   match events with
   | [] -> ()
   | _ ->
-      let n = ref 0 in
+      let n = ref 0 and crc = ref w.crc in
       List.iter
         (fun e ->
-          add_record w.scratch w.enc e;
-          Buffer.add_char w.enc '\n';
+          crc := add_record w.scratch w.enc !crc e;
           incr n)
         events;
-      let s = take_encoded w.enc in
-      let bytes = String.length s in
-      w.out.Io.write s;
+      let bytes = write_encoded w.out w.enc in
       w.out.Io.flush ();
+      w.crc <- !crc;
       Metrics.on_append_batch w.metrics ~records:!n ~bytes;
       w.appended <- w.appended + !n;
       w.active_count <- w.active_count + !n;
       w.active_bytes <- w.active_bytes + bytes;
-      w.crc <- crc_add w.crc s;
       if w.active_bytes >= w.segment_bytes then roll w ~base:(frontier w)
       else begin
         Metrics.time_fsync w.metrics (fun () -> w.out.Io.fsync ());
@@ -401,15 +407,12 @@ let check_shape ~path (expected : header) (h : header) =
          (Vec.to_string expected.capacity))
   else Ok ()
 
-(* a healed active segment's records, rewritten once per resume *)
+(* a healed active segment's records, rewritten once per resume, and
+   their CRC *)
 let encode_region events =
   let scratch = Record.Scratch.create () and buf = Buffer.create enc_initial in
-  List.iter
-    (fun e ->
-      add_record scratch buf e;
-      Buffer.add_char buf '\n')
-    events;
-  Buffer.contents buf
+  let crc = List.fold_left (add_record scratch buf) 0 events in
+  (Buffer.contents buf, crc)
 
 let append_to ?(io = Real_io.v) ?metrics ?(segment_bytes = default_segment_bytes) ?source
     ~path header =
@@ -474,9 +477,9 @@ let append_to ?(io = Real_io.v) ?metrics ?(segment_bytes = default_segment_bytes
           let hdr = Segment.header_string a.Log.s_header in
           let region_bytes, crc =
             if needs_heal then begin
-              let region = encode_region a.Log.s_events in
+              let region, crc = encode_region a.Log.s_events in
               Io.atomic_replace io ~path:a.Log.s_path (hdr ^ region);
-              (String.length region, crc_add 0 region)
+              (String.length region, crc)
             end
             else (a.Log.s_region_bytes, a.Log.s_region_crc)
           in

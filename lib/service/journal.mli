@@ -206,8 +206,10 @@ val append_batch : writer -> event list -> unit
     is made durable by the seal's own fsync ({!roll}), which covers the
     footer too, so a call costs one fsync either way. Refreshes the
     [dvbp_journal_live_bytes] and [dvbp_journal_segments] gauges. The
-    batch is encoded through the writer's reused buffer, so a call
-    allocates only the string it writes. *)
+    batch is encoded through the writer's reused buffer, each record
+    folded into the segment CRC as it is encoded, and the buffer is
+    written as it is ({!Io.out.write_buffer}), so a call makes no string
+    of its records. *)
 
 val sync : writer -> unit
 (** Forces an fsync now. *)

@@ -17,6 +17,7 @@ let open_out_handle ~append path =
   let oc = open_out_gen flags 0o644 path in
   {
     Io.write = (fun s -> output_string oc s);
+    write_buffer = (fun b -> Buffer.output_buffer oc b);
     flush = (fun () -> flush oc);
     fsync =
       (fun () ->

@@ -46,8 +46,8 @@ let hex_digits = "0123456789abcdef"
 (* Hot-path record writer: every journaled event pays encode cost before
    its reply can be released, so fields go into a reusable byte scratch
    (no per-record [Buffer], no [Printf]), the checksum runs over those
-   bytes in place, and the sealed record is blitted into the batch
-   buffer in one move. *)
+   bytes in place, and the sealed record is completed in the scratch
+   too ({!seal}), to be copied into the batch buffer in one move. *)
 module Scratch = struct
   type t = { mutable buf : Bytes.t; mutable pos : int }
 
@@ -166,23 +166,24 @@ let encode_into s = function
       Scratch.add_char s ',';
       Scratch.add_int s item_id
 
-(* append the sealed record ([body ^ ",~%04x"] of the body checksum) to
-   [buf] — the only place record bytes are copied out of the scratch *)
-let seal_to buf s =
+(* complete the body in [s] into the sealed record: [body ^ ",~%04x"] of
+   the body checksum. The record then lies whole in the scratch, so a
+   writer can fold its bytes into a CRC and copy them out in one move. *)
+let seal s =
   let sum = Scratch.checksum s in
-  Buffer.add_subbytes buf s.Scratch.buf 0 s.Scratch.pos;
-  Buffer.add_string buf ",~";
-  Buffer.add_char buf hex_digits.[(sum lsr 12) land 0xf];
-  Buffer.add_char buf hex_digits.[(sum lsr 8) land 0xf];
-  Buffer.add_char buf hex_digits.[(sum lsr 4) land 0xf];
-  Buffer.add_char buf hex_digits.[sum land 0xf]
+  Scratch.ensure s 6;
+  Scratch.put s ',';
+  Scratch.put s '~';
+  Scratch.put s (String.unsafe_get hex_digits ((sum lsr 12) land 0xf));
+  Scratch.put s (String.unsafe_get hex_digits ((sum lsr 8) land 0xf));
+  Scratch.put s (String.unsafe_get hex_digits ((sum lsr 4) land 0xf));
+  Scratch.put s (String.unsafe_get hex_digits (sum land 0xf))
 
 let encode_event e =
   let s = Scratch.create () in
   encode_into s e;
-  let buf = Buffer.create (s.Scratch.pos + 6) in
-  seal_to buf s;
-  Buffer.contents buf
+  seal s;
+  Bytes.sub_string s.Scratch.buf 0 s.Scratch.pos
 
 let ( let* ) = Result.bind
 

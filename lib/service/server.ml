@@ -26,10 +26,30 @@ type metrics = {
   events : int;
 }
 
+type request =
+  | Q_arrive of { tenant : string; time : float; item_id : int; size : Vec.t }
+  | Q_depart of { tenant : string; time : float; item_id : int }
+  | Q_stats
+  | Q_metrics
+  | Q_snapshot
+  | Q_quit
+  | Q_err of { kind : Metrics.kind; msg : string }  (* answers [ERR msg] *)
+
+type applied =
+  | A_none
+  | A_err of string  (* ERR reply computed by a worker (failed DEPART) *)
+  | A_reject of string
+  | A_placed of Session.placement * Journal.event
+  | A_departed of Journal.event
+
+(* a tenant's session, and the tally {!observe_run} counts a run's lines
+   in (zero between runs) *)
+type tenant = { name : string; session : Session.t; mutable run_lines : int }
+
 type t = {
   config : config;
   io : Io.t;
-  tenants : (string, Session.t) Hashtbl.t;
+  tenants : (string, tenant) Hashtbl.t;
   mutable tenant_order_rev : string list;
   journal : Journal.writer option;
   mutable last_event : Journal.event option;  (* event [events - 1] *)
@@ -45,6 +65,15 @@ type t = {
   mutable closed : bool;
   field_starts : int array;  (* request scanner scratch, one slot per field *)
   field_stops : int array;
+  known : string array;  (* tenant names by {!field_slot}: see {!parse_tenant} *)
+  reply_scratch : Record.Scratch.t;  (* PLACED replies are written here *)
+  (* {!handle_batch}'s scratch, slot [i] for line [i], kept across calls
+     (see {!reserve}); every slot is cleared after each call except the
+     replies, which the caller reads *)
+  mutable reqs : request array;
+  mutable replies : (string * bool) array;
+  mutable line_tenants : tenant array;  (* the session line [i] resolved to *)
+  mutable results : applied array;
 }
 
 let ( let* ) = Result.bind
@@ -82,13 +111,28 @@ let validate_config c =
   in
   Ok ()
 
-let register_tenant t tenant session =
-  Hashtbl.add t.tenants tenant session;
-  t.tenant_order_rev <- tenant :: t.tenant_order_rev;
-  Metrics.attach_session t.obs ~tenant ~policy:t.config.policy session
+(* a field's slot in [known]: a hash of its bytes [s, e) of [line] *)
+let known_slots = 64
+
+let field_slot line s e =
+  let h = ref 0 in
+  for j = s to e - 1 do
+    h := (!h * 31) + Char.code (String.unsafe_get line j)
+  done;
+  !h land (known_slots - 1)
+
+let remember t name = t.known.(field_slot name 0 (String.length name)) <- name
+
+let register_tenant t name session =
+  let tenant = { name; session; run_lines = 0 } in
+  Hashtbl.add t.tenants name tenant;
+  remember t name;
+  t.tenant_order_rev <- name :: t.tenant_order_rev;
+  Metrics.attach_session t.obs ~tenant:name ~policy:t.config.policy session;
+  tenant
 
 let sessions t =
-  List.rev_map (fun tn -> (tn, Hashtbl.find t.tenants tn)) t.tenant_order_rev
+  List.rev_map (fun tn -> (tn, (Hashtbl.find t.tenants tn).session)) t.tenant_order_rev
 
 let make_t config ~io ~obs ~tenant_sessions journal ~events ~last ~since_snapshot =
   let t =
@@ -112,9 +156,17 @@ let make_t config ~io ~obs ~tenant_sessions journal ~events ~last ~since_snapsho
       (* ARRIVE tenant t id sizes: the longest request has 5 fields *)
       field_starts = Array.make 5 0;
       field_stops = Array.make 5 0;
+      known = Array.make known_slots "";
+      reply_scratch = Record.Scratch.create ();
+      reqs = [||];
+      replies = [||];
+      line_tenants = [||];
+      results = [||];
     }
   in
-  List.iter (fun (tenant, session) -> register_tenant t tenant session) tenant_sessions;
+  List.iter
+    (fun (tenant, session) -> ignore (register_tenant t tenant session))
+    tenant_sessions;
   if not (Metrics.is_noop obs) then begin
     let reg = Metrics.registry obs in
     R.Counter.pull reg "dvbp_server_placements_total" ~help:"PLACED replies" (fun () ->
@@ -282,22 +334,21 @@ let metrics t =
     events = t.events;
   }
 
-let get_session t tenant =
-  match Hashtbl.find_opt t.tenants tenant with
-  | Some s -> Ok s
-  | None ->
-      let* _ = Tenant.validate tenant in
-      let* session =
-        fresh_tenant_session ~policy:t.config.policy ~seed:t.config.seed
-          ~capacity:t.config.capacity tenant
-      in
-      register_tenant t tenant session;
-      Ok session
+(* the tenant named [name], created on first contact *)
+let new_tenant t name =
+  let* _ = Tenant.validate name in
+  let* session =
+    fresh_tenant_session ~policy:t.config.policy ~seed:t.config.seed
+      ~capacity:t.config.capacity name
+  in
+  Ok (register_tenant t name session)
 
-let session t =
+let default_tenant t =
   match Hashtbl.find_opt t.tenants Tenant.default with
-  | Some s -> s
+  | Some tenant -> tenant
   | None -> invalid_arg "Server.session: no default tenant session"
+
+let session t = (default_tenant t).session
 
 let observability t = t.obs
 let latency_summary t = Metrics.request_summary t.obs
@@ -332,25 +383,17 @@ let stats_line t =
 (* {2 Request parsing}
 
    [parse_request] is the only code that turns a request line into a
-   request, and [quits] asks the same scanner whether a line is QUIT.
-   Fields are space-separated; a trailing CR and stray blanks (leading,
-   trailing, doubled) are tolerated. Fields
+   request, and [quits] reads a line's fields the same way to ask whether
+   it is QUIT. Fields are space-separated; a trailing CR and stray blanks
+   (leading, trailing, doubled) are tolerated. Fields
    are scanned in place; numeric fields take a plain-decimal fast path and
    otherwise fall back to the stdlib conversion of the field's substring,
    so every spelling [int_of_string]/[float_of_string] accepts ([+7],
-   [0x10], [1_000], [1e1]) is accepted. A tenant-prefixed event has one
-   more field than the un-prefixed form: the field count, not the content,
-   tells the two grammars apart (digit strings are valid tenants and valid
-   timestamps alike). *)
-
-type request =
-  | Q_arrive of { tenant : string; time : float; item_id : int; size : Vec.t }
-  | Q_depart of { tenant : string; time : float; item_id : int }
-  | Q_stats
-  | Q_metrics
-  | Q_snapshot
-  | Q_quit
-  | Q_err of { kind : Metrics.kind; msg : string }  (* answers [ERR msg] *)
+   [0x10], [1_000], [1e1]) is accepted. A known tenant's field is matched
+   in place too, so a well-formed event line cuts out no substring. A
+   tenant-prefixed event has one more field than the un-prefixed form: the
+   field count, not the content, tells the two grammars apart (digit
+   strings are valid tenants and valid timestamps alike). *)
 
 let kind_of_request = function
   | Q_arrive _ -> Metrics.Arrive
@@ -401,10 +444,15 @@ let parse_int what line s e =
     match int_of_string_opt f with Some x -> x | None -> bad "bad %s %S" what f
 
 let parse_time line s e =
-  let f = String.sub line s (e - s) in
-  match float_of_string_opt f with
-  | Some x when Float.is_finite x -> x
-  | Some _ | None -> bad "bad timestamp %S" f
+  (* a plain-decimal int converts exactly as [float_of_string] reads it:
+     both round the same integer to the nearest double *)
+  let v = Record.parse_uint line s e in
+  if v >= 0 then float_of_int v
+  else
+    let f = String.sub line s (e - s) in
+    match float_of_string_opt f with
+    | Some x when Float.is_finite x -> x
+    | Some _ | None -> bad "bad timestamp %S" f
 
 (* "10,20"-style size vector in [s, e): every entry is parsed, left to
    right, before any is checked for sign *)
@@ -424,37 +472,54 @@ let parse_sizes line s e =
   if Array.exists (fun x -> x < 0) arr then bad "negative size";
   Vec.of_array arr
 
-let parse_tenant line s e =
-  match Tenant.validate (String.sub line s (e - s)) with
-  | Ok tenant -> tenant
-  | Error msg -> raise (Bad_request msg)
+(* A field equal to the name in its [known] slot is that tenant, already
+   validated: no copy is made. Any other field is cut out and validated,
+   and takes the slot if it names a tenant the server holds. *)
+let parse_tenant t line s e =
+  let slot = field_slot line s e in
+  let known = t.known.(slot) in
+  if Record.field_is line s e known then known
+  else
+    match Tenant.validate (String.sub line s (e - s)) with
+    | Ok name ->
+        if Hashtbl.mem t.tenants name then t.known.(slot) <- name;
+        name
+    | Error msg -> raise (Bad_request msg)
 
 let arrive_usage = "usage: ARRIVE [tenant] <t> <id> <s1,...,sd>"
 let depart_usage = "usage: DEPART [tenant] <t> <id>"
 
 (* fields [b], [b+1], ... follow the command and the optional tenant *)
-let parse_event line starts stops nf ~arrive =
+let parse_event t line starts stops nf ~arrive =
   let arity = if arrive then 4 else 3 in
   if nf <> arity && nf <> arity + 1 then
     raise (Bad_request (if arrive then arrive_usage else depart_usage));
   let b = nf - arity + 1 in
-  let tenant = if b = 1 then Tenant.default else parse_tenant line starts.(1) stops.(1) in
+  let tenant = if b = 1 then Tenant.default else parse_tenant t line starts.(1) stops.(1) in
   let time = parse_time line starts.(b) stops.(b) in
   let item_id = parse_int "item id" line starts.(b + 1) stops.(b + 1) in
   if arrive then
     Q_arrive { tenant; time; item_id; size = parse_sizes line starts.(b + 2) stops.(b + 2) }
   else Q_depart { tenant; time; item_id }
 
+(* [scan_fields]'s reading of a one-field line, without its slots *)
 let quits line =
-  let starts = [| 0 |] and stops = [| 0 |] in
-  scan_fields line starts stops = 1 && Record.field_is line starts.(0) stops.(0) "QUIT"
+  let n = String.length line in
+  let n = if n > 0 && String.unsafe_get line (n - 1) = '\r' then n - 1 else n in
+  let i = ref 0 in
+  while !i < n && String.unsafe_get line !i = ' ' do incr i done;
+  let s = !i in
+  while !i < n && String.unsafe_get line !i <> ' ' do incr i done;
+  let e = !i in
+  while !i < n && String.unsafe_get line !i = ' ' do incr i done;
+  !i = n && Record.field_is line s e "QUIT"
 
 let parse_request t line =
   let starts = t.field_starts and stops = t.field_stops in
   let nf = scan_fields line starts stops in
   let arrive = nf > 0 && Record.field_is line starts.(0) stops.(0) "ARRIVE" in
   if arrive || (nf > 0 && Record.field_is line starts.(0) stops.(0) "DEPART") then
-    try parse_event line starts stops nf ~arrive
+    try parse_event t line starts stops nf ~arrive
     with Bad_request msg ->
       Q_err { kind = (if arrive then Metrics.Arrive else Metrics.Depart); msg }
   else if nf = 0 then Q_err { kind = Metrics.Other; msg = "empty request" }
@@ -488,13 +553,6 @@ let parse_request t line =
      {!Journal.append_batch} — one write, one fsync — then release
      replies. *)
 
-type applied =
-  | A_none
-  | A_err of string  (* ERR reply computed by a worker (failed DEPART) *)
-  | A_reject of string
-  | A_placed of string * Journal.event
-  | A_departed of Journal.event
-
 let err t msg =
   t.errors <- t.errors + 1;
   (Printf.sprintf "ERR %s" msg, false)
@@ -503,10 +561,15 @@ let count_request t req =
   t.requests <- t.requests + 1;
   Metrics.on_request t.obs (kind_of_request req)
 
-let placed_reply (p : Session.placement) =
-  String.concat ""
-    [ "PLACED "; string_of_int p.Session.bin_id;
-      (if p.Session.opened_new_bin then " 1" else " 0") ]
+(* "PLACED <bin> <1|0>", written into the reply scratch and copied out
+   once (commit phase, calling domain) *)
+let placed_reply t (p : Session.placement) =
+  let s = t.reply_scratch in
+  Record.Scratch.reset s;
+  Record.Scratch.add_string s "PLACED ";
+  Record.Scratch.add_int s p.Session.bin_id;
+  Record.Scratch.add_string s (if p.Session.opened_new_bin then " 1" else " 0");
+  Bytes.sub_string s.Record.Scratch.buf 0 s.Record.Scratch.pos
 
 let apply_request req session =
   match req with
@@ -515,7 +578,7 @@ let apply_request req session =
       | exception Session.Session_error msg -> A_reject msg
       | p ->
           A_placed
-            ( placed_reply p,
+            ( p,
               Journal.Arrive
                 { tenant; time; item_id; size; bin_id = p.Session.bin_id;
                   opened_new_bin = p.Session.opened_new_bin } ))
@@ -535,43 +598,44 @@ let journal_events t events ~waiters =
       Metrics.time_journal_append t.obs (fun () -> Journal.append_batch w events);
       Metrics.set_group_commit_waiters t.obs 0
 
-(* Answer the event run [reqs.(lo) .. reqs.(hi - 1)] into [replies]. A
-   line whose tenant session cannot be resolved becomes a [Q_err] in
-   [reqs], so the caller sees which lines reached a session. *)
-let process_run t (reqs : request array) (replies : (string * bool) array)
-    ~lo ~hi =
+(* Answer the event run of lines [lo, hi) of the batch scratch. A line
+   whose tenant session cannot be resolved becomes a [Q_err] in [reqs],
+   so the caller sees which lines reached a session. *)
+let process_run t ~lo ~hi =
   let jobs = t.config.jobs in
-  let n = hi - lo in
-  let sessions = Array.make n (session t) in
+  let reqs = t.reqs and replies = t.replies and line_tenants = t.line_tenants in
+  let results = t.results in
   (* prep: session creation mutates the tenant table, which workers only
      read, so it stays on the calling domain *)
-  for k = 0 to n - 1 do
-    let req = reqs.(lo + k) in
+  for i = lo to hi - 1 do
+    let req = reqs.(i) in
     count_request t req;
     match req with
     | Q_arrive { tenant; _ } | Q_depart { tenant; _ } -> (
-        match get_session t tenant with
-        | Ok s -> sessions.(k) <- s
-        | Error msg ->
-            reqs.(lo + k) <- Q_err { kind = kind_of_request req; msg };
-            replies.(lo + k) <- err t msg)
-    | Q_err { msg; _ } -> replies.(lo + k) <- err t msg
+        match Hashtbl.find t.tenants tenant with
+        | known -> line_tenants.(i) <- known
+        | exception Not_found -> (
+            match new_tenant t tenant with
+            | Ok created -> line_tenants.(i) <- created
+            | Error msg ->
+                reqs.(i) <- Q_err { kind = kind_of_request req; msg };
+                replies.(i) <- err t msg))
+    | Q_err { msg; _ } -> replies.(i) <- err t msg
     | Q_stats | Q_metrics | Q_snapshot | Q_quit -> ()
   done;
   (* apply: shard by tenant, workers write disjoint slots *)
-  let results = Array.make n A_none in
-  let apply k = results.(k) <- apply_request reqs.(lo + k) sessions.(k) in
+  let apply i = results.(i) <- apply_request reqs.(i) line_tenants.(i).session in
   if jobs <= 1 then
-    for k = 0 to n - 1 do
-      apply k
+    for i = lo to hi - 1 do
+      apply i
     done
   else begin
     let buckets = Array.make jobs [] in
-    for k = n - 1 downto 0 do
-      match reqs.(lo + k) with
+    for i = hi - 1 downto lo do
+      match reqs.(i) with
       | Q_arrive { tenant; _ } | Q_depart { tenant; _ } ->
           let s = Tenant.hash tenant mod jobs in
-          buckets.(s) <- k :: buckets.(s)
+          buckets.(s) <- i :: buckets.(s)
       | Q_stats | Q_metrics | Q_snapshot | Q_quit | Q_err _ -> ()
     done;
     ignore (Dvbp_parallel.Parallel.map_array ~jobs (List.iter apply) buckets)
@@ -583,24 +647,24 @@ let process_run t (reqs : request array) (replies : (string * bool) array)
     t.events <- t.events + 1;
     t.since_snapshot <- t.since_snapshot + 1
   in
-  for k = 0 to n - 1 do
-    match results.(k) with
+  for i = lo to hi - 1 do
+    match results.(i) with
     | A_none -> ()
-    | A_err msg -> replies.(lo + k) <- err t msg
+    | A_err msg -> replies.(i) <- err t msg
     | A_reject msg ->
         t.rejections <- t.rejections + 1;
-        replies.(lo + k) <- (Printf.sprintf "REJECT %s" msg, false)
-    | A_placed (reply, e) ->
+        replies.(i) <- (Printf.sprintf "REJECT %s" msg, false)
+    | A_placed (p, e) ->
         t.placements <- t.placements + 1;
         stage e;
-        replies.(lo + k) <- (reply, false)
+        replies.(i) <- (placed_reply t p, false)
     | A_departed e ->
         t.departures <- t.departures + 1;
         stage e;
-        replies.(lo + k) <- ("OK", false)
+        replies.(i) <- ("OK", false)
   done;
   (match !staged_rev with e :: _ -> t.last_event <- Some e | [] -> ());
-  journal_events t (List.rev !staged_rev) ~waiters:n;
+  journal_events t (List.rev !staged_rev) ~waiters:(hi - lo);
   Metrics.set_compaction_lag t.obs t.since_snapshot;
   if !staged_rev <> [] && checkpoint_due t then
     match checkpoint t with Ok _ -> () | Error msg -> failwith msg (* excluded by validate_config *)
@@ -620,23 +684,32 @@ let handle_control t req =
 
 (* batch latency: every line in a run waited for the same commit, so each
    observes the run's full prep+apply+commit wall time — one bulk bucket
-   update per kind and per tenant, not one per line *)
-let observe_run t reqs ~lo ~hi ~seconds =
+   update per kind and per tenant, not one per line. Each tenant's lines
+   are tallied in its own record, then reported (and the tally zeroed) at
+   the tenant's first line of the run. *)
+let observe_run t ~lo ~hi ~seconds =
   let arrives = ref 0 in
-  let per_tenant = Hashtbl.create 8 in
-  for k = lo to hi - 1 do
-    if kind_of_request reqs.(k) = Metrics.Arrive then incr arrives;
-    match reqs.(k) with
-    | Q_arrive { tenant; _ } | Q_depart { tenant; _ } ->
-        Hashtbl.replace per_tenant tenant
-          (1 + Option.value (Hashtbl.find_opt per_tenant tenant) ~default:0)
+  for i = lo to hi - 1 do
+    if kind_of_request t.reqs.(i) = Metrics.Arrive then incr arrives;
+    match t.reqs.(i) with
+    | Q_arrive _ | Q_depart _ ->
+        let tenant = t.line_tenants.(i) in
+        tenant.run_lines <- tenant.run_lines + 1
     | Q_stats | Q_metrics | Q_snapshot | Q_quit | Q_err _ -> ()
   done;
   Metrics.observe_request_n t.obs Metrics.Arrive ~seconds !arrives;
   Metrics.observe_request_n t.obs Metrics.Depart ~seconds (hi - lo - !arrives);
-  Hashtbl.iter
-    (fun tenant k -> Metrics.observe_tenant_request_n t.obs ~tenant ~seconds k)
-    per_tenant
+  for i = lo to hi - 1 do
+    match t.reqs.(i) with
+    | Q_arrive _ | Q_depart _ ->
+        let tenant = t.line_tenants.(i) in
+        if tenant.run_lines > 0 then begin
+          Metrics.observe_tenant_request_n t.obs ~tenant:tenant.name ~seconds
+            tenant.run_lines;
+          tenant.run_lines <- 0
+        end
+    | Q_stats | Q_metrics | Q_snapshot | Q_quit | Q_err _ -> ()
+  done
 
 (* With [snapshot_every = Some k] a run ends at the line that brings the
    events since the last snapshot to [k], so the checkpoint lands exactly
@@ -644,29 +717,56 @@ let observe_run t reqs ~lo ~hi ~seconds =
 let run_limit t =
   match t.config.snapshot_every with Some k -> max 1 (k - t.since_snapshot) | None -> max_int
 
-let handle_batch t lines =
-  let reqs = Array.map (parse_request t) lines in
-  let n = Array.length reqs in
-  let replies = Array.make n ("", false) in
+(* Room for [n] lines in the batch scratch. It grows to the next power of
+   two, so a stream of growing batches regrows it O(log n) times, and
+   never past a power-of-two cap on the batch, such as the event loop's
+   default [max_batch] of 16,384. *)
+let reserve t n =
+  if Array.length t.reqs < n then begin
+    let cap = ref 1 in
+    while !cap < n do cap := 2 * !cap done;
+    t.reqs <- Array.make !cap Q_quit;
+    t.replies <- Array.make !cap ("", false);
+    t.line_tenants <- Array.make !cap (default_tenant t);
+    t.results <- Array.make !cap A_none
+  end
+
+let handle_batch t ?len lines =
+  let n = match len with Some n -> n | None -> Array.length lines in
+  if n < 0 || n > Array.length lines then invalid_arg "Server.handle_batch: bad length";
+  reserve t n;
+  let reqs = t.reqs in
+  for i = 0 to n - 1 do
+    reqs.(i) <- parse_request t lines.(i)
+  done;
   let i = ref 0 in
   while !i < n do
     let t0 = Metrics.now t.obs in
     if in_run reqs.(!i) then begin
       let j = ref !i and limit = run_limit t in
       while !j < n && !j - !i < limit && in_run reqs.(!j) do incr j done;
-      process_run t reqs replies ~lo:!i ~hi:!j;
+      process_run t ~lo:!i ~hi:!j;
       if not (Metrics.is_noop t.obs) then
-        observe_run t reqs ~lo:!i ~hi:!j ~seconds:(Metrics.now t.obs -. t0);
+        observe_run t ~lo:!i ~hi:!j ~seconds:(Metrics.now t.obs -. t0);
       i := !j
     end
     else begin
-      replies.(!i) <- handle_control t reqs.(!i);
+      t.replies.(!i) <- handle_control t reqs.(!i);
       Metrics.observe_request t.obs (kind_of_request reqs.(!i))
         ~seconds:(Metrics.now t.obs -. t0);
       incr i
     end
   done;
-  replies
+  (* the scratch keeps no request, session or outcome alive between calls *)
+  Array.fill reqs 0 n Q_quit;
+  Array.fill t.line_tenants 0 n (default_tenant t);
+  Array.fill t.results 0 n A_none;
+  match len with
+  | Some _ -> t.replies
+  | None ->
+      let replies = Array.sub t.replies 0 n in
+      Array.fill t.replies 0 n ("", false);
+      replies
 
 let handle_line t line = (handle_batch t [| line |]).(0)
 

@@ -24,7 +24,8 @@
     documented name-by-name in [OPERATIONS.md].
 
     Lines are answered by {!handle_batch} ({!handle_line} is a one-line
-    batch), and {!quits} asks the same scanner whether a line is QUIT.
+    batch), and {!quits} reads a line as the request scanner does to ask
+    whether it is QUIT.
     Fields
     are separated by one or more blanks; leading and trailing blanks and
     one trailing CR are ignored. Commands are case-sensitive, and control
@@ -115,16 +116,25 @@ val restart : ?io:Io.t -> ?metrics:Metrics.t -> config -> (t option, string) res
     sequence's wall time and the events restored from each source.
     Errors when [config] names no journal. *)
 
-val handle_batch : t -> string array -> (string * bool) array
-(** Group commit: handles every line (arrival order across connections —
-    slot [i] answers line [i]) and returns only after all applied events
+val handle_batch : t -> ?len:int -> string array -> (string * bool) array
+(** Group commit: handles lines [0, len) ([len] defaults to the whole
+    array; arrival order across connections — slot [i] answers line [i])
+    and returns only after all applied events
     are journaled {e and fsynced}: one {!Journal.append_batch} (one write,
     one fsync) per event run. ARRIVE/DEPART lines, malformed ones included, are
     answered in runs whose events are applied sharded by tenant over
     [config.jobs] domains; per-tenant results are bit-identical for any
     [jobs]. Every other line (STATS, SNAPSHOT, QUIT, unknown commands) is
     handled between commits on the calling domain. Each line's handling
-    latency goes to the per-kind request histograms ({!latency_summary}). *)
+    latency goes to the per-kind request histograms ({!latency_summary}).
+
+    The server keeps its per-line scratch across calls, so a call
+    allocates no block sized to its batch. Without [len] the replies come
+    back in a fresh array of exactly the lines. With [len] they are the
+    server's own reply scratch, no copy made: read slots [0, len) before
+    the next call, and clear them (the {!Event_loop} does) so they keep
+    no reply alive. Raises [Invalid_argument] when [len] is negative or
+    past the array. *)
 
 val handle_line : t -> string -> string * bool
 (** [handle_line t line] is [(handle_batch t [| line |]).(0)]:

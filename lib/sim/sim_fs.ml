@@ -116,6 +116,11 @@ let open_out_sim t ~append path =
         boundary t;
         check_h ();
         Buffer.add_string h.h_buf s);
+    write_buffer =
+      (fun b ->
+        boundary t;
+        check_h ();
+        Buffer.add_buffer h.h_buf b);
     flush =
       (fun () ->
         boundary t;

@@ -601,6 +601,65 @@ let trace_io_regression_tests =
         | Ok _ -> Alcotest.fail "expected error");
   ]
 
+(* CRC-32 against a bit-at-a-time reference: the slicing-by-8 kernel
+   folds eight bytes per step and takes the tail bytewise, so every
+   alignment of [pos] and every [len] around the 8-byte step is checked,
+   from a fresh start and from a running value. *)
+let crc32_reference crc b ~pos ~len =
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let qcheck_crc32 =
+  let gen =
+    QCheck2.Gen.(
+      let* bytes = string_size ~gen:char (return 141) in
+      let* start = int_bound 0xFFFFFFFF in
+      let* cut = 0 -- 70 in
+      return (bytes, start, cut))
+  in
+  QCheck2.Test.make ~count:40
+    ~name:"slicing-by-8 update equals the bytewise reference at every pos and len"
+    gen (fun (s, start, cut) ->
+      let b = Bytes.of_string s in
+      for pos = 0 to 70 do
+        for len = 0 to 70 do
+          let want = crc32_reference start b ~pos ~len in
+          if Crc32.update start b ~pos ~len <> want then
+            QCheck2.Test.fail_reportf "pos %d len %d from %08x" pos len start;
+          (* chained: split the range anywhere, resume from the first part *)
+          let k = min cut len in
+          let first = Crc32.update start b ~pos ~len:k in
+          let chained = Crc32.update first b ~pos:(pos + k) ~len:(len - k) in
+          if chained <> want then
+            QCheck2.Test.fail_reportf "pos %d len %d split at %d from %08x" pos len k start
+        done
+      done;
+      true)
+
+let crc32_tests =
+  [
+    Alcotest.test_case "check value of \"123456789\" is 0xCBF43926" `Quick (fun () ->
+        check_int "crc" 0xCBF43926 (Crc32.string "123456789");
+        check_int "empty" 0 (Crc32.string "");
+        check_int "bytes ~pos ~len" 0xCBF43926
+          (Crc32.bytes ~pos:2 ~len:9 (Bytes.of_string "xx123456789yy")));
+    Alcotest.test_case "out-of-bounds ranges are refused" `Quick (fun () ->
+        let b = Bytes.make 16 'a' in
+        List.iter
+          (fun (pos, len) ->
+            Alcotest.check_raises
+              (Printf.sprintf "pos %d len %d" pos len)
+              (Invalid_argument "Crc32.update: range out of bounds")
+              (fun () -> ignore (Crc32.update 0 b ~pos ~len)))
+          [ (-1, 4); (0, -1); (0, 17); (9, 8); (16, 1) ]);
+  ]
+
 let suites =
   [
     ( "tracestore.roundtrip",
@@ -612,4 +671,5 @@ let suites =
     ("tracestore.loadgen", loadgen_tests);
     ("tracestore.families", generator_tests @ describe_tests);
     ("tracestore.trace_io", trace_io_regression_tests);
+    ("tracestore.crc32", crc32_tests @ [ QCheck_alcotest.to_alcotest qcheck_crc32 ]);
   ]
